@@ -69,6 +69,7 @@ from .solver import (
     mixed_expected_payoff,
     reduce_matrix,
     simulate,
+    solve,
     solve_zero_sum,
     truth_value,
     verify_equilibrium,

@@ -11,44 +11,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .corpus import run_corpus
 from .errors import BudgetError, IfGameError
-from .game import DEFAULT_NODE_CAP, build_semantic_game, export_dot
-from .parser import (
-    format_formula,
-    parse_event,
-    parse_extensive_game,
-    parse_formula,
-    parse_nature_strategy,
-    parse_profile,
-    parse_structure,
-)
-from .solver import (
-    build_matrix,
-    conditional_value,
-    reduce_matrix,
-    simulate,
-    solve_zero_sum,
-)
-from .strategy import DEFAULT_STRATEGY_BUDGET, embedded_nature, uniform_nature
+from .game import DEFAULT_NODE_CAP, export_dot
+from .parser import format_formula, load_game, parse_event, parse_formula, parse_profile
+from .solver import conditional_value, simulate, solve
+from .strategy import DEFAULT_STRATEGY_BUDGET
 
 
-@dataclass
-class RunConfig:
-    node_cap: int = DEFAULT_NODE_CAP
-    budget: int = DEFAULT_STRATEGY_BUDGET
-    weak_dominance: bool = True
-    seed: int = 0
-    plays: int = 100_000
-    fmt: str = "text"
-
-    def __post_init__(self):
-        if self.node_cap <= 0 or self.budget <= 0 or self.plays <= 0:
-            raise IfGameError("caps, budgets and play counts must be positive")
+def positive_int(text: str) -> int:
+    """argparse type for caps, budgets and play counts.  Raises the
+    diagnostic itself (not a usage error), so ``main`` exits 1."""
+    value = int(text)
+    if value <= 0:
+        raise IfGameError("caps, budgets and play counts must be positive")
+    return value
 
 
 def _frac(value: Fraction) -> str:
@@ -63,53 +43,42 @@ def _mix_payload(mix):
     ]
 
 
-def _load_game(args, config: RunConfig):
+def _load_game(args):
     """Resolve the positional inputs into (game, nature strategy)."""
     source = Path(args.input)
-    if source.suffix == ".game":
-        game = parse_extensive_game(source.read_text(), source.stem)
-        if getattr(args, "nature", None) and args.nature != "uniform":
-            lam = parse_nature_strategy(Path(args.nature).read_text(), game)
-        else:
-            lam = embedded_nature(game)
-        return game, lam
-    if not getattr(args, "structure", None):
-        raise IfGameError("a formula input needs a structure file")
-    phi = parse_formula(source.read_text())
-    structure = parse_structure(Path(args.structure).read_text())
-    game = build_semantic_game(structure, phi, config.node_cap)
-    nature = getattr(args, "nature", None)
-    if nature and nature != "uniform":
-        lam = parse_nature_strategy(Path(nature).read_text(), game)
-    else:
-        lam = uniform_nature(game)
-    return game, lam
+    structure = None
+    if source.suffix != ".game":
+        if not args.structure:
+            raise IfGameError("a formula input needs a structure file")
+        structure = Path(args.structure).read_text()
+    nature = None
+    if args.nature and args.nature != "uniform":
+        nature = Path(args.nature).read_text()
+    return load_game(source.read_text(), structure, nature, args.node_cap)
 
 
-def _solve(game, lam, config: RunConfig):
-    matrix = build_matrix(game, lam, config.budget)
-    reduced = reduce_matrix(matrix, config.weak_dominance)
-    return solve_zero_sum(reduced), reduced
+def _solve(args, game, lam):
+    return solve(game, lam, args.budget, not args.no_weak_dominance)
 
 
-def _profile_for(args, game, lam, config: RunConfig):
-    if getattr(args, "solve", False):
-        eq, _ = _solve(game, lam, config)
+def _profile_for(args, game, lam):
+    if args.solve:
+        eq = _solve(args, game, lam)
         return eq.row_strategies(), eq.col_strategies()
-    if not getattr(args, "profile", None):
+    if not args.profile:
         raise IfGameError("need --profile FILE or --solve")
     return parse_profile(Path(args.profile).read_text(), game)
 
 
-def cmd_value(args, config: RunConfig) -> int:
-    game, lam = _load_game(args, config)
-    eq, reduced = _solve(game, lam, config)
-    if config.fmt == "structured":
+def cmd_value(args) -> int:
+    game, lam = _load_game(args)
+    eq = _solve(args, game, lam)
+    if args.format == "structured":
         payload = {
             "value": _frac(eq.value),
             "rows": _mix_payload(eq.row_strategies()),
             "cols": _mix_payload(eq.col_strategies()),
-            "reduction": reduced.log,
+            "reduction": eq.matrix.log,
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
@@ -120,17 +89,17 @@ def cmd_value(args, config: RunConfig) -> int:
             lines = strategy.lines()
             body = "; ".join(lines) if lines else "(no decisions)"
             print(f"  {_frac(mass)}  {body}")
-    for line in reduced.log:
+    for line in eq.matrix.log:
         print(f"reduction: {line}")
     return 0
 
 
-def cmd_condition(args, config: RunConfig) -> int:
-    game, lam = _load_game(args, config)
-    row_mix, col_mix = _profile_for(args, game, lam, config)
+def cmd_condition(args) -> int:
+    game, lam = _load_game(args)
+    row_mix, col_mix = _profile_for(args, game, lam)
     event = parse_event(args.event, game) if args.event else None
     result = conditional_value(game, lam, row_mix, col_mix, event)
-    if config.fmt == "structured":
+    if args.format == "structured":
         payload = {
             "event": args.event or "true",
             "p_event": _frac(result.p_event),
@@ -145,12 +114,11 @@ def cmd_condition(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_corpus(args, config: RunConfig) -> int:
-    results = run_corpus(args.filter, node_cap=config.node_cap,
-                         budget=config.budget,
-                         use_weak_dominance=config.weak_dominance)
+def cmd_corpus(args) -> int:
+    results = run_corpus(args.filter, node_cap=args.node_cap, budget=args.budget,
+                         use_weak_dominance=not args.no_weak_dominance)
     failed = [r for r in results if not r.passed]
-    if config.fmt == "structured":
+    if args.format == "structured":
         payload = [
             {
                 "entry": r.entry,
@@ -178,8 +146,8 @@ def cmd_corpus(args, config: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_export(args, config: RunConfig) -> int:
-    game, _ = _load_game(args, config)
+def cmd_export(args) -> int:
+    game, _ = _load_game(args)
     text = export_dot(game)
     if args.output:
         Path(args.output).write_text(text)
@@ -188,15 +156,14 @@ def cmd_export(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(args, config: RunConfig) -> int:
-    game, lam = _load_game(args, config)
-    row_mix, col_mix = _profile_for(args, game, lam, config)
+def cmd_simulate(args) -> int:
+    game, lam = _load_game(args)
+    row_mix, col_mix = _profile_for(args, game, lam)
     events = {}
     for text in args.event or ():
         events[text] = parse_event(text, game)
-    report = simulate(game, lam, row_mix, col_mix, config.plays, config.seed,
-                      events)
-    if config.fmt == "structured":
+    report = simulate(game, lam, row_mix, col_mix, args.plays, args.seed, events)
+    if args.format == "structured":
         payload = {
             "plays": report.plays,
             "seed": report.seed,
@@ -216,7 +183,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_parse(args, config: RunConfig) -> int:
+def cmd_parse(args) -> int:
     phi = parse_formula(Path(args.input).read_text())
     print(format_formula(phi))
     return 0
@@ -230,18 +197,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, structure=True, nature=True):
-        p.add_argument("input", help="formula (.if) or extensive game (.game) file")
-        if structure:
+    def common(p, inputs=True, nature=True):
+        if inputs:
+            p.add_argument("input",
+                           help="formula (.if) or extensive game (.game) file")
             p.add_argument("structure", nargs="?",
                            help="structure (.struct) file, for formula inputs")
         if nature:
             p.add_argument("--nature", default=None, metavar="FILE|uniform",
                            help="chance player's behavioral strategy "
                                 "(default: uniform)")
-        p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET,
+        p.add_argument("--budget", type=positive_int,
+                       default=DEFAULT_STRATEGY_BUDGET,
                        help="reduced-strategy enumeration budget per player")
-        p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
+        p.add_argument("--node-cap", type=positive_int, default=DEFAULT_NODE_CAP,
                        help="game tree node cap")
         p.add_argument("--no-weak-dominance", action="store_true",
                        help="only merge duplicates and strict dominance")
@@ -263,25 +232,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_condition)
 
     p = sub.add_parser("corpus", help="replay the bundled result corpus")
+    common(p, inputs=False, nature=False)
     p.add_argument("--filter", default=None,
                    help="only entries whose name contains this substring")
-    p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
-    p.add_argument("--no-weak-dominance", action="store_true")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(fn=cmd_corpus)
 
     p = sub.add_parser("export", help="write the game tree as Graphviz text")
     common(p, nature=False)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_export)
+    p.set_defaults(fn=cmd_export, nature=None)
 
     p = sub.add_parser("simulate", help="Monte Carlo cross-check of a profile")
     common(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--profile")
     group.add_argument("--solve", action="store_true")
-    p.add_argument("--plays", type=int, default=100_000)
+    p.add_argument("--plays", type=positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--event", action="append",
                    help="event to tally (repeatable)")
@@ -289,23 +255,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="echo a formula in canonical form")
     p.add_argument("input")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(fn=cmd_parse)
     return top
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            node_cap=getattr(args, "node_cap", DEFAULT_NODE_CAP),
-            budget=getattr(args, "budget", DEFAULT_STRATEGY_BUDGET),
-            weak_dominance=not getattr(args, "no_weak_dominance", False),
-            seed=getattr(args, "seed", 0),
-            plays=getattr(args, "plays", 100_000),
-            fmt=getattr(args, "format", "text"),
-        )
-        return args.fn(args, config)
+        args = build_arg_parser().parse_args(argv)
+        return args.fn(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

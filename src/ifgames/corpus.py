@@ -11,17 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .game import build_semantic_game
-from .parser import (
-    parse_event,
-    parse_extensive_game,
-    parse_formula,
-    parse_nature_strategy,
-    parse_profile,
-    parse_structure,
-)
-from .solver import conditional_value, reduce_matrix, build_matrix, solve_zero_sum
-from .strategy import embedded_nature, uniform_nature
+from .errors import IfGameError
+from .game import DEFAULT_NODE_CAP
+from .parser import load_game, parse_event, parse_profile
+from .solver import conditional_value, solve
+from .strategy import DEFAULT_STRATEGY_BUDGET
 
 F = Fraction
 
@@ -155,22 +149,6 @@ def corpus_text(filename: str) -> str:
     return (resources.files("ifgames") / "corpus" / filename).read_text()
 
 
-def load_check_game(entry: CorpusEntry, check: CorpusCheck, node_cap: int):
-    """Build (game, nature strategy) for one corpus check."""
-    if entry.game is not None:
-        game = parse_extensive_game(corpus_text(entry.game), entry.name)
-        lam = embedded_nature(game)
-        return game, lam
-    phi = parse_formula(corpus_text(entry.formula))
-    structure = parse_structure(corpus_text(check.structure))
-    game = build_semantic_game(structure, phi, node_cap)
-    if check.nature is None:
-        lam = uniform_nature(game)
-    else:
-        lam = parse_nature_strategy(corpus_text(check.nature), game)
-    return game, lam
-
-
 @dataclass
 class CheckResult:
     entry: str
@@ -185,9 +163,22 @@ class CheckResult:
         return self.error is None and self.got == self.expected
 
 
-def run_corpus(name_filter: str | None = None, *, node_cap: int = 10**6,
-               budget: int = 10**6, use_weak_dominance: bool = True
-               ) -> list[CheckResult]:
+def _check(entry: CorpusEntry, label: str, expected: Fraction,
+           compute) -> CheckResult:
+    """Run one check; a diagnostic becomes a failed result."""
+    try:
+        return CheckResult(entry.name, entry.group, label, expected, compute())
+    except IfGameError as exc:
+        return CheckResult(entry.name, entry.group, label, expected, None, str(exc))
+
+
+def run_corpus(name_filter: str | None = None, *,
+               node_cap: int = DEFAULT_NODE_CAP,
+               budget: int = DEFAULT_STRATEGY_BUDGET,
+               use_weak_dominance: bool = True) -> list[CheckResult]:
+    """Replay the corpus.  A diagnostic (:class:`IfGameError`) becomes a
+    failed check and the replay goes on; any other exception is a bug and
+    propagates."""
     results: list[CheckResult] = []
     for entry in CORPUS:
         if name_filter and name_filter not in entry.name:
@@ -195,31 +186,22 @@ def run_corpus(name_filter: str | None = None, *, node_cap: int = 10**6,
         for check in entry.checks:
             where = check.structure or entry.game or ""
             try:
-                game, lam = load_check_game(entry, check, node_cap)
-            except Exception as exc:  # surface as a failed check, keep going
+                game, lam = load_game(
+                    corpus_text(entry.game or entry.formula),
+                    check.structure and corpus_text(check.structure),
+                    check.nature and corpus_text(check.nature), node_cap)
+            except IfGameError as exc:
                 results.append(CheckResult(entry.name, entry.group, where,
                                            check.expected or F(0), None, str(exc)))
                 continue
             if check.expected is not None:
-                try:
-                    matrix = build_matrix(game, lam, budget)
-                    eq = solve_zero_sum(reduce_matrix(matrix, use_weak_dominance))
-                    results.append(CheckResult(entry.name, entry.group,
-                                               f"value on {where}",
-                                               check.expected, eq.value))
-                except Exception as exc:
-                    results.append(CheckResult(entry.name, entry.group,
-                                               f"value on {where}",
-                                               check.expected, None, str(exc)))
-            for query in check.queries:
-                label = f"P(win | {query.event})"
-                try:
-                    row_mix, col_mix = parse_profile(corpus_text(query.profile), game)
-                    event = parse_event(query.event, game)
-                    got = conditional_value(game, lam, row_mix, col_mix, event).value
-                    results.append(CheckResult(entry.name, entry.group, label,
-                                               query.expected, got))
-                except Exception as exc:
-                    results.append(CheckResult(entry.name, entry.group, label,
-                                               query.expected, None, str(exc)))
+                results.append(_check(
+                    entry, f"value on {where}", check.expected,
+                    lambda: solve(game, lam, budget, use_weak_dominance).value))
+            for q in check.queries:
+                results.append(_check(
+                    entry, f"P(win | {q.event})", q.expected,
+                    lambda: conditional_value(
+                        game, lam, *parse_profile(corpus_text(q.profile), game),
+                        parse_event(q.event, game)).value))
     return results

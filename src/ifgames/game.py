@@ -59,6 +59,8 @@ class ExtensiveGame:
         self.name = name
         self.parent: list[int] = []
         self.children: list[list[int]] = []
+        # position of each node among its parent's children (-1 at the root)
+        self.edge: list[int] = []
         self.move: list[str] = []
         self.owner: list[int] = []
         self.winner_of: list[int | None] = []
@@ -68,7 +70,7 @@ class ExtensiveGame:
         # chance probabilities embedded in a .game file, per chance node
         self.embedded_chance: dict[int, tuple[Fraction, ...]] = {}
         self._partitions: dict[int, tuple[InfoSet, ...]] = {}
-        self._node_infoset: dict[int, dict[int, int]] = {}
+        self._infoset: list[int] = []
 
     # ---------------------------------------------------------- tree access
 
@@ -78,6 +80,7 @@ class ExtensiveGame:
         node = len(self.parent)
         self.parent.append(parent)
         self.children.append([])
+        self.edge.append(len(self.children[parent]) if parent >= 0 else -1)
         self.move.append(move)
         self.owner.append(owner)
         self.winner_of.append(winner)
@@ -113,13 +116,6 @@ class ExtensiveGame:
     def chance_nodes(self) -> list[int]:
         return self.nonterminals(NATURE)
 
-    def history_moves(self, node: int) -> tuple[str, ...]:
-        moves: list[str] = []
-        while node > 0:
-            moves.append(self.move[node])
-            node = self.parent[node]
-        return tuple(reversed(moves))
-
     def ancestors(self, node: int) -> list[int]:
         """Proper prefixes of ``node``, root first."""
         out: list[int] = []
@@ -141,9 +137,18 @@ class ExtensiveGame:
     # -------------------------------------------------------- information
 
     def information_partition(self, player: int) -> tuple[InfoSet, ...]:
-        if player not in self._partitions:
-            self._partitions[player] = self._compute_partition(player)
+        if not self._partitions:
+            self._infoset = [-1] * len(self)
+            self._partitions = {p: self._compute_partition(p)
+                                for p in (EXIST, UNIV, NATURE)}
         return self._partitions[player]
+
+    @property
+    def infoset(self) -> list[int]:
+        """Per node, the index of its information set in its owner's
+        partition (-1 at terminals)."""
+        self.information_partition(EXIST)
+        return self._infoset
 
     def _compute_partition(self, player: int) -> tuple[InfoSet, ...]:
         nodes = self.nonterminals(player)
@@ -170,6 +175,8 @@ class ExtensiveGame:
                         raise GameError(
                             f"information set {label} contains a history and its prefix"
                         )
+            for m in members:
+                self._infoset[m] = len(infosets)
             infosets.append(InfoSet(player, label, tuple(members),
                                     next(iter(action_sets)), len(infosets)))
         return tuple(infosets)
@@ -193,16 +200,6 @@ class ExtensiveGame:
 
     def _occ_sort_index(self, node: int) -> int:
         return 0
-
-    def infoset_of(self, node: int) -> InfoSet:
-        player = self.owner[node]
-        if player not in self._node_infoset:
-            mapping: dict[int, int] = {}
-            for info in self.information_partition(player):
-                for member in info.members:
-                    mapping[member] = info.index
-            self._node_infoset[player] = mapping
-        return self.information_partition(player)[self._node_infoset[player][node]]
 
     # -------------------------------------------------------------- checks
 
@@ -342,8 +339,7 @@ def export_dot(g: ExtensiveGame) -> str:
         parent = g.parent[node]
         label = g.move[node]
         if g.owner[parent] == NATURE and parent in g.embedded_chance:
-            idx = g.children[parent].index(node)
-            label += f" ({g.embedded_chance[parent][idx]})"
+            label += f" ({g.embedded_chance[parent][g.edge[node]]})"
         lines.append(f'  n{parent} -> n{node} [label="{label}"];')
     cluster = 0
     for player in (EXIST, UNIV):

@@ -48,7 +48,15 @@ from .formula import (
     negate,
     occurrence_label,
 )
-from .game import EXIST, NATURE, UNIV, ExtensiveGame, SemanticGame
+from .game import (
+    DEFAULT_NODE_CAP,
+    EXIST,
+    NATURE,
+    UNIV,
+    ExtensiveGame,
+    SemanticGame,
+    build_semantic_game,
+)
 from .structure import Assignment, Structure
 
 _QUANT_KEYWORDS = ("forall", "exists", "chance")
@@ -533,10 +541,10 @@ def parse_nature_strategy(src: str, game: ExtensiveGame):
     variables assigned earlier in the history.  Decision points no rule
     covers default to the uniform distribution.
     """
-    from .strategy import BehavioralStrategy
+    from .strategy import BehavioralStrategy, uniform_nature
 
     rules = _parse_nature_rules(src)
-    dists: dict[int, tuple[Fraction, ...]] = {}
+    dists = dict(uniform_nature(game).dists)
     for node in game.chance_nodes():
         actions = game.actions(node)
         sub = game.subformula_at(node) if isinstance(game, SemanticGame) else None
@@ -561,8 +569,6 @@ def parse_nature_strategy(src: str, game: ExtensiveGame):
                 chosen = rule
                 break
         if chosen is None:
-            n = len(actions)
-            dists[node] = tuple(Fraction(1, n) for _ in range(n))
             continue
         for value in chosen.masses:
             if value not in actions:
@@ -665,6 +671,29 @@ def parse_extensive_game(src: str, name: str = "game") -> ExtensiveGame:
     return game
 
 
+# ----------------------------------------------------------- game inputs
+
+def load_game(source: str, structure: str | None, nature: str | None = None,
+              node_cap: int = DEFAULT_NODE_CAP):
+    """The (game, chance strategy) pair described by input texts.
+
+    ``source`` is a formula played on ``structure``, or a ``.game`` file when
+    ``structure`` is None.  ``nature`` is a ``.nat`` text; without one, chance
+    is uniform in a semantic game and as declared in a game file.
+    """
+    from .strategy import embedded_nature, uniform_nature
+
+    if structure is None:
+        game = parse_extensive_game(source)
+        default = embedded_nature
+    else:
+        phi = parse_formula(source)
+        game = build_semantic_game(parse_structure(structure), phi, node_cap)
+        default = uniform_nature
+    lam = default(game) if nature is None else parse_nature_strategy(nature, game)
+    return game, lam
+
+
 # ---------------------------------------------------------------- profiles
 
 def parse_profile(src: str, game: ExtensiveGame):
@@ -675,8 +704,12 @@ def parse_profile(src: str, game: ExtensiveGame):
     side with no blocks defaults to its single empty strategy, which exists
     only when that player has no decision points.
     """
-    from .strategy import MixedStrategy, ReducedStrategy, player_plan, _reachable_rows
-    import numpy as np
+    from .strategy import (
+        MixedStrategy,
+        ReducedStrategy,
+        own_reachable_closure,
+        player_plan,
+    )
 
     text = "\n".join(line for _, line in _data_lines(src))
     pattern = re.compile(r"(row|col)\s+(\S+)\s*\{([^}]*)\}", re.S)
@@ -715,17 +748,13 @@ def parse_profile(src: str, game: ExtensiveGame):
                     raise ProfileError(f"information set {label} listed twice")
                 chosen[info.index] = info.actions.index(action)
             # validate the domain is exactly the own-reachable closure
-            vec = np.full((1, len(plan.infosets)), -1, dtype=np.int64)
-            used: set[int] = set()
-            for k, info in enumerate(plan.infosets):
-                if not _reachable_rows(plan, k, vec)[0]:
-                    continue
-                if k not in chosen:
+            def listed(info):
+                if info.index not in chosen:
                     raise ProfileError(
                         f"strategy line missing for reachable set {info.label}")
-                vec[0, k] = chosen[k]
-                used.add(k)
-            extra = set(chosen) - used
+                return chosen[info.index]
+
+            extra = set(chosen) - set(own_reachable_closure(plan, listed))
             if extra:
                 labels = [plan.infosets[k].label for k in sorted(extra)]
                 raise ProfileError(f"lines for unreachable information sets {labels}")

@@ -24,6 +24,7 @@ from .game import (
     DEFAULT_NODE_CAP,
     EXIST,
     NATURE,
+    TERMINAL,
     UNIV,
     ExtensiveGame,
     build_semantic_game,
@@ -37,7 +38,6 @@ from .strategy import (
     StrategyList,
     enumerate_reduced,
     outcome_distribution,
-    own_constraints_for,
     uniform_nature,
 )
 
@@ -153,22 +153,24 @@ class PayoffMatrix:
         return self.cols[int(self.col_origin[j])]
 
 
-def _chance_mass(g: ExtensiveGame, lam: BehavioralStrategy, node: int) -> Fraction:
-    mass = Fraction(1)
-    path = g.ancestors(node) + [node]
-    for at, nxt in zip(path, path[1:]):
+def _chance_reach(g: ExtensiveGame, lam: BehavioralStrategy) -> list[Fraction]:
+    """Per node, the product of the chance probabilities along its history."""
+    reach = [Fraction(1)]
+    for node in range(1, len(g)):  # parents come before their children
+        at = g.parent[node]
         if g.owner[at] == NATURE:
-            mass *= lam.distribution(at)[g.children[at].index(nxt)]
-    return mass
+            reach.append(reach[at] * lam.distribution(at)[g.edge[node]])
+        else:
+            reach.append(reach[at])
+    return reach
 
 
 def _follow_matrix(strats: StrategyList, nodes: list[int]) -> np.ndarray:
     """Boolean (strategies x terminals): does the strategy follow the history."""
-    g, player = strats.game, strats.player
-    table = strats.table
+    table, own = strats.table, strats.plan.own
     out = np.ones((len(table), len(nodes)), dtype=bool)
     for j, node in enumerate(nodes):
-        for ci, ai in own_constraints_for(g, player, node):
+        for ci, ai in own[node]:
             out[:, j] &= table[:, ci] == ai
     return out
 
@@ -183,11 +185,8 @@ def _smallest_int_dtype(max_value: int):
 def expected_payoff(g: ExtensiveGame, lam: BehavioralStrategy,
                     sigma: ReducedStrategy, tau: ReducedStrategy) -> Fraction:
     """The maximizer's expected utility under the profile (λ, σ, τ)."""
-    dist = outcome_distribution(g, lam, sigma, tau)
-    return sum(
-        (mass for node, mass in dist.items() if g.winner_of[node] == EXIST),
-        Fraction(0),
-    )
+    return mixed_expected_payoff(g, lam, MixedStrategy.pure(sigma),
+                                 MixedStrategy.pure(tau))
 
 
 def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
@@ -201,10 +200,9 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
     rows = enumerate_reduced(g, EXIST, budget)
     cols = enumerate_reduced(g, UNIV, budget)
     win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
-    masses = [_chance_mass(g, lam, t) for t in win_nodes]
-    den = 1
-    for mass in masses:
-        den = den * mass.denominator // math.gcd(den, mass.denominator)
+    reach = _chance_reach(g, lam)
+    masses = [reach[t] for t in win_nodes]
+    den = math.lcm(*(mass.denominator for mass in masses))
     nums = np.array([int(m * den) for m in masses], dtype=np.int64)
     shape = (len(rows), len(cols))
     dtype = _smallest_int_dtype(den)
@@ -223,21 +221,17 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
 
 # ---------------------------------------------------------------- reduction
 
-def _first_occurrence_groups(arr: np.ndarray) -> tuple[list[int], list[list[int]]]:
-    seen: dict[bytes, int] = {}
+def _first_occurrences(arr: np.ndarray) -> list[int]:
+    """Index of the first row of each distinct row, in order."""
+    seen: set[bytes] = set()
     keep: list[int] = []
-    groups: list[list[int]] = []
     data = np.ascontiguousarray(arr)
     for i in range(len(data)):
         key = data[i].tobytes()
-        hit = seen.get(key)
-        if hit is None:
-            seen[key] = len(keep)
+        if key not in seen:
+            seen.add(key)
             keep.append(i)
-            groups.append([i])
-        else:
-            groups[hit].append(i)
-    return keep, groups
+    return keep
 
 
 def _dominated_mask(num: np.ndarray, weak: bool) -> np.ndarray:
@@ -254,27 +248,27 @@ def _dominated_mask(num: np.ndarray, weak: bool) -> np.ndarray:
     return out
 
 
-def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True,
-                  dominance_cap: int = DEFAULT_DOMINANCE_CAP) -> PayoffMatrix:
+def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMatrix:
     """Merge duplicate rows/columns, then iterate dominance elimination.
 
     Strict dominance always runs (weak too, when the flag is set) until a
-    fixpoint, provided the deduplicated matrix is within ``dominance_cap``
-    cells; above the cap only duplicate merging happens, which still
-    preserves the game value.  Provenance maps to the original enumeration.
+    fixpoint, provided the deduplicated matrix is within
+    ``DEFAULT_DOMINANCE_CAP`` cells; above the cap only duplicate merging
+    happens, which still preserves the game value.  Provenance maps to the
+    original enumeration.
     """
     num = m.num
     row_origin = m.row_origin
     col_origin = m.col_origin
     log = list(m.log)
 
-    keep, groups = _first_occurrence_groups(num)
+    keep = _first_occurrences(num)
     if len(keep) != num.shape[0]:
         log.append(f"rows: merged {num.shape[0] - len(keep)} duplicates "
                    f"({num.shape[0]} -> {len(keep)})")
         num = num[keep]
         row_origin = row_origin[keep]
-    keep, groups = _first_occurrence_groups(num.T)
+    keep = _first_occurrences(num.T)
     if len(keep) != num.shape[1]:
         log.append(f"cols: merged {num.shape[1] - len(keep)} duplicates "
                    f"({num.shape[1]} -> {len(keep)})")
@@ -283,7 +277,8 @@ def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True,
 
     def ops_guard() -> bool:
         r, c = num.shape
-        return r * c <= dominance_cap and r * r * c + c * c * r <= _DOMINANCE_OPS_GUARD
+        return (r * c <= DEFAULT_DOMINANCE_CAP
+                and r * r * c + c * c * r <= _DOMINANCE_OPS_GUARD)
 
     if not ops_guard():
         log.append(f"dominance elimination skipped: {num.shape[0]}x{num.shape[1]} "
@@ -400,11 +395,12 @@ def _solve_fraction_matrix(cells: list[list[Fraction]]):
     """Exact value and mixes of a zero-sum matrix (rows maximize)."""
     shifted = [[c + 1 for c in row] for row in cells]
     total, y, duals = _simplex_max(shifted)
-    assert total > 0
+    if total <= 0:
+        raise GameError("game LP optimum is not positive")
     value = 1 / total - 1
     col_mix = [(j, w / total) for j, w in enumerate(y) if w != 0]
-    dual_total = sum(duals, Fraction(0))
-    assert dual_total == total, "strong duality must hold exactly"
+    if sum(duals, Fraction(0)) != total:
+        raise GameError("strong duality failed in the game LP")
     row_mix = [(i, w / total) for i, w in enumerate(duals) if w != 0]
     return value, tuple(row_mix), tuple(col_mix)
 
@@ -412,9 +408,7 @@ def _solve_fraction_matrix(cells: list[list[Fraction]]):
 def _exact_mix_scores(num: np.ndarray, den: int, mix, axis: int):
     """Exact expected payoffs of a mixed strategy against every opponent
     pure strategy; returns (integer vector, scale) with score = vec/scale."""
-    q = 1
-    for _, w in mix:
-        q = q * w.denominator // math.gcd(q, w.denominator)
+    q = math.lcm(*(w.denominator for _, w in mix))
     weights = [(idx, int(w * q)) for idx, w in mix]
     n_out = num.shape[1 - axis]
     max_cell = int(den)
@@ -446,37 +440,40 @@ def _solve_double_oracle(m: PayoffMatrix) -> Equilibrium:
         scores, scale = _exact_mix_scores(num, m.den, row_mix, axis=0)
         j_best = int(np.argmin(scores))
         if Fraction(int(scores[j_best]), scale) < value:
-            assert j_best not in cset, "column generation repeated an index"
+            if j_best in cset:
+                raise GameError("column generation repeated a column")
             cset.append(j_best)
             improved = True
         # best row response (maximizer) against the current column mix
         scores, scale = _exact_mix_scores(num, m.den, col_mix, axis=1)
         i_best = int(np.argmax(scores))
         if Fraction(int(scores[i_best]), scale) > value:
-            assert i_best not in rset, "column generation repeated an index"
+            if i_best in rset:
+                raise GameError("column generation repeated a row")
             rset.append(i_best)
             improved = True
         if not improved:
             return Equilibrium(value, row_mix, col_mix, m)
 
 
-def solve_zero_sum(m: PayoffMatrix,
-                   simplex_cap: int = DEFAULT_SIMPLEX_CAP) -> Equilibrium:
+def solve_zero_sum(m: PayoffMatrix) -> Equilibrium:
     """Exact equilibrium of the matrix game (rows maximize).
 
-    Small matrices go straight to the rational tableau; large ones run the
-    column-generation loop, whose restricted solves use the same tableau.
-    The result always passes :func:`verify_equilibrium`.
+    Matrices of at most ``DEFAULT_SIMPLEX_CAP`` cells go straight to the
+    rational tableau; larger ones run the column-generation loop, whose
+    restricted solves use the same tableau.  The result always passes
+    :func:`verify_equilibrium`; a failure raises :class:`GameError`.
     """
     n_rows, n_cols = m.shape
     if n_rows == 0 or n_cols == 0:
         raise GameError("empty payoff matrix")
-    if n_rows * n_cols <= simplex_cap:
+    if n_rows * n_cols <= DEFAULT_SIMPLEX_CAP:
         value, row_mix, col_mix = _solve_fraction_matrix(m.fractions())
         eq = Equilibrium(value, row_mix, col_mix, m)
     else:
         eq = _solve_double_oracle(m)
-    assert verify_equilibrium(m, eq), "solver produced a non-equilibrium"
+    if not verify_equilibrium(m, eq):
+        raise GameError("solver produced a non-equilibrium")
     return eq
 
 
@@ -501,24 +498,28 @@ def verify_equilibrium(m: PayoffMatrix, eq: Equilibrium) -> bool:
 
 # ----------------------------------------------------------- truth values
 
+def solve(game: ExtensiveGame, lam: BehavioralStrategy,
+          budget: int = DEFAULT_STRATEGY_BUDGET,
+          use_weak_dominance: bool = True) -> Equilibrium:
+    """Equilibrium of a game: build the payoff matrix, reduce it, solve.
+
+    The witness mixes refer to the reduced matrix (``eq.matrix``, whose
+    ``log`` records the reduction) and lift to reduced strategies through
+    its provenance.
+    """
+    matrix = build_matrix(game, lam, budget)
+    return solve_zero_sum(reduce_matrix(matrix, use_weak_dominance))
+
+
 def truth_value(m: Structure, phi: Formula, lam: BehavioralStrategy | None = None,
                 *, node_cap: int = DEFAULT_NODE_CAP,
                 budget: int = DEFAULT_STRATEGY_BUDGET,
-                use_weak_dominance: bool = True,
-                dominance_cap: int = DEFAULT_DOMINANCE_CAP,
-                simplex_cap: int = DEFAULT_SIMPLEX_CAP) -> Equilibrium:
-    """Equilibrium value of the semantic game (the sentence's truth value).
-
-    Pipeline: build the game, build the payoff matrix, reduce it, solve.
-    The witness mixes refer to the reduced matrix and lift to reduced
-    strategies through its provenance.
-    """
+                use_weak_dominance: bool = True) -> Equilibrium:
+    """Equilibrium value of the semantic game (the sentence's truth value)."""
     game = build_semantic_game(m, phi, node_cap)
     if lam is None:
         lam = uniform_nature(game)
-    matrix = build_matrix(game, lam, budget)
-    reduced = reduce_matrix(matrix, use_weak_dominance, dominance_cap)
-    return solve_zero_sum(reduced, simplex_cap)
+    return solve(game, lam, budget, use_weak_dominance)
 
 
 @dataclass(frozen=True)
@@ -567,11 +568,7 @@ def profile_outcomes(g: ExtensiveGame, lam: BehavioralStrategy,
 
 def mixed_expected_payoff(g: ExtensiveGame, lam: BehavioralStrategy,
                           row_mix: MixedStrategy, col_mix: MixedStrategy) -> Fraction:
-    return sum(
-        (p for node, p in profile_outcomes(g, lam, row_mix, col_mix).items()
-         if g.winner_of[node] == EXIST),
-        Fraction(0),
-    )
+    return conditional_value(g, lam, row_mix, col_mix, None).value
 
 
 def conditional_value(g: ExtensiveGame, lam: BehavioralStrategy,
@@ -616,9 +613,7 @@ class _ExactSampler:
         self.rng = rng
 
     def pick(self, masses: tuple[Fraction, ...]) -> int:
-        den = 1
-        for m in masses:
-            den = den * m.denominator // math.gcd(den, m.denominator)
+        den = math.lcm(*(m.denominator for m in masses))
         draw = self.rng.getrandbits(64) * den
         cum = 0
         for k, m in enumerate(masses):
@@ -636,38 +631,35 @@ def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
 
     One sequential stream from a Mersenne-Twister generator seeded with
     ``seed``; per play the draws are: row strategy, column strategy, then
-    every chance move in tree order.  Bit-for-bit reproducible for a fixed
-    (game, profile, plays, seed).
+    the chance moves reached along the play, in play order.  Bit-for-bit
+    reproducible for a fixed (game, profile, plays, seed).
     """
     if plays < 1:
         raise GameError("plays must be at least 1")
     sampler = _ExactSampler(random.Random(seed))
     row_masses = tuple(w for _, w in row_mix.support)
     col_masses = tuple(w for _, w in col_mix.support)
-    events = events or {}
-    wins = 0
-    tallies = {name: [0, 0] for name in events}
+    owner, children, infoset = g.owner, g.children, g.infoset
+    visits: dict[int, int] = {}
     for _ in range(plays):
         sigma = row_mix.support[sampler.pick(row_masses)][0]
         tau = col_mix.support[sampler.pick(col_masses)][0]
         node = g.root
-        while not g.is_terminal(node):
-            owner = g.owner[node]
-            if owner == NATURE:
-                node = g.children[node][sampler.pick(lam.distribution(node))]
+        while owner[node] != TERMINAL:
+            if owner[node] == NATURE:
+                node = children[node][sampler.pick(lam.distribution(node))]
             else:
-                strat = sigma if owner == EXIST else tau
-                act = strat.action_at(g.infoset_of(node).index)
+                strat = sigma if owner[node] == EXIST else tau
+                act = strat.action_at(infoset[node])
                 if act is None:
                     raise GameError("profile strategy undefined on a reached set")
-                node = g.children[node][act]
-        won = g.winner_of[node] == EXIST
-        wins += won
-        for name, event in events.items():
-            if event.holds(g, node):
-                tallies[name][0] += 1
-                tallies[name][1] += won
-    return SimulationReport(
-        plays, seed, wins, Fraction(wins, plays),
-        {name: (hits, hit_wins) for name, (hits, hit_wins) in tallies.items()},
-    )
+                node = children[node][act]
+        visits[node] = visits.get(node, 0) + 1
+    won = {t: g.winner_of[t] == EXIST for t in visits}
+    wins = sum(count for t, count in visits.items() if won[t])
+    event_counts = {}
+    for name, event in (events or {}).items():
+        hit = [t for t in visits if event.holds(g, t)]
+        event_counts[name] = (sum(visits[t] for t in hit),
+                              sum(visits[t] for t in hit if won[t]))
+    return SimulationReport(plays, seed, wins, Fraction(wins, plays), event_counts)

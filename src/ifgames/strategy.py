@@ -26,34 +26,21 @@ DEFAULT_STRATEGY_BUDGET = 10**6
 
 # ------------------------------------------------------------ player plans
 
+Constraints = tuple[tuple[int, int], ...]
+
+
 @dataclass
 class PlayerPlan:
     """Per-player enumeration data: information sets in canonical order plus,
-    for every member history, the (information set, action) pairs its owner
-    already fixed on the way there."""
+    for every history, the (information set, action) pairs the player
+    fixed on the way there; a strategy follows a history iff it matches
+    all of them."""
 
     player: int
     infosets: tuple[InfoSet, ...]
-    node_infoset: dict[int, int]
-    member_constraints: list[list[list[tuple[int, int]]]]  # per infoset, per member
+    own: list[Constraints]  # per node
+    member_constraints: list[list[Constraints]]  # per infoset, per member
     action_counts: np.ndarray
-
-
-def _own_constraints(g: ExtensiveGame, player: int,
-                     node_infoset: dict[int, int], node: int) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    path = g.ancestors(node) + [node]
-    for at, nxt in zip(path, path[1:]):
-        if g.owner[at] == player:
-            out.append((node_infoset[at], g.children[at].index(nxt)))
-    return out
-
-
-def own_constraints_for(g: ExtensiveGame, player: int, node: int) -> list[tuple[int, int]]:
-    """(information set, action) pairs ``player`` must have fixed to reach
-    ``node``; a strategy follows the history iff it matches all of them."""
-    plan = player_plan(g, player)
-    return _own_constraints(g, player, plan.node_infoset, node)
 
 
 def player_plan(g: ExtensiveGame, player: int) -> PlayerPlan:
@@ -64,10 +51,18 @@ def player_plan(g: ExtensiveGame, player: int) -> PlayerPlan:
     if player in cache:
         return cache[player]
     infosets = g.information_partition(player)
-    node_infoset = {m: info.index for info in infosets for m in info.members}
+    infoset = g.infoset
+    # node ids are assigned parent-first, so one forward pass fills the table
+    own: list[Constraints] = [()]
+    for node in range(1, len(g)):
+        at = g.parent[node]
+        if g.owner[at] == player:
+            own.append(own[at] + ((infoset[at], g.edge[node]),))
+        else:
+            own.append(own[at])
     member_constraints = []
     for info in infosets:
-        rows = [_own_constraints(g, player, node_infoset, m) for m in info.members]
+        rows = [own[m] for m in info.members]
         for row in rows:
             for ci, _ in row:
                 if ci >= info.index:
@@ -79,7 +74,7 @@ def player_plan(g: ExtensiveGame, player: int) -> PlayerPlan:
     plan = PlayerPlan(
         player,
         infosets,
-        node_infoset,
+        own,
         member_constraints,
         np.array([len(i.actions) for i in infosets], dtype=np.int64),
     )
@@ -166,15 +161,6 @@ class StrategyList(Sequence):
         actions = {k: int(a) for k, a in enumerate(row) if a >= 0}
         return ReducedStrategy(self.game, self.player, actions)
 
-    def index_of(self, sigma: ReducedStrategy) -> int:
-        row = np.full(self.table.shape[1], -1, dtype=self.table.dtype)
-        for idx, act in sigma.actions:
-            row[idx] = act
-        hits = np.nonzero((self.table == row).all(axis=1))[0]
-        if len(hits) != 1:
-            raise GameError("strategy not found in enumeration")
-        return int(hits[0])
-
 
 def _reachable_rows(plan: PlayerPlan, k: int, table: np.ndarray) -> np.ndarray:
     n = len(table)
@@ -219,27 +205,35 @@ def enumerate_reduced(g: ExtensiveGame, player: int,
     return StrategyList(g, player, plan, table)
 
 
+def own_reachable_closure(plan: PlayerPlan, choose) -> dict[int, int]:
+    """Walk ``plan``'s information sets in canonical order and ask
+    ``choose(InfoSet) -> action index`` at each one the choices made so far
+    leave reachable; returns the choices, keyed by information set index."""
+    chosen: dict[int, int] = {}
+    for k, info in enumerate(plan.infosets):
+        if any(all(chosen.get(ci) == ai for ci, ai in constraints)
+               for constraints in plan.member_constraints[k]):
+            chosen[k] = choose(info)
+    return chosen
+
+
 def reduced_from_rules(g: ExtensiveGame, player: int, choose) -> ReducedStrategy:
     """Build one reduced strategy from a rule ``choose(InfoSet) -> action label``.
 
     The domain is closed over own-reachability given the choices the rule
     makes, walking information sets in canonical order.
     """
-    plan = player_plan(g, player)
-    vec = np.full((1, len(plan.infosets)), -1, dtype=np.int64)
-    actions: dict[int, int] = {}
-    for k, info in enumerate(plan.infosets):
-        if not _reachable_rows(plan, k, vec)[0]:
-            continue
+    def action(info: InfoSet) -> int:
         label = choose(info)
         if label is None:
             raise GameError(f"rule gave no action for reachable set {info.label}")
         act = info.actions.index(label) if isinstance(label, str) else int(label)
         if not 0 <= act < len(info.actions):
             raise GameError(f"bad action for {info.label}")
-        vec[0, k] = act
-        actions[k] = act
-    return ReducedStrategy(g, player, actions)
+        return act
+
+    return ReducedStrategy(g, player,
+                           own_reachable_closure(player_plan(g, player), action))
 
 
 def count_pure_strategies(g: ExtensiveGame, player: int) -> int:
@@ -266,16 +260,8 @@ def extend_to_pure(sigma: ReducedStrategy, fill) -> PureStrategy:
 
 def follows(node: int, sigma) -> bool:
     """True iff the owner of ``sigma`` follows it along the history ``node``."""
-    g = sigma.game
-    path = g.ancestors(node) + [node]
-    for at, nxt in zip(path, path[1:]):
-        if g.owner[at] != sigma.player:
-            continue
-        info = g.infoset_of(at)
-        act = sigma.action_at(info.index)
-        if act is None or g.children[at][act] != nxt:
-            return False
-    return True
+    own = player_plan(sigma.game, sigma.player).own[node]
+    return all(sigma.action_at(k) == act for k, act in own)
 
 
 class MixedStrategy:
@@ -332,15 +318,9 @@ def uniform_nature(g: ExtensiveGame) -> BehavioralStrategy:
 
 
 def embedded_nature(g: ExtensiveGame) -> BehavioralStrategy:
-    """The behavioral strategy a ``.game`` file declared inline."""
-    dists = {}
-    for node in g.chance_nodes():
-        if node in g.embedded_chance:
-            dists[node] = g.embedded_chance[node]
-        else:
-            n = len(g.children[node])
-            dists[node] = tuple(Fraction(1, n) for _ in range(n))
-    return BehavioralStrategy(g, dists)
+    """The behavioral strategy a ``.game`` file declared inline (uniform at
+    chance points it gives no probabilities for)."""
+    return BehavioralStrategy(g, {**uniform_nature(g).dists, **g.embedded_chance})
 
 
 def outcome_distribution(g: ExtensiveGame, lam: BehavioralStrategy,
@@ -352,6 +332,7 @@ def outcome_distribution(g: ExtensiveGame, lam: BehavioralStrategy,
     chance branches of probability zero); masses are the products of the
     chance probabilities along each history and sum to exactly 1.
     """
+    infoset = g.infoset
     dist: dict[int, Fraction] = {}
     stack: list[tuple[int, Fraction]] = [(g.root, Fraction(1))]
     while stack:
@@ -364,9 +345,9 @@ def outcome_distribution(g: ExtensiveGame, lam: BehavioralStrategy,
                 stack.append((child, mass * p))
         else:
             strat = sigma if owner == EXIST else tau
-            info = g.infoset_of(node)
-            act = strat.action_at(info.index)
+            act = strat.action_at(infoset[node])
             if act is None:
+                info = g.information_partition(owner)[infoset[node]]
                 raise GameError(
                     f"strategy for {'I' if owner == EXIST else 'II'} undefined "
                     f"at reachable set {info.label}"

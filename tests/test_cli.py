@@ -45,6 +45,13 @@ def test_budget_error_exit_code_two(capsys):
     assert "budget" in err
 
 
+def test_nonpositive_cap_exit_code_one(capsys):
+    code, _, err = run(capsys, "value", corpus_path("phi_mh.if"),
+                       corpus_path("doors3.struct"), "--budget", "0")
+    assert code == 1
+    assert "error: caps, budgets and play counts must be positive" in err
+
+
 def test_parse_error_exit_code_one(capsys, tmp_path):
     bad = tmp_path / "bad.if"
     bad.write_text("R(x) garbage")

@@ -3,6 +3,8 @@
 import dataclasses
 from fractions import Fraction
 
+import pytest
+
 from ifgames.corpus import CORPUS, run_corpus
 
 
@@ -38,3 +40,15 @@ def test_corrupted_expected_value_fails(monkeypatch):
 
     from ifgames.cli import main
     assert main(["corpus", "--filter", "matching-pennies"]) == 1
+
+
+def test_bug_in_pipeline_propagates(monkeypatch):
+    # only diagnostics become FAIL rows; anything else is a bug to surface
+    import ifgames.solver as solver_mod
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(solver_mod, "build_matrix", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        run_corpus("matching-pennies")

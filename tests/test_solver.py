@@ -220,6 +220,19 @@ def test_verify_equilibrium_rejects_bad_claim():
     assert not verify_equilibrium(matrix, bad)
 
 
+def test_unverified_equilibrium_raises(monkeypatch):
+    # a plain assert would vanish under python -O and let the value through
+    import ifgames.solver as solver_mod
+    from ifgames import GameError
+
+    m = Structure(("0", "1"))
+    game = build_semantic_game(m, parse_formula("forall x (exists y/{x}) x = y"))
+    matrix = build_matrix(game, uniform_nature(game))
+    monkeypatch.setattr(solver_mod, "verify_equilibrium", lambda m, eq: False)
+    with pytest.raises(GameError):
+        solve_zero_sum(matrix)
+
+
 def test_verify_fig3_paper_profile(fig1_solution, fig1_game):
     matrix, _, _ = fig1_solution
     order_r, order_c = fig1_named_order(fig1_game)
