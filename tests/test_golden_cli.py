@@ -21,6 +21,8 @@ CORPUS_SUFFIXES = (".if", ".game", ".struct", ".nat", ".profile")
 
 COMMANDS = [
     ["value", "monty_hall.game", "--format", "structured"],
+    ["value", "phi_mh.if", "doors3.struct", "--format", "structured"],
+    ["value", "phi_mh_prime.if", "doors3.struct", "--format", "structured"],
     ["value", "matching_pennies.if", "pennies_3.struct", "--format", "structured"],
     ["value", "stochastic_matching_pennies.if", "binary.struct",
      "--nature", "biased_coin.nat", "--format", "structured"],
