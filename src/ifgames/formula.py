@@ -221,10 +221,6 @@ def occurrences(phi: Formula) -> list[tuple[OccurrenceId, Formula]]:
     return out
 
 
-def is_sentence(phi: Formula) -> bool:
-    return not free_variables(phi)
-
-
 def has_chance(phi: Formula) -> bool:
     if isinstance(phi, (ChanceOr, ChanceQ)):
         return True
@@ -235,10 +231,6 @@ def is_slash_free(phi: Formula) -> bool:
     if isinstance(phi, (Or, And, Exists, Forall)) and phi.slash:
         return False
     return all(is_slash_free(c) for c in children(phi))
-
-
-def literal_occurrences(phi: Formula) -> list[tuple[OccurrenceId, Literal]]:
-    return [(path, node) for path, node in occurrences(phi) if isinstance(node, Literal)]
 
 
 def occurrence_label(path: OccurrenceId) -> str:

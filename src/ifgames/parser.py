@@ -718,7 +718,11 @@ def parse_profile(src: str, game: ExtensiveGame):
     for m in pattern.finditer(text):
         if text[pos:m.start()].strip():
             raise ProfileError(f"unexpected text {text[pos:m.start()].strip()!r}")
-        blocks.append((m.group(1), Fraction(m.group(2)), m.group(3)))
+        try:
+            mass = Fraction(m.group(2))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ProfileError(f"bad mass {m.group(2)!r}") from exc
+        blocks.append((m.group(1), mass, m.group(3)))
         pos = m.end()
     if text[pos:].strip():
         raise ProfileError(f"unexpected text {text[pos:].strip()!r}")

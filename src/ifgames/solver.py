@@ -1,7 +1,9 @@
 """Exact zero-sum solving: payoff matrices, reduction, LP, conditioning.
 
 Every value-path computation is exact: payoff matrices are integer
-numerators over one common denominator, the LP runs a rational simplex with
+numerators over one common denominator, built by a float64 BLAS product
+when that denominator is at most 2**53 (exact, see ``build_matrix``) and by
+an int64 product otherwise; the LP runs a rational simplex with
 Bland's rule, and reductions only merge duplicates or drop dominated
 strategies (which preserves the game value).  Matrices too large for a
 direct tableau are solved by column generation (a double-oracle loop whose
@@ -11,6 +13,7 @@ pricing is exact integer arithmetic), which computes the same LP optimum.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GameError, ZeroProbabilityEventError
+from .errors import BudgetError, GameError, ZeroProbabilityEventError
 from .formula import Formula, has_chance
 from .game import (
     DEFAULT_NODE_CAP,
@@ -41,6 +44,7 @@ from .strategy import (
     uniform_nature,
 )
 
+DEFAULT_CELL_BUDGET = 10**8  # payoff-matrix cells
 DEFAULT_DOMINANCE_CAP = 300_000  # matrix cells
 DEFAULT_SIMPLEX_CAP = 4_000  # matrix cells
 _DOMINANCE_OPS_GUARD = 2_000_000_000
@@ -167,12 +171,12 @@ def _chance_reach(g: ExtensiveGame, lam: BehavioralStrategy) -> list[Fraction]:
 
 def _follow_matrix(strats: StrategyList, nodes: list[int]) -> np.ndarray:
     """Boolean (strategies x terminals): does the strategy follow the history."""
-    table, own = strats.table, strats.plan.own
-    out = np.ones((len(table), len(nodes)), dtype=bool)
+    columns, own = np.ascontiguousarray(strats.table.T), strats.plan.own
+    out = np.ones((len(nodes), len(strats)), dtype=bool)
     for j, node in enumerate(nodes):
         for ci, ai in own[node]:
-            out[:, j] &= table[:, ci] == ai
-    return out
+            out[j] &= columns[ci] == ai
+    return out.T
 
 
 def _smallest_int_dtype(max_value: int):
@@ -193,28 +197,39 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
                  budget: int = DEFAULT_STRATEGY_BUDGET) -> PayoffMatrix:
     """Complete payoff matrix over both players' reduced strategies.
 
-    Assembled by integer matrix products over win-terminal follow tables,
-    which keeps the cost tractable for strategy counts in the hundreds of
-    thousands.
+    Assembled by matrix products over win-terminal follow tables, which
+    keeps the cost tractable for strategy counts in the hundreds of
+    thousands: a float64 BLAS product when the common denominator is at
+    most 2**53 (exact, see the comment below), int64 otherwise.  Raises
+    :class:`BudgetError` before allocating when the matrix would exceed
+    ``DEFAULT_CELL_BUDGET`` cells.
     """
     rows = enumerate_reduced(g, EXIST, budget)
     cols = enumerate_reduced(g, UNIV, budget)
+    shape = (len(rows), len(cols))
+    if shape[0] * shape[1] > DEFAULT_CELL_BUDGET:
+        raise BudgetError("payoff cell", DEFAULT_CELL_BUDGET, shape[0] * shape[1])
     win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
     reach = _chance_reach(g, lam)
     masses = [reach[t] for t in win_nodes]
     den = math.lcm(*(mass.denominator for mass in masses))
-    nums = np.array([int(m * den) for m in masses], dtype=np.int64)
-    shape = (len(rows), len(cols))
     dtype = _smallest_int_dtype(den)
+    nums = np.array([int(m * den) for m in masses], dtype=np.int64)
     if not win_nodes:
         return PayoffMatrix(rows, cols, np.zeros(shape, dtype=dtype), den)
     f_row = _follow_matrix(rows, win_nodes)
     f_col = _follow_matrix(cols, win_nodes)
-    right = (f_col.astype(np.int64) * nums).T  # (terminals, cols)
+    # A cell sums the masses of the win terminals that both strategies
+    # follow.  Those terminals all lie in the outcome distribution of one
+    # profile, so the cell, and every partial sum in any summation order, is
+    # an integer in [0, den].  Up to 2**53 float64 represents each of them
+    # exactly, so BLAS computes the exact product; beyond it int64 does.
+    work = np.float64 if den <= 2**53 else np.int64
+    right = f_col.T * nums.astype(work)[:, None]  # (terminals, cols)
     out = np.empty(shape, dtype=dtype)
     chunk = max(1, 4_000_000 // max(1, shape[1]))
     for start in range(0, shape[0], chunk):
-        block = f_row[start:start + chunk].astype(np.int64) @ right
+        block = f_row[start:start + chunk].astype(work) @ right
         out[start:start + chunk] = block.astype(dtype)
     return PayoffMatrix(rows, cols, out, den)
 
@@ -606,21 +621,24 @@ class SimulationReport:
     event_counts: dict[str, tuple[int, int]]  # name -> (hits, wins among hits)
 
 
-class _ExactSampler:
-    """Inversion sampling driven by 64-bit draws; exact rational thresholds."""
+def _thresholds(masses: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """Common denominator and cumulative thresholds, scaled by 2**64, of an
+    exact distribution, for :func:`_pick`."""
+    den = math.lcm(*(m.denominator for m in masses))
+    cum = 0
+    out = []
+    for m in masses:
+        cum += int(m * den)
+        out.append(cum << 64)
+    return den, out
 
-    def __init__(self, rng: random.Random):
-        self.rng = rng
 
-    def pick(self, masses: tuple[Fraction, ...]) -> int:
-        den = math.lcm(*(m.denominator for m in masses))
-        draw = self.rng.getrandbits(64) * den
-        cum = 0
-        for k, m in enumerate(masses):
-            cum += int(m * den)
-            if draw < cum << 64:
-                return k
-        return len(masses) - 1
+def _pick(rng: random.Random, dist: tuple[int, list[int]]) -> int:
+    """Inversion sampling driven by one 64-bit draw: the index of the first
+    threshold above the scaled draw (the last index if none is)."""
+    den, cums = dist
+    draw = rng.getrandbits(64) * den
+    return min(bisect.bisect_right(cums, draw), len(cums) - 1)
 
 
 def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
@@ -636,18 +654,19 @@ def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
     """
     if plays < 1:
         raise GameError("plays must be at least 1")
-    sampler = _ExactSampler(random.Random(seed))
-    row_masses = tuple(w for _, w in row_mix.support)
-    col_masses = tuple(w for _, w in col_mix.support)
+    rng = random.Random(seed)
+    row_dist = _thresholds(tuple(w for _, w in row_mix.support))
+    col_dist = _thresholds(tuple(w for _, w in col_mix.support))
+    chance = {node: _thresholds(dist) for node, dist in lam.dists.items()}
     owner, children, infoset = g.owner, g.children, g.infoset
     visits: dict[int, int] = {}
     for _ in range(plays):
-        sigma = row_mix.support[sampler.pick(row_masses)][0]
-        tau = col_mix.support[sampler.pick(col_masses)][0]
+        sigma = row_mix.support[_pick(rng, row_dist)][0]
+        tau = col_mix.support[_pick(rng, col_dist)][0]
         node = g.root
         while owner[node] != TERMINAL:
             if owner[node] == NATURE:
-                node = children[node][sampler.pick(lam.distribution(node))]
+                node = children[node][_pick(rng, chance[node])]
             else:
                 strat = sigma if owner[node] == EXIST else tau
                 act = strat.action_at(infoset[node])

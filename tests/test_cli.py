@@ -3,6 +3,7 @@
 import json
 from importlib import resources
 
+from ifgames import solver
 from ifgames.cli import main
 
 
@@ -43,6 +44,14 @@ def test_budget_error_exit_code_two(capsys):
                          corpus_path("doors3.struct"), "--budget", "1")
     assert code == 2
     assert "budget" in err
+
+
+def test_cell_budget_exit_code_two(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 3)
+    code, _, err = run(capsys, "value", corpus_path("matching_pennies.if"),
+                       corpus_path("pennies_2.struct"))
+    assert code == 2
+    assert "payoff cell budget exceeded: limit 3, reached 4" in err
 
 
 def test_nonpositive_cap_exit_code_one(capsys):
@@ -97,6 +106,16 @@ def test_condition_bad_event_element(capsys):
                        "--event", "x = 9")
     assert code == 1
     assert "9" in err
+
+
+def test_condition_bad_profile_mass(capsys, tmp_path):
+    profile = tmp_path / "bad.profile"
+    profile.write_text("row 1/0 { }\n")
+    code, _, err = run(capsys, "condition", corpus_path("phi_sb.if"),
+                       corpus_path("sleeping_beauty.struct"),
+                       "--profile", str(profile), "--event", "Awake(x,t)")
+    assert code == 1
+    assert "bad mass '1/0'" in err
 
 
 def test_corpus_filter(capsys):

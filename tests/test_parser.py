@@ -12,12 +12,14 @@ from ifgames import (
     Literal,
     Or,
     ParseError,
+    ProfileError,
     RelAtom,
     Var,
     format_formula,
     parse_extensive_game,
     parse_formula,
     parse_nature_strategy,
+    parse_profile,
     parse_structure,
     uniform_nature,
 )
@@ -149,6 +151,12 @@ def test_nature_rule_errors(sb_game, smp_game):
     with pytest.raises(NatureStrategyError):
         # t guarded on a variable assigned later in the history
         parse_nature_strategy("x | t=1 : 1 -> 1, 2 -> 0", sb_game)
+
+
+@pytest.mark.parametrize("mass", ["abc", "1/0"])
+def test_profile_bad_mass(sb_game, mass):
+    with pytest.raises(ProfileError, match=f"bad mass '{mass}'"):
+        parse_profile(f"row {mass} {{ }}\n", sb_game)
 
 
 def test_parse_fig1_game(fig1_game):

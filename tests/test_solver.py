@@ -10,6 +10,8 @@ import pytest
 from ifgames import (
     EXIST,
     UNIV,
+    BudgetError,
+    GameError,
     MixedStrategy,
     Structure,
     ZeroProbabilityEventError,
@@ -19,6 +21,7 @@ from ifgames import (
     conditional_value,
     enumerate_reduced,
     expected_payoff,
+    follows,
     information_partition,
     mixed_expected_payoff,
     negate,
@@ -34,8 +37,15 @@ from ifgames import (
     uniform_nature,
     verify_equilibrium,
 )
+from ifgames import solver
 from ifgames.corpus import corpus_text
-from ifgames.solver import Equilibrium, PayoffMatrix, _solve_fraction_matrix
+from ifgames.parser import load_game
+from ifgames.solver import (
+    Equilibrium,
+    PayoffMatrix,
+    _follow_matrix,
+    _solve_fraction_matrix,
+)
 
 F = Fraction
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -130,6 +140,62 @@ def test_build_matrix_matching_pennies_identity():
     assert matrix.fractions() == [[F(1), F(0)], [F(0), F(1)]]
 
 
+# den = 2**61 - 1 is above 2**53, so the int64 product runs; the cell
+# 2**61 - 2 is one that a float64 product would round to 2**61.
+MERSENNE_61 = 2**61 - 1
+MERSENNE_COIN = f"z : 0 -> 1/{MERSENNE_61}, 1 -> {MERSENNE_61 - 1}/{MERSENNE_61}\n"
+
+
+@pytest.mark.parametrize("source, structure, nature", [
+    ("monty_hall.game", None, None),
+    ("matching_pennies.if", "pennies_3.struct", None),
+    ("stochastic_matching_pennies.if", "binary.struct", "biased_coin.nat"),
+    ("phi_sb.if", "sleeping_beauty.struct", None),
+    ("stochastic_matching_pennies.if", "binary.struct", MERSENNE_COIN),
+], ids=["fig1", "pennies", "biased-coin", "sleeping-beauty", "den-2^61-1"])
+def test_build_matrix_cells_equal_expected_payoff(source, structure, nature):
+    nature_text = (corpus_text(nature) if nature and nature.endswith(".nat")
+                   else nature)
+    game, lam = load_game(corpus_text(source),
+                          structure and corpus_text(structure), nature_text)
+    matrix = build_matrix(game, lam)
+    if nature == MERSENNE_COIN:
+        assert matrix.den == MERSENNE_61
+        assert int(matrix.num.max()) == MERSENNE_61 - 1
+    for i, sigma in enumerate(matrix.rows):
+        for j, tau in enumerate(matrix.cols):
+            assert matrix.value(i, j) == expected_payoff(game, lam, sigma, tau)
+
+
+def test_build_matrix_rejects_denominator_above_int64():
+    den = 2**64 + 1
+    game, lam = load_game(corpus_text("stochastic_matching_pennies.if"),
+                          corpus_text("binary.struct"),
+                          f"z : 0 -> 1/{den}, 1 -> {den - 1}/{den}\n")
+    with pytest.raises(GameError, match="64-bit"):
+        build_matrix(game, lam)
+
+
+def test_follow_matrix_matches_follows(fig1_game):
+    wins = [t for t in fig1_game.terminals() if fig1_game.winner_of[t] == EXIST]
+    for player in (EXIST, UNIV):
+        strats = enumerate_reduced(fig1_game, player)
+        table = _follow_matrix(strats, wins)
+        assert table.shape == (len(strats), len(wins))
+        for j, node in enumerate(wins):
+            assert table[:, j].tolist() == [follows(node, s) for s in strats]
+
+
+def test_build_matrix_cell_budget(monkeypatch):
+    game = build_semantic_game(Structure(("0", "1")),
+                               parse_formula("forall x (exists y/{x}) x = y"))
+    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 3)
+    with pytest.raises(BudgetError) as info:
+        build_matrix(game, uniform_nature(game))
+    assert (info.value.what, info.value.limit, info.value.reached) == \
+        ("payoff cell", 3, 4)
+
+
 def test_build_matrix_single_column_when_no_falsifier_choices(sb_game):
     matrix = build_matrix(sb_game, uniform_nature(sb_game))
     assert matrix.shape == (31, 1)
@@ -222,13 +288,10 @@ def test_verify_equilibrium_rejects_bad_claim():
 
 def test_unverified_equilibrium_raises(monkeypatch):
     # a plain assert would vanish under python -O and let the value through
-    import ifgames.solver as solver_mod
-    from ifgames import GameError
-
     m = Structure(("0", "1"))
     game = build_semantic_game(m, parse_formula("forall x (exists y/{x}) x = y"))
     matrix = build_matrix(game, uniform_nature(game))
-    monkeypatch.setattr(solver_mod, "verify_equilibrium", lambda m, eq: False)
+    monkeypatch.setattr(solver, "verify_equilibrium", lambda m, eq: False)
     with pytest.raises(GameError):
         solve_zero_sum(matrix)
 
