@@ -3,12 +3,13 @@
 Every value-path computation is exact: payoff matrices are integer
 numerators over one common denominator, built by a float64 BLAS product
 when that denominator is at most 2**53 (exact, see ``build_matrix``) and by
-an int64 product otherwise; the LP runs a rational simplex with
-Bland's rule, and reductions only merge duplicates or drop dominated
-strategies (which preserves the game value).  Matrices too large for a
-direct tableau are solved by column generation (a double-oracle loop whose
-restricted problems use the same rational simplex and whose best-response
-pricing is exact integer arithmetic), which computes the same LP optimum.
+an int64 product otherwise; the LP runs a fraction-free integer simplex
+(Bareiss pivoting), Bland's rule, and reductions only merge duplicates or
+drop dominated strategies (which preserves the game value).  Matrices too
+large for a direct tableau are solved by column generation (a double-oracle
+loop whose restricted problems use the same integer simplex and whose
+best-response pricing is exact integer arithmetic), which computes the same
+LP optimum.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .strategy import (
 )
 
 DEFAULT_CELL_BUDGET = 10**8  # payoff-matrix cells
+_PRODUCT_BLOCK_CELLS = 4_000_000  # payoff cells per block of the product
 DEFAULT_DOMINANCE_CAP = 300_000  # matrix cells
 DEFAULT_SIMPLEX_CAP = 4_000  # matrix cells
 _DOMINANCE_OPS_GUARD = 2_000_000_000
@@ -225,12 +227,22 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
     # an integer in [0, den].  Up to 2**53 float64 represents each of them
     # exactly, so BLAS computes the exact product; beyond it int64 does.
     work = np.float64 if den <= 2**53 else np.int64
-    right = f_col.T * nums.astype(work)[:, None]  # (terminals, cols)
+    weights = nums.astype(work)
     out = np.empty(shape, dtype=dtype)
-    chunk = max(1, 4_000_000 // max(1, shape[1]))
-    for start in range(0, shape[0], chunk):
-        block = f_row[start:start + chunk].astype(work) @ right
-        out[start:start + chunk] = block.astype(dtype)
+    # The masses go on the smaller side and the product runs in blocks of
+    # the larger one, so neither the weighted operand nor a product block
+    # grows with the larger side.
+    chunk = max(1, _PRODUCT_BLOCK_CELLS // min(shape))
+    if shape[0] >= shape[1]:
+        right = f_col.T * weights[:, None]  # (terminals, cols)
+        for start in range(0, shape[0], chunk):
+            block = f_row[start:start + chunk].astype(work) @ right
+            out[start:start + chunk] = block.astype(dtype)
+    else:
+        left = f_row * weights  # (rows, terminals)
+        for start in range(0, shape[1], chunk):
+            block = left @ f_col[start:start + chunk].T.astype(work)
+            out[:, start:start + chunk] = block.astype(dtype)
     return PayoffMatrix(rows, cols, out, den)
 
 
@@ -351,65 +363,77 @@ class Equilibrium:
                                     for j, w in self.col_mix])
 
 
-def _simplex_max(a: list[list[Fraction]]):
-    """max 1'y  s.t.  a y <= 1, y >= 0  (all entries of ``a`` positive).
+def _simplex_max(a: list[list[int]], s: int):
+    """max 1'y  s.t.  a y <= s, y >= 0  (integers; all entries of ``a`` and
+    ``s`` positive).
 
-    Rational tableau simplex, Bland's rule on entering and leaving choices.
-    Returns (value, y, duals).
+    Fraction-free tableau simplex (Bareiss pivoting), Bland's rule on
+    entering and leaving choices.  The tableau holds integers and the real
+    tableau is ``tableau / d``: each pivot on ``p`` updates every other row
+    to ``(row * p - row[enter] * pivot_row) // d``, an exact division, and
+    sets ``d = p > 0``.  Its choices are those of a rational tableau for
+    ``(a / s) y <= 1``.  Returns (value, y, duals) of that problem.
     """
     n_rows = len(a)
     n_cols = len(a[0])
     width = n_cols + n_rows + 1
-    one = Fraction(1)
-    zero = Fraction(0)
     tableau = []
     for i in range(n_rows):
-        row = list(a[i]) + [zero] * n_rows + [one]
-        row[n_cols + i] = one
+        row = list(a[i]) + [0] * n_rows + [s]
+        row[n_cols + i] = 1
         tableau.append(row)
-    obj = [-one] * n_cols + [zero] * (n_rows + 1)
+    obj = [-1] * n_cols + [0] * (n_rows + 1)
     basis = list(range(n_cols, n_cols + n_rows))
+    d = 1
     while True:
         enter = next((j for j in range(width - 1) if obj[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best_ratio = None
         for i in range(n_rows):
             coef = tableau[i][enter]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])):
-                    best_ratio = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio rhs / coef, compared without dividing
+                lhs = tableau[i][-1] * tableau[leave][enter]
+                rhs = tableau[leave][-1] * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise GameError("unbounded game LP; matrix entries out of range")
         pivot_row = tableau[leave]
-        coef = pivot_row[enter]
-        if coef != 1:
-            tableau[leave] = pivot_row = [x / coef for x in pivot_row]
+        p = pivot_row[enter]
         for i in range(n_rows):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                row = tableau[i]
-                tableau[i] = [row[k] - f * pivot_row[k] for k in range(width)]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [obj[k] - f * pivot_row[k] for k in range(width)]
+            if i != leave:
+                tableau[i] = _eliminate(tableau[i], pivot_row, enter, p, d)
+        obj = _eliminate(obj, pivot_row, enter, p, d)
+        d = p
         basis[leave] = enter
-    y = [zero] * n_cols
+    y = [Fraction(0)] * n_cols
     for i, b in enumerate(basis):
         if b < n_cols:
-            y[b] = tableau[i][-1]
-    duals = [obj[n_cols + i] for i in range(n_rows)]
-    return obj[-1], y, duals
+            y[b] = Fraction(tableau[i][-1], d)
+    # a slack column of the integer tableau is that of (a / s) y <= 1 over s
+    duals = [Fraction(s * obj[n_cols + i], d) for i in range(n_rows)]
+    return Fraction(obj[-1], d), y, duals
 
 
-def _solve_fraction_matrix(cells: list[list[Fraction]]):
-    """Exact value and mixes of a zero-sum matrix (rows maximize)."""
-    shifted = [[c + 1 for c in row] for row in cells]
-    total, y, duals = _simplex_max(shifted)
+def _eliminate(row: list[int], pivot_row: list[int], enter: int,
+               p: int, d: int) -> list[int]:
+    """One Bareiss row update; every division is exact."""
+    f = row[enter]
+    if f == 0:  # the row only rescales, and not at all when p == d
+        return row if p == d else [x * p // d for x in row]
+    return [(x * p - f * y) // d for x, y in zip(row, pivot_row)]
+
+
+def _solve_int_matrix(num: list[list[int]], den: int):
+    """Exact value and mixes of the zero-sum matrix ``num / den`` (rows
+    maximize, every cell in [0, 1])."""
+    shifted = [[c + den for c in row] for row in num]
+    total, y, duals = _simplex_max(shifted, den)
     if total <= 0:
         raise GameError("game LP optimum is not positive")
     value = 1 / total - 1
@@ -446,8 +470,8 @@ def _solve_double_oracle(m: PayoffMatrix) -> Equilibrium:
     rset: list[int] = [0]
     cset: list[int] = [0]
     while True:
-        sub = [[m.value(i, j) for j in cset] for i in rset]
-        value, row_local, col_local = _solve_fraction_matrix(sub)
+        sub = num[np.ix_(rset, cset)].tolist()
+        value, row_local, col_local = _solve_int_matrix(sub, m.den)
         row_mix = tuple((rset[i], w) for i, w in row_local)
         col_mix = tuple((cset[j], w) for j, w in col_local)
         improved = False
@@ -475,7 +499,7 @@ def solve_zero_sum(m: PayoffMatrix) -> Equilibrium:
     """Exact equilibrium of the matrix game (rows maximize).
 
     Matrices of at most ``DEFAULT_SIMPLEX_CAP`` cells go straight to the
-    rational tableau; larger ones run the column-generation loop, whose
+    integer tableau; larger ones run the column-generation loop, whose
     restricted solves use the same tableau.  The result always passes
     :func:`verify_equilibrium`; a failure raises :class:`GameError`.
     """
@@ -483,7 +507,7 @@ def solve_zero_sum(m: PayoffMatrix) -> Equilibrium:
     if n_rows == 0 or n_cols == 0:
         raise GameError("empty payoff matrix")
     if n_rows * n_cols <= DEFAULT_SIMPLEX_CAP:
-        value, row_mix, col_mix = _solve_fraction_matrix(m.fractions())
+        value, row_mix, col_mix = _solve_int_matrix(m.num.tolist(), m.den)
         eq = Equilibrium(value, row_mix, col_mix, m)
     else:
         eq = _solve_double_oracle(m)
@@ -503,12 +527,10 @@ def verify_equilibrium(m: PayoffMatrix, eq: Equilibrium) -> bool:
             or sum(w for _, w in eq.col_mix) != 1):
         return False
     scores, scale = _exact_mix_scores(m.num, m.den, eq.row_mix, axis=0)
-    low = min(Fraction(int(s), scale) for s in scores.tolist())
-    if low != eq.value:
+    if Fraction(int(scores.min()), scale) != eq.value:
         return False
     scores, scale = _exact_mix_scores(m.num, m.den, eq.col_mix, axis=1)
-    high = max(Fraction(int(s), scale) for s in scores.tolist())
-    return high == eq.value
+    return Fraction(int(scores.max()), scale) == eq.value
 
 
 # ----------------------------------------------------------- truth values

@@ -44,7 +44,9 @@ from ifgames.solver import (
     Equilibrium,
     PayoffMatrix,
     _follow_matrix,
-    _solve_fraction_matrix,
+    _simplex_max,
+    _solve_double_oracle,
+    _solve_int_matrix,
 )
 
 F = Fraction
@@ -144,6 +146,8 @@ def test_build_matrix_matching_pennies_identity():
 # 2**61 - 2 is one that a float64 product would round to 2**61.
 MERSENNE_61 = 2**61 - 1
 MERSENNE_COIN = f"z : 0 -> 1/{MERSENNE_61}, 1 -> {MERSENNE_61 - 1}/{MERSENNE_61}\n"
+# unequal win-terminal masses 1/3 and 2/3 for phi_sb_prime
+BIASED_COIN_X = "x : 1 -> 1/3, 2 -> 2/3\n"
 
 
 @pytest.mark.parametrize("source, structure, nature", [
@@ -152,16 +156,23 @@ MERSENNE_COIN = f"z : 0 -> 1/{MERSENNE_61}, 1 -> {MERSENNE_61 - 1}/{MERSENNE_61}
     ("stochastic_matching_pennies.if", "binary.struct", "biased_coin.nat"),
     ("phi_sb.if", "sleeping_beauty.struct", None),
     ("stochastic_matching_pennies.if", "binary.struct", MERSENNE_COIN),
-], ids=["fig1", "pennies", "biased-coin", "sleeping-beauty", "den-2^61-1"])
+    ("~phi_sb_prime.if", "sleeping_beauty.struct", BIASED_COIN_X),
+], ids=["fig1", "pennies", "biased-coin", "sleeping-beauty", "den-2^61-1",
+        "negated-sleeping-beauty-prime"])
 def test_build_matrix_cells_equal_expected_payoff(source, structure, nature):
     nature_text = (corpus_text(nature) if nature and nature.endswith(".nat")
                    else nature)
-    game, lam = load_game(corpus_text(source),
-                          structure and corpus_text(structure), nature_text)
+    # "~name" is the negation of the corpus sentence: more columns than rows
+    text = (f"~({corpus_text(source[1:])})" if source.startswith("~")
+            else corpus_text(source))
+    game, lam = load_game(text, structure and corpus_text(structure),
+                          nature_text)
     matrix = build_matrix(game, lam)
     if nature == MERSENNE_COIN:
         assert matrix.den == MERSENNE_61
         assert int(matrix.num.max()) == MERSENNE_61 - 1
+    if source.startswith("~"):
+        assert matrix.shape == (4, 31)
     for i, sigma in enumerate(matrix.rows):
         for j, tau in enumerate(matrix.cols):
             assert matrix.value(i, j) == expected_payoff(game, lam, sigma, tau)
@@ -184,6 +195,21 @@ def test_follow_matrix_matches_follows(fig1_game):
         assert table.shape == (len(strats), len(wins))
         for j, node in enumerate(wins):
             assert table[:, j].tolist() == [follows(node, s) for s in strats]
+
+
+@pytest.mark.parametrize("negate_first", [False, True],
+                         ids=["rows-ge-cols", "cols-gt-rows"])
+def test_build_matrix_blocks_agree(monkeypatch, negate_first):
+    text = corpus_text("phi_sb_prime.if")
+    if negate_first:
+        text = f"~({text})"
+    game, lam = load_game(text, corpus_text("sleeping_beauty.struct"),
+                          BIASED_COIN_X)
+    whole = build_matrix(game, lam)
+    monkeypatch.setattr(solver, "_PRODUCT_BLOCK_CELLS", 9)  # blocks of 2
+    blocked = build_matrix(game, lam)
+    assert min(whole.shape) == 4 and max(whole.shape) == 31
+    assert np.array_equal(whole.num, blocked.num)
 
 
 def test_build_matrix_cell_budget(monkeypatch):
@@ -241,8 +267,8 @@ def test_solve_matching_pennies_mixes():
     assert dict(eq.col_mix) == {0: F(1, 2), 1: F(1, 2)}
 
 
-def test_solve_fraction_matrix_direct():
-    value, rows, cols = _solve_fraction_matrix([[F(1, 3), F(0)], [F(0), F(2, 3)]])
+def test_solve_int_matrix_direct():
+    value, rows, cols = _solve_int_matrix([[1, 0], [0, 2]], 3)
     assert value == F(2, 9)
     assert dict(rows) == {0: F(2, 3), 1: F(1, 3)}
 
@@ -250,7 +276,6 @@ def test_solve_fraction_matrix_direct():
 def test_direct_and_column_generation_agree():
     import random as _random
     import numpy as _np
-    from ifgames.solver import _solve_double_oracle
 
     rng = _random.Random(99)
     for trial in range(40):
@@ -260,7 +285,7 @@ def test_direct_and_column_generation_agree():
         num = _np.array([[rng.randrange(0, den + 1) for _ in range(cols)]
                          for _ in range(rows)], dtype=_np.int64)
         matrix = PayoffMatrix(None, None, num, den)
-        value, row_mix, col_mix = _solve_fraction_matrix(matrix.fractions())
+        value, row_mix, col_mix = _solve_int_matrix(num.tolist(), den)
         direct = Equilibrium(value, tuple(row_mix), tuple(col_mix), matrix)
         oracle = _solve_double_oracle(matrix)
         assert direct.value == oracle.value, (trial, num, den)
@@ -269,11 +294,94 @@ def test_direct_and_column_generation_agree():
 
 
 def test_simplex_degenerate_matrices():
-    for cells, want in ([[F(0)]], F(0)), ([[F(1)]], F(1)), \
-                       ([[F(0), F(0)], [F(0), F(0)]], F(0)), \
-                       ([[F(1), F(1)], [F(1), F(1)]], F(1)):
-        value, _, _ = _solve_fraction_matrix(cells)
-        assert value == want
+    for den in (1, 7):
+        for cells, want in ([[0]], F(0)), ([[1]], F(1)), \
+                           ([[0, 0], [0, 0]], F(0)), ([[1, 1], [1, 1]], F(1)):
+            num = [[c * den for c in row] for row in cells]
+            value, _, _ = _solve_int_matrix(num, den)
+            assert value == want
+
+
+def _fraction_simplex_max(a: list[list[Fraction]]):
+    """Reference for ``_simplex_max``: max 1'y  s.t.  a y <= 1, y >= 0 (all
+    entries of ``a`` positive) on a ``Fraction`` tableau, Bland's rule on
+    entering and leaving choices.  Returns (value, y, duals)."""
+    n_rows = len(a)
+    n_cols = len(a[0])
+    width = n_cols + n_rows + 1
+    one = Fraction(1)
+    zero = Fraction(0)
+    tableau = []
+    for i in range(n_rows):
+        row = list(a[i]) + [zero] * n_rows + [one]
+        row[n_cols + i] = one
+        tableau.append(row)
+    obj = [-one] * n_cols + [zero] * (n_rows + 1)
+    basis = list(range(n_cols, n_cols + n_rows))
+    while True:
+        enter = next((j for j in range(width - 1) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best_ratio = None
+        for i in range(n_rows):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][-1] / coef
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[leave])):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            raise GameError("unbounded game LP; matrix entries out of range")
+        pivot_row = tableau[leave]
+        coef = pivot_row[enter]
+        if coef != 1:
+            tableau[leave] = pivot_row = [x / coef for x in pivot_row]
+        for i in range(n_rows):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                row = tableau[i]
+                tableau[i] = [row[k] - f * pivot_row[k] for k in range(width)]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [obj[k] - f * pivot_row[k] for k in range(width)]
+        basis[leave] = enter
+    y = [zero] * n_cols
+    for i, b in enumerate(basis):
+        if b < n_cols:
+            y[b] = tableau[i][-1]
+    duals = [obj[n_cols + i] for i in range(n_rows)]
+    return obj[-1], y, duals
+
+
+def _random_lp(rng, s):
+    """A shifted payoff matrix ``num + s`` with ``num`` in [0, s]: often with
+    equal ratios in the first ratio test, sometimes with all rows equal."""
+    rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+    if rng.random() < 0.1:
+        line = [s + rng.randrange(0, s + 1) for _ in range(cols)]
+        return [list(line) for _ in range(rows)]
+    levels = [rng.randrange(0, s + 1) for _ in range(rng.randrange(1, 4))]
+    return [[s + rng.choice(levels) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_integer_simplex_matches_fraction_reference():
+    import random as _random
+
+    rng = _random.Random(2024)
+    ties = equal_rows = 0
+    cases = [(s, _random_lp(rng, s))
+             for s in rng.choices([1, 2, 3, 6, 7, 9, 12], k=1200)]
+    cases += [(MERSENNE_61, _random_lp(rng, MERSENNE_61)) for _ in range(40)]
+    for s, a in cases:
+        got = _simplex_max(a, s)
+        want = _fraction_simplex_max([[F(x, s) for x in row] for row in a])
+        assert got == want, (s, a)
+        first = [row[0] for row in a]
+        ties += first.count(max(first)) > 1  # tied ratios at the first pivot
+        equal_rows += len(a) > 1 and all(row == a[0] for row in a)
+    assert ties > 300 and equal_rows > 50
 
 
 def test_verify_equilibrium_rejects_bad_claim():
