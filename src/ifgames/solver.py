@@ -1,9 +1,12 @@
 """Exact zero-sum solving: payoff matrices, reduction, LP, conditioning.
 
 Every value-path computation is exact: payoff matrices are integer
-numerators over one common denominator, built by a float64 BLAS product
-when that denominator is at most 2**53 (exact, see ``build_matrix``) and by
-an int64 product otherwise; the LP runs a fraction-free integer simplex
+numerators over one common denominator, one row (column) per follow class
+of reduced strategies (those that follow the same verifier-win terminals,
+and so have equal payoffs), built by a float64 BLAS product when that
+denominator is at most 2**53 (exact, see ``build_matrix``) and by an int64
+product otherwise; the cell budget counts the enumerated strategies, not
+the classes.  The LP runs a fraction-free integer simplex
 (Bareiss pivoting), Bland's rule, and reductions only merge duplicates or
 drop dominated strategies (which preserves the game value).  Matrices too
 large for a direct tableau are solved by column generation (a double-oracle
@@ -121,7 +124,9 @@ class EventPredicate:
 class PayoffMatrix:
     """Expected payoffs for the maximizer over reduced strategies.
 
-    Cells are exact: ``num[i, j] / den``.  ``row_origin``/``col_origin``
+    Cells are exact: ``num[i, j] / den``.  ``rows``/``cols`` hold every
+    enumerated strategy; a row or column may stand for several of them (a
+    follow class, see :func:`build_matrix`).  ``row_origin``/``col_origin``
     track each current row and column back to its index in the original
     enumeration, through duplicate merging and dominance elimination.
     """
@@ -145,13 +150,6 @@ class PayoffMatrix:
     def shape(self) -> tuple[int, int]:
         return self.num.shape
 
-    def value(self, i: int, j: int) -> Fraction:
-        return Fraction(int(self.num[i, j]), self.den)
-
-    def fractions(self) -> list[list[Fraction]]:
-        r, c = self.shape
-        return [[self.value(i, j) for j in range(c)] for i in range(r)]
-
     def row_strategy(self, i: int) -> ReducedStrategy:
         return self.rows[int(self.row_origin[i])]
 
@@ -172,13 +170,44 @@ def _chance_reach(g: ExtensiveGame, lam: BehavioralStrategy) -> list[Fraction]:
 
 
 def _follow_matrix(strats: StrategyList, nodes: list[int]) -> np.ndarray:
-    """Boolean (strategies x terminals): does the strategy follow the history."""
+    """Boolean (strategies x terminals): does the strategy follow the history.
+
+    Raises :class:`BudgetError` before allocating when the table would
+    exceed ``DEFAULT_CELL_BUDGET`` cells.
+    """
+    cells = len(strats) * len(nodes)
+    if cells > DEFAULT_CELL_BUDGET:
+        raise BudgetError("follow cell", DEFAULT_CELL_BUDGET, cells)
     columns, own = np.ascontiguousarray(strats.table.T), strats.plan.own
     out = np.ones((len(nodes), len(strats)), dtype=bool)
     for j, node in enumerate(nodes):
         for ci, ai in own[node]:
             out[j] &= columns[ci] == ai
     return out.T
+
+
+def _follow_classes(follow: np.ndarray) -> np.ndarray:
+    """First strategy of each follow class (strategies that follow the same
+    terminals), in enumeration order.
+
+    Each strategy's follow row is packed into 64-bit words, eight terminals
+    to a byte; a stable sort by those words lists each class in enumeration
+    order, so the first entry of each run of equal words is the class's
+    first member.
+    """
+    by_terminal = follow.T.view(np.uint8)  # (terminals, strategies), 0 or 1
+    packed = np.zeros((follow.shape[0], 8 * (len(by_terminal) // 64 + 1)),
+                      dtype=np.uint8)
+    shifts = np.arange(8, dtype=np.uint8)[:, None]
+    for t in range(0, len(by_terminal), 8):
+        group = by_terminal[t:t + 8]
+        packed[:, t // 8] = np.bitwise_or.reduce(group << shifts[:len(group)])
+    words = packed.view(np.uint64).T
+    order = np.lexsort(words)
+    ordered = words[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    return np.sort(order[first])
 
 
 def _smallest_int_dtype(max_value: int):
@@ -197,30 +226,37 @@ def expected_payoff(g: ExtensiveGame, lam: BehavioralStrategy,
 
 def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
                  budget: int = DEFAULT_STRATEGY_BUDGET) -> PayoffMatrix:
-    """Complete payoff matrix over both players' reduced strategies.
+    """Payoff matrix over the follow classes of both players' reduced
+    strategies.
 
-    Assembled by matrix products over win-terminal follow tables, which
-    keeps the cost tractable for strategy counts in the hundreds of
-    thousands: a float64 BLAS product when the common denominator is at
-    most 2**53 (exact, see the comment below), int64 otherwise.  Raises
-    :class:`BudgetError` before allocating when the matrix would exceed
+    A cell sums the chance masses of the verifier-win terminals that both
+    strategies follow, so strategies that follow the same win terminals
+    have equal payoffs: one row (column) per such class, whose
+    ``row_origin`` (``col_origin``) is its first member in enumeration
+    order.  Merging duplicates over the classes therefore keeps the rows
+    and columns that merging over every strategy would.  The cells come
+    from matrix products over the win-terminal follow tables: float64 BLAS
+    when the common denominator is at most 2**53 (exact, see the comment
+    below), int64 otherwise.  Raises :class:`BudgetError` before
+    allocating when the enumerated strategies would give more than
     ``DEFAULT_CELL_BUDGET`` cells.
     """
     rows = enumerate_reduced(g, EXIST, budget)
     cols = enumerate_reduced(g, UNIV, budget)
-    shape = (len(rows), len(cols))
-    if shape[0] * shape[1] > DEFAULT_CELL_BUDGET:
-        raise BudgetError("payoff cell", DEFAULT_CELL_BUDGET, shape[0] * shape[1])
+    cells = len(rows) * len(cols)
+    if cells > DEFAULT_CELL_BUDGET:
+        raise BudgetError("payoff cell", DEFAULT_CELL_BUDGET, cells)
     win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
     reach = _chance_reach(g, lam)
     masses = [reach[t] for t in win_nodes]
     den = math.lcm(*(mass.denominator for mass in masses))
     dtype = _smallest_int_dtype(den)
     nums = np.array([int(m * den) for m in masses], dtype=np.int64)
-    if not win_nodes:
-        return PayoffMatrix(rows, cols, np.zeros(shape, dtype=dtype), den)
     f_row = _follow_matrix(rows, win_nodes)
     f_col = _follow_matrix(cols, win_nodes)
+    row_reps, col_reps = _follow_classes(f_row), _follow_classes(f_col)
+    f_row, f_col = f_row[row_reps], f_col[col_reps]
+    shape = (len(row_reps), len(col_reps))
     # A cell sums the masses of the win terminals that both strategies
     # follow.  Those terminals all lie in the outcome distribution of one
     # profile, so the cell, and every partial sum in any summation order, is
@@ -243,7 +279,7 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
         for start in range(0, shape[1], chunk):
             block = left @ f_col[start:start + chunk].T.astype(work)
             out[:, start:start + chunk] = block.astype(dtype)
-    return PayoffMatrix(rows, cols, out, den)
+    return PayoffMatrix(rows, cols, out, den, row_reps, col_reps)
 
 
 # ---------------------------------------------------------------- reduction
@@ -289,16 +325,20 @@ def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMat
     col_origin = m.col_origin
     log = list(m.log)
 
+    # the merge counts every enumerated strategy, also those that a class
+    # row of build_matrix already stands for
     keep = _first_occurrences(num)
+    if len(keep) != len(m.rows):
+        log.append(f"rows: merged {len(m.rows) - len(keep)} duplicates "
+                   f"({len(m.rows)} -> {len(keep)})")
     if len(keep) != num.shape[0]:
-        log.append(f"rows: merged {num.shape[0] - len(keep)} duplicates "
-                   f"({num.shape[0]} -> {len(keep)})")
         num = num[keep]
         row_origin = row_origin[keep]
     keep = _first_occurrences(num.T)
+    if len(keep) != len(m.cols):
+        log.append(f"cols: merged {len(m.cols) - len(keep)} duplicates "
+                   f"({len(m.cols)} -> {len(keep)})")
     if len(keep) != num.shape[1]:
-        log.append(f"cols: merged {num.shape[1] - len(keep)} duplicates "
-                   f"({num.shape[1]} -> {len(keep)})")
         num = num[:, keep]
         col_origin = col_origin[keep]
 

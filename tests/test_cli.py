@@ -54,6 +54,15 @@ def test_cell_budget_exit_code_two(capsys, monkeypatch):
     assert "payoff cell budget exceeded: limit 3, reached 4" in err
 
 
+def test_follow_cell_budget_exit_code_two(capsys, monkeypatch):
+    # 31 x 1 payoff cells pass the budget; the 31 x 5 follow table does not
+    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 31)
+    code, _, err = run(capsys, "value", corpus_path("phi_sb.if"),
+                       corpus_path("sleeping_beauty.struct"))
+    assert code == 2
+    assert "follow cell budget exceeded: limit 31, reached 155" in err
+
+
 def test_nonpositive_cap_exit_code_one(capsys):
     code, _, err = run(capsys, "value", corpus_path("phi_mh.if"),
                        corpus_path("doors3.struct"), "--budget", "0")

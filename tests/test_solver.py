@@ -1,6 +1,7 @@
 """Payoff matrices, reduction, the exact LP, conditioning, simulation."""
 
 import json
+import math
 import pathlib
 from fractions import Fraction
 
@@ -43,9 +44,11 @@ from ifgames.parser import load_game
 from ifgames.solver import (
     Equilibrium,
     PayoffMatrix,
+    _chance_reach,
     _follow_matrix,
     _simplex_max,
     _solve_double_oracle,
+    _smallest_int_dtype,
     _solve_int_matrix,
 )
 
@@ -60,6 +63,11 @@ FIG3 = [
     [1, 0, 1, 1, 0, 1],
     [1, 1, 0, 1, 1, 0],
 ]
+
+
+def cell(m, i, j):
+    """The exact payoff in row ``i`` and column ``j`` of a payoff matrix."""
+    return Fraction(int(m.num[i, j]), m.den)
 
 
 def fig1_row_kinds(game):
@@ -125,7 +133,11 @@ def test_expected_payoff_sb_always_tails(sb_game):
 
 def test_build_matrix_fig1_matches_fig3(fig1_solution, fig1_game):
     matrix, _, _ = fig1_solution
-    assert matrix.shape == (12, 6)
+    # no two strategies share a follow class, so rows and columns are in
+    # enumeration order (criterion 3 indexes them so too)
+    assert matrix.shape == (len(matrix.rows), len(matrix.cols)) == (12, 6)
+    assert matrix.row_origin.tolist() == list(range(12))
+    assert matrix.col_origin.tolist() == list(range(6))
     order_r, order_c = fig1_named_order(fig1_game)
     got = [[int(matrix.num[i, j]) for j in order_c] for i in order_r]
     assert got == FIG3
@@ -139,7 +151,9 @@ def test_build_matrix_matching_pennies_identity():
     m = Structure(("0", "1"))
     game = build_semantic_game(m, parse_formula("forall x (exists y/{x}) x = y"))
     matrix = build_matrix(game, uniform_nature(game))
-    assert matrix.fractions() == [[F(1), F(0)], [F(0), F(1)]]
+    assert matrix.shape == (2, 2)
+    assert [[cell(matrix, i, j) for j in range(2)] for i in range(2)] == \
+        [[F(1), F(0)], [F(0), F(1)]]
 
 
 # den = 2**61 - 1 is above 2**53, so the int64 product runs; the cell
@@ -148,6 +162,48 @@ MERSENNE_61 = 2**61 - 1
 MERSENNE_COIN = f"z : 0 -> 1/{MERSENNE_61}, 1 -> {MERSENNE_61 - 1}/{MERSENNE_61}\n"
 # unequal win-terminal masses 1/3 and 2/3 for phi_sb_prime
 BIASED_COIN_X = "x : 1 -> 1/3, 2 -> 2/3\n"
+
+
+def _load(source, structure, nature):
+    nature_text = (corpus_text(nature) if nature and nature.endswith(".nat")
+                   else nature)
+    # "~name" is the negation of the corpus sentence: more columns than rows
+    text = (f"~({corpus_text(source[1:])})" if source.startswith("~")
+            else corpus_text(source))
+    return load_game(text, structure and corpus_text(structure), nature_text)
+
+
+def _full_matrix(g, lam):
+    """Reference for ``build_matrix``: the payoff matrix over every pair of
+    enumerated reduced strategies, by the same exact product over the
+    win-terminal follow tables, in blocks of rows."""
+    rows = enumerate_reduced(g, EXIST)
+    cols = enumerate_reduced(g, UNIV)
+    win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
+    reach = _chance_reach(g, lam)
+    masses = [reach[t] for t in win_nodes]
+    den = math.lcm(*(mass.denominator for mass in masses))
+    work = np.float64 if den <= 2**53 else np.int64
+    weights = np.array([int(m * den) for m in masses], dtype=np.int64).astype(work)
+    right = _follow_matrix(cols, win_nodes).T * weights[:, None]
+    f_row = _follow_matrix(rows, win_nodes)
+    num = np.empty((len(rows), len(cols)), dtype=_smallest_int_dtype(den))
+    for start in range(0, len(rows), 1024):
+        num[start:start + 1024] = f_row[start:start + 1024].astype(work) @ right
+    return PayoffMatrix(rows, cols, num, den)
+
+
+def _follow_class_index(strats, origin, wins):
+    """Each strategy's row (column) in a built matrix, found from the win
+    terminals it follows; checks that ``origin`` holds the first member of
+    each class, in enumeration order."""
+    keys = [tuple(follows(t, s) for t in wins) for s in strats]
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    assert origin.tolist() == sorted(first.values())
+    where = {i: k for k, i in enumerate(origin.tolist())}
+    return [where[first[key]] for key in keys]
 
 
 @pytest.mark.parametrize("source, structure, nature", [
@@ -160,22 +216,47 @@ BIASED_COIN_X = "x : 1 -> 1/3, 2 -> 2/3\n"
 ], ids=["fig1", "pennies", "biased-coin", "sleeping-beauty", "den-2^61-1",
         "negated-sleeping-beauty-prime"])
 def test_build_matrix_cells_equal_expected_payoff(source, structure, nature):
-    nature_text = (corpus_text(nature) if nature and nature.endswith(".nat")
-                   else nature)
-    # "~name" is the negation of the corpus sentence: more columns than rows
-    text = (f"~({corpus_text(source[1:])})" if source.startswith("~")
-            else corpus_text(source))
-    game, lam = load_game(text, structure and corpus_text(structure),
-                          nature_text)
+    game, lam = _load(source, structure, nature)
     matrix = build_matrix(game, lam)
     if nature == MERSENNE_COIN:
         assert matrix.den == MERSENNE_61
         assert int(matrix.num.max()) == MERSENNE_61 - 1
     if source.startswith("~"):
-        assert matrix.shape == (4, 31)
+        assert (len(matrix.rows), len(matrix.cols)) == (4, 31)
+        assert matrix.shape == (4, 23)  # 7 win terminals split 23 classes
+    wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
+    row_class = _follow_class_index(matrix.rows, matrix.row_origin, wins)
+    col_class = _follow_class_index(matrix.cols, matrix.col_origin, wins)
+    assert matrix.shape == (max(row_class) + 1, max(col_class) + 1)
     for i, sigma in enumerate(matrix.rows):
         for j, tau in enumerate(matrix.cols):
-            assert matrix.value(i, j) == expected_payoff(game, lam, sigma, tau)
+            assert cell(matrix, row_class[i], col_class[j]) == \
+                expected_payoff(game, lam, sigma, tau)
+
+
+@pytest.mark.parametrize("source, structure, nature", [
+    ("monty_hall.game", None, None),
+    ("matching_pennies.if", "pennies_3.struct", None),
+    ("stochastic_matching_pennies.if", "binary.struct", "biased_coin.nat"),
+    ("phi_sb.if", "sleeping_beauty.struct", None),
+    ("phi_sb_prime.if", "sleeping_beauty.struct", None),
+    ("~phi_sb_prime.if", "sleeping_beauty.struct", BIASED_COIN_X),
+    ("stochastic_matching_pennies.if", "binary.struct", MERSENNE_COIN),
+    ("phi_mh_prime.if", "doors3.struct", None),
+], ids=["fig1", "pennies", "biased-coin", "sleeping-beauty",
+        "sleeping-beauty-prime", "negated-sleeping-beauty-prime", "den-2^61-1",
+        "monty-hall-prime"])
+def test_class_matrix_reduces_like_full_matrix(source, structure, nature):
+    game, lam = _load(source, structure, nature)
+    classes = build_matrix(game, lam)
+    full = _full_matrix(game, lam)
+    assert np.array_equal(
+        full.num[np.ix_(classes.row_origin, classes.col_origin)], classes.num)
+    got, want = reduce_matrix(classes), reduce_matrix(full)
+    assert np.array_equal(got.num, want.num)
+    assert got.row_origin.tolist() == want.row_origin.tolist()
+    assert got.col_origin.tolist() == want.col_origin.tolist()
+    assert got.log == want.log
 
 
 def test_build_matrix_rejects_denominator_above_int64():
@@ -208,7 +289,8 @@ def test_build_matrix_blocks_agree(monkeypatch, negate_first):
     whole = build_matrix(game, lam)
     monkeypatch.setattr(solver, "_PRODUCT_BLOCK_CELLS", 9)  # blocks of 2
     blocked = build_matrix(game, lam)
-    assert min(whole.shape) == 4 and max(whole.shape) == 31
+    # follow classes of the 31 x 4 strategies
+    assert whole.shape == ((4, 23) if negate_first else (11, 4))
     assert np.array_equal(whole.num, blocked.num)
 
 
@@ -222,9 +304,19 @@ def test_build_matrix_cell_budget(monkeypatch):
         ("payoff cell", 3, 4)
 
 
+def test_build_matrix_follow_cell_budget(monkeypatch, sb_game):
+    # 31 x 1 payoff cells are within the budget, 31 x 5 follow cells are not
+    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 31)
+    with pytest.raises(BudgetError) as info:
+        build_matrix(sb_game, uniform_nature(sb_game))
+    assert (info.value.what, info.value.limit, info.value.reached) == \
+        ("follow cell", 31, 155)
+
+
 def test_build_matrix_single_column_when_no_falsifier_choices(sb_game):
     matrix = build_matrix(sb_game, uniform_nature(sb_game))
-    assert matrix.shape == (31, 1)
+    assert (len(matrix.rows), len(matrix.cols)) == (31, 1)
+    assert matrix.shape == (11, 1)
 
 
 def test_reduce_all_zero_matrix(sb_game):
@@ -233,7 +325,7 @@ def test_reduce_all_zero_matrix(sb_game):
     zero = PayoffMatrix(rows, cols, np.zeros((4, 3), dtype=np.int8), 1)
     reduced = reduce_matrix(zero)
     assert reduced.shape == (1, 1)
-    assert reduced.value(0, 0) == 0
+    assert cell(reduced, 0, 0) == 0
 
 
 def test_reduce_preserves_value_phi_mh(mh_solution):
@@ -422,7 +514,9 @@ def test_truth_values_match_paper(mh_solution, mh_prime_solution,
 def test_truth_value_stochastic_matching_pennies(smp_game):
     lam = parse_nature_strategy(corpus_text("biased_coin.nat"), smp_game)
     matrix = build_matrix(smp_game, lam)
-    assert matrix.fractions() == [[F(1, 3), F(0)], [F(0), F(2, 3)]]
+    assert matrix.shape == (2, 2)
+    assert [[cell(matrix, i, j) for j in range(2)] for i in range(2)] == \
+        [[F(1, 3), F(0)], [F(0), F(2, 3)]]
     eq = solve_zero_sum(reduce_matrix(matrix))
     assert eq.value == F(2, 9)
     # the analyzed profile p = q = 2/3 is an equilibrium of the raw matrix
