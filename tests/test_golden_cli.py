@@ -37,6 +37,20 @@ COMMANDS = [
     ["value", "golden/irreflexive.if", "pennies_2.struct", "--format", "structured"],
     # 81 rows and 823,875 columns, merged on the column side
     ["value", "golden/phi_mh_negated.if", "doors3.struct", "--format", "structured"],
+    # the seeded Monte Carlo runs: the benchmark's stick/switch request,
+    ["simulate", "phi_mh_prime_chance.if", "doors3.struct",
+     "--profile", "mh_prime_chance_paper.profile", "--plays", "100000",
+     "--seed", "1", "--event", "z != x and z != y#1 and y = y#1",
+     "--event", "z != x and z != y#1 and y != y#1", "--format", "structured"],
+    # a chance branch of mass 0 after one of mass 1 (a threshold at 2**64),
+    ["simulate", "phi_sb.if", "sleeping_beauty.struct",
+     "--nature", "sb_lambda_prime.nat", "--profile", "sb_even.profile",
+     "--plays", "20000", "--seed", "7", "--event", "Awake(x,t)",
+     "--format", "structured"],
+    # and the solved equilibrium profile, in text
+    ["simulate", "stochastic_matching_pennies.if", "binary.struct",
+     "--nature", "biased_coin.nat", "--solve", "--plays", "5000",
+     "--seed", "11", "--event", "z = 1"],
 ]
 
 
