@@ -17,7 +17,6 @@ LP optimum.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -129,13 +128,15 @@ class PayoffMatrix:
     follow class, see :func:`build_matrix`).  ``row_origin``/``col_origin``
     track each current row and column back to its index in the original
     enumeration, through duplicate merging and dominance elimination.
+    ``reduced`` marks the output of :func:`reduce_matrix`.
     """
 
     def __init__(self, rows: StrategyList, cols: StrategyList,
                  num: np.ndarray, den: int,
                  row_origin: np.ndarray | None = None,
                  col_origin: np.ndarray | None = None,
-                 log: list[str] | None = None):
+                 log: list[str] | None = None,
+                 reduced: bool = False):
         self.rows = rows
         self.cols = cols
         self.num = num
@@ -145,6 +146,7 @@ class PayoffMatrix:
         self.col_origin = (np.arange(num.shape[1], dtype=np.int64)
                            if col_origin is None else col_origin)
         self.log = log if log is not None else []
+        self.reduced = reduced
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -319,7 +321,14 @@ def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMat
     ``DEFAULT_DOMINANCE_CAP`` cells; above the cap only duplicate merging
     happens, which still preserves the game value.  Provenance maps to the
     original enumeration.
+
+    A reduced matrix is returned as it is, so reducing twice changes
+    nothing, the log included.  Running the merge again would not be a
+    no-op: dominance elimination can leave a row or column equal to
+    another (Monty Hall's 3 x 6 matrix holds three pairs of equal columns).
     """
+    if m.reduced:
+        return m
     num = m.num
     row_origin = m.row_origin
     col_origin = m.col_origin
@@ -376,7 +385,7 @@ def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMat
                         col_origin = col_origin[~mask]
                         changed = True
     return PayoffMatrix(m.rows, m.cols, np.ascontiguousarray(num), m.den,
-                        row_origin, col_origin, log)
+                        row_origin, col_origin, log, reduced=True)
 
 
 # ------------------------------------------------------------------ the LP
@@ -674,6 +683,10 @@ def conditional_value(g: ExtensiveGame, lam: BehavioralStrategy,
 
 # ------------------------------------------------------------- simulation
 
+_SAMPLE_BLOCK_STARTS = 4096  # play starts that simulate walks at once
+_NEVER = 2**64 - 1  # a bound that no 64-bit draw exceeds
+
+
 @dataclass
 class SimulationReport:
     plays: int
@@ -684,23 +697,129 @@ class SimulationReport:
 
 
 def _thresholds(masses: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    """Common denominator and cumulative thresholds, scaled by 2**64, of an
-    exact distribution, for :func:`_pick`."""
+    """How one 64-bit draw picks an index of an exact distribution, as
+    ``(skip, bounds)``: the pick is ``skip`` plus the number of bounds
+    that the draw exceeds.
+
+    Inversion sampling picks the first index whose cumulative mass
+    ``cum / den`` exceeds ``draw / 2**64``, the last one if none does.
+    ``cum * 2**64 <= draw * den`` holds exactly when the draw exceeds
+    ``(cum * 2**64 - 1) // den``, an integer below 2**64 (``_NEVER`` when
+    ``cum == den``).  Leading indices of mass zero are passed by every
+    draw and counted in ``skip``; the last index needs no bound.
+    """
     den = math.lcm(*(m.denominator for m in masses))
-    cum = 0
-    out = []
-    for m in masses:
+    cum, bounds = 0, []
+    for m in masses[:-1]:
         cum += int(m * den)
-        out.append(cum << 64)
-    return den, out
+        bounds.append(((cum << 64) - 1) // den)
+    skip = bounds.count(-1)
+    return skip, bounds[skip:]
 
 
-def _pick(rng: random.Random, dist: tuple[int, list[int]]) -> int:
-    """Inversion sampling driven by one 64-bit draw: the index of the first
-    threshold above the scaled draw (the last index if none is)."""
-    den, cums = dist
-    draw = rng.getrandbits(64) * den
-    return min(bisect.bisect_right(cums, draw), len(cums) - 1)
+def _draw_words(rng: random.Random, k: int) -> np.ndarray:
+    """The next ``k`` values of ``rng.getrandbits(64)``, from one call.
+
+    ``getrandbits(64 * k)`` fills its result with the generator's 32-bit
+    outputs from the least significant end, as ``k`` calls of
+    ``getrandbits(64)`` would (each call's first output is its low half),
+    so its little-endian bytes are those ``k`` draws in order.
+    """
+    return np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"),
+                         dtype="<u8")
+
+
+class _Sampler:
+    """A game and a profile compiled into flat arrays for :func:`simulate`.
+
+    Per node ``n``:
+
+    - ``children[n * stride + i]``: its ``i``-th child, padded with ``n``
+      itself, so that a terminal stays where it is.  The leading children
+      of a chance node that have mass zero are dropped (see
+      :func:`_thresholds`).
+    - ``bounds[i][n]``: bound ``i`` of a chance node, ``_NEVER`` elsewhere.
+    - ``column[n]``: the index of its information set in the strategy
+      table, or the table's last column, which holds 0, at chance nodes
+      and terminals.
+
+    ``actions[k * columns + c]`` is the action of strategy ``k`` (the row
+    mix's strategies first, then the column mix's) at information set
+    ``c``.  Where the strategy is undefined it holds ``stride - 1``, a
+    padding entry, so the play stays at that decision node.
+    """
+
+    def __init__(self, g: ExtensiveGame, lam: BehavioralStrategy,
+                 row_mix: MixedStrategy, col_mix: MixedStrategy):
+        n = len(g)
+        arity = max(len(kids) for kids in g.children)
+        self.stride = arity + 1
+        self.owner = np.array(g.owner, dtype=np.int8)
+        self.is_univ = self.owner == UNIV
+        self.is_chance = self.owner == NATURE
+        children = np.repeat(np.arange(n)[:, None], self.stride, axis=1)
+        self.bounds = np.full((max(arity - 1, 0), n), _NEVER, dtype=np.uint64)
+        depth, chance_moves = [0] * n, [0] * n
+        for node in range(n):
+            kids = g.children[node]
+            if g.owner[node] == NATURE:
+                skip, bounds = _thresholds(lam.distribution(node))
+                kids = kids[skip:]
+                self.bounds[:len(bounds), node] = bounds
+            children[node, :len(kids)] = kids
+            for kid in kids:
+                depth[kid] = depth[node] + 1
+                chance_moves[kid] = chance_moves[node] + (g.owner[node] == NATURE)
+        self.children = children.ravel()
+        self.levels = max(depth)
+        # a play reads its row pick, its column pick and one word per
+        # chance move
+        self.words_per_play = 2 + max(chance_moves)
+        self.columns = 1 + max(len(g.information_partition(EXIST)),
+                               len(g.information_partition(UNIV)))
+        self.column = np.where(self.is_univ | (self.owner == EXIST),
+                               np.array(g.infoset), self.columns - 1)
+        strategies = row_mix.support + col_mix.support
+        actions = np.full((len(strategies), self.columns), arity, dtype=np.intp)
+        actions[:, -1] = 0
+        for k, (strategy, _) in enumerate(strategies):
+            for index, act in strategy.actions:
+                actions[k, index] = act
+        self.actions = actions.ravel()
+        self.row_skip, row_bounds = _thresholds(tuple(w for _, w in row_mix))
+        self.col_skip, col_bounds = _thresholds(tuple(w for _, w in col_mix))
+        self.row_bounds = np.array(row_bounds, dtype=np.uint64)
+        self.col_bounds = np.array(col_bounds, dtype=np.uint64)
+        self.n_rows = len(row_mix.support)
+
+    def walk(self, words: np.ndarray, starts: int):
+        """Play from each of the first ``starts`` word positions at once.
+
+        A play from position ``p`` picks its row strategy with word ``p``,
+        its column strategy with word ``p + 1``, and each chance move with
+        the next unread word.  Returns each start's final node (not a
+        terminal when a strategy was undefined on the way) and the number
+        of words it read; ``words`` must hold ``starts + words_per_play``
+        words.
+        Every step gathers from 1-d arrays, which numpy does several times
+        faster than from rows of 2-d ones.
+        """
+        row = self.columns * (
+            self.row_skip + np.searchsorted(self.row_bounds, words[:starts]))
+        col = self.columns * (
+            self.n_rows + self.col_skip
+            + np.searchsorted(self.col_bounds, words[1:starts + 1]))
+        node = np.zeros(starts, dtype=np.intp)
+        pos = np.arange(2, starts + 2)
+        for _ in range(self.levels):
+            draw = words[pos]
+            act = self.actions[np.where(self.is_univ[node], col, row)
+                               + self.column[node]]
+            for bounds in self.bounds:
+                act += draw > bounds[node]
+            pos += self.is_chance[node]
+            node = self.children[node * self.stride + act]
+        return node, pos - np.arange(starts)
 
 
 def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
@@ -709,38 +828,54 @@ def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
              events: dict[str, EventPredicate] | None = None) -> SimulationReport:
     """Monte Carlo cross-check of a profile's win probability.
 
-    One sequential stream from a Mersenne-Twister generator seeded with
-    ``seed``; per play the draws are: row strategy, column strategy, then
-    the chance moves reached along the play, in play order.  Bit-for-bit
-    reproducible for a fixed (game, profile, plays, seed).
+    One sequential stream of ``getrandbits(64)`` draws from a
+    Mersenne-Twister generator (``random.Random(seed)``); per play the
+    draws are: row strategy, column strategy, then the chance moves
+    reached along the play, in play order, each picked by exact integer
+    inversion (:func:`_thresholds`).  Bit-for-bit reproducible for a fixed
+    (game, profile, plays, seed).
+
+    The draws are taken in bulk (:func:`_draw_words`), and they are
+    identical to per-play draws in that order.  Each block of
+    ``_SAMPLE_BLOCK_STARTS`` word positions is walked down the compiled
+    game (:class:`_Sampler`) as if every position started a play; the plays
+    are then the chain of starts from the first, each beginning where the
+    last one's words end, and the unread words carry over to the next
+    block, so memory does not grow with ``plays``.  ``numpy.random`` is
+    deliberately not imported: the stdlib generator already gives these
+    draws, and importing that module alone adds about 6 MB to the resident
+    memory of a process (Python 3.11, numpy 2.4).
     """
     if plays < 1:
         raise GameError("plays must be at least 1")
+    sampler = _Sampler(g, lam, row_mix, col_mix)
     rng = random.Random(seed)
-    row_dist = _thresholds(tuple(w for _, w in row_mix.support))
-    col_dist = _thresholds(tuple(w for _, w in col_mix.support))
-    chance = {node: _thresholds(dist) for node, dist in lam.dists.items()}
-    owner, children, infoset = g.owner, g.children, g.infoset
-    visits: dict[int, int] = {}
-    for _ in range(plays):
-        sigma = row_mix.support[_pick(rng, row_dist)][0]
-        tau = col_mix.support[_pick(rng, col_dist)][0]
-        node = g.root
-        while owner[node] != TERMINAL:
-            if owner[node] == NATURE:
-                node = children[node][_pick(rng, chance[node])]
-            else:
-                strat = sigma if owner[node] == EXIST else tau
-                act = strat.action_at(infoset[node])
-                if act is None:
-                    raise GameError("profile strategy undefined on a reached set")
-                node = children[node][act]
-        visits[node] = visits.get(node, 0) + 1
-    won = {t: g.winner_of[t] == EXIST for t in visits}
-    wins = sum(count for t, count in visits.items() if won[t])
+    visits = np.zeros(len(g), dtype=np.int64)
+    words = np.empty(0, dtype=np.uint64)
+    done = 0
+    while done < plays:
+        # the plays left read at most this many words
+        starts = min(_SAMPLE_BLOCK_STARTS, (plays - done) * sampler.words_per_play)
+        missing = starts + sampler.words_per_play - len(words)
+        if missing > 0:
+            words = np.concatenate((words, _draw_words(rng, missing)))
+        ends, used = sampler.walk(words, starts)
+        used, chain, p = used.tolist(), [], 0
+        while p < starts:
+            chain.append(p)
+            p += used[p]
+        reached = ends[chain[:plays - done]]
+        if (sampler.owner[reached] != TERMINAL).any():
+            raise GameError("profile strategy undefined on a reached set")
+        visits += np.bincount(reached, minlength=len(g))
+        done += len(reached)
+        words = words[p:]
+    visited = {int(t): int(visits[t]) for t in np.flatnonzero(visits)}
+    won = {t: g.winner_of[t] == EXIST for t in visited}
+    wins = sum(count for t, count in visited.items() if won[t])
     event_counts = {}
     for name, event in (events or {}).items():
-        hit = [t for t in visits if event.holds(g, t)]
-        event_counts[name] = (sum(visits[t] for t in hit),
-                              sum(visits[t] for t in hit if won[t]))
+        hit = [t for t in visited if event.holds(g, t)]
+        event_counts[name] = (sum(visited[t] for t in hit),
+                              sum(visited[t] for t in hit if won[t]))
     return SimulationReport(plays, seed, wins, Fraction(wins, plays), event_counts)

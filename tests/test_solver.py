@@ -1,8 +1,11 @@
 """Payoff matrices, reduction, the exact LP, conditioning, simulation."""
 
+import bisect
 import json
 import math
 import pathlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +13,12 @@ import pytest
 
 from ifgames import (
     EXIST,
+    NATURE,
     UNIV,
     BudgetError,
     GameError,
     MixedStrategy,
+    ReducedStrategy,
     Structure,
     ZeroProbabilityEventError,
     build_matrix,
@@ -29,21 +34,25 @@ from ifgames import (
     parse_event,
     parse_formula,
     parse_nature_strategy,
+    parse_profile,
     parse_structure,
     reduce_matrix,
     reduced_from_rules,
     simulate,
+    solve,
     solve_zero_sum,
     truth_value,
     uniform_nature,
     verify_equilibrium,
 )
 from ifgames import solver
-from ifgames.corpus import corpus_text
+from ifgames.corpus import CORPUS, corpus_text
+from ifgames.game import TERMINAL
 from ifgames.parser import load_game
 from ifgames.solver import (
     Equilibrium,
     PayoffMatrix,
+    SimulationReport,
     _chance_reach,
     _follow_matrix,
     _simplex_max,
@@ -257,6 +266,37 @@ def test_class_matrix_reduces_like_full_matrix(source, structure, nature):
     assert got.row_origin.tolist() == want.row_origin.tolist()
     assert got.col_origin.tolist() == want.col_origin.tolist()
     assert got.log == want.log
+
+
+_CORPUS_CHECKS = [(entry, check) for entry in CORPUS for check in entry.checks]
+
+
+def _check_id(entry, check):
+    return f"{entry.name}/{check.structure or entry.game}"
+
+
+def _load_check(entry, check):
+    return load_game(corpus_text(entry.game or entry.formula),
+                     check.structure and corpus_text(check.structure),
+                     check.nature and corpus_text(check.nature))
+
+
+_VALUED_CHECKS = [(e, c) for e, c in _CORPUS_CHECKS if c.expected is not None]
+
+
+@pytest.mark.parametrize("entry, check", _VALUED_CHECKS,
+                         ids=[_check_id(e, c) for e, c in _VALUED_CHECKS])
+def test_reduce_matrix_is_idempotent(entry, check):
+    game, lam = _load_check(entry, check)
+    once = reduce_matrix(build_matrix(game, lam))
+    twice = reduce_matrix(once)
+    assert np.array_equal(twice.num, once.num)
+    assert twice.row_origin.tolist() == once.row_origin.tolist()
+    assert twice.col_origin.tolist() == once.col_origin.tolist()
+    assert twice.log == once.log
+    if entry.formula == "phi_sb.if":
+        assert once.log == ["rows: merged 27 duplicates (31 -> 4)",
+                            "rows: removed 3 by strict dominance"]
 
 
 def test_build_matrix_rejects_denominator_above_int64():
@@ -675,3 +715,204 @@ def test_simulate_golden(sb_game, smp_game):
     nu = MixedStrategy(UNIV, [(cols[0], F(2, 3)), (cols[1], F(1, 3))])
     report = simulate(smp_game, lam2, mu, nu, plays=10_000, seed=2025)
     assert report.wins == golden["stochastic-matching-pennies"]["wins"]
+
+
+# ------------------------------------------------------------ the sampler
+
+def _scalar_thresholds(masses):
+    """Common denominator and cumulative thresholds, scaled by 2**64."""
+    den = math.lcm(*(m.denominator for m in masses))
+    cum, out = 0, []
+    for m in masses:
+        cum += int(m * den)
+        out.append(cum << 64)
+    return den, out
+
+
+def _scalar_pick(draw, dist):
+    """Inversion sampling of one 64-bit draw: the index of the first
+    threshold above the scaled draw (the last index if none is)."""
+    den, cums = dist
+    return min(bisect.bisect_right(cums, draw * den), len(cums) - 1)
+
+
+def _scalar_plays(g, lam, row_mix, col_mix, plays, rng):
+    """Each play's terminal, one play at a time: the per-play loop that
+    ``simulate`` replaced, kept as the reference for its draws."""
+    row_dist = _scalar_thresholds(tuple(w for _, w in row_mix.support))
+    col_dist = _scalar_thresholds(tuple(w for _, w in col_mix.support))
+    chance = {node: _scalar_thresholds(dist) for node, dist in lam.dists.items()}
+    owner, children, infoset = g.owner, g.children, g.infoset
+    for _ in range(plays):
+        sigma = row_mix.support[_scalar_pick(rng.getrandbits(64), row_dist)][0]
+        tau = col_mix.support[_scalar_pick(rng.getrandbits(64), col_dist)][0]
+        node = g.root
+        while owner[node] != TERMINAL:
+            if owner[node] == NATURE:
+                node = children[node][_scalar_pick(rng.getrandbits(64), chance[node])]
+            else:
+                strat = sigma if owner[node] == EXIST else tau
+                act = strat.action_at(infoset[node])
+                if act is None:
+                    raise GameError("profile strategy undefined on a reached set")
+                node = children[node][act]
+        yield node
+
+
+def _scalar_report(g, terminals, seed, events):
+    visits = Counter(terminals)
+    won = {t: g.winner_of[t] == EXIST for t in visits}
+    wins = sum(count for t, count in visits.items() if won[t])
+    event_counts = {}
+    for name, event in (events or {}).items():
+        hit = [t for t in visits if event.holds(g, t)]
+        event_counts[name] = (sum(visits[t] for t in hit),
+                              sum(visits[t] for t in hit if won[t]))
+    plays = len(terminals)
+    return SimulationReport(plays, seed, wins, F(wins, plays), event_counts)
+
+
+def _scalar_simulate(g, lam, row_mix, col_mix, plays, seed, events=None):
+    """Reference for ``simulate``: the same report from the per-play loop."""
+    terminals = list(_scalar_plays(g, lam, row_mix, col_mix, plays,
+                                   random.Random(seed)))
+    return _scalar_report(g, terminals, seed, events)
+
+
+# every corpus game with each of its profiles: the solved equilibrium of a
+# valued check (None) and every pinned profile
+_CORPUS_PROFILES = [
+    (entry, check, profile) for entry, check in _CORPUS_CHECKS
+    for profile in ([None] if check.expected is not None else [])
+    + sorted({q.profile for q in check.queries})
+]
+_BLOCK = solver._SAMPLE_BLOCK_STARTS
+
+
+@pytest.mark.parametrize(
+    "entry, check, profile", _CORPUS_PROFILES,
+    ids=[f"{_check_id(e, c)}/{p or 'solve'}" for e, c, p in _CORPUS_PROFILES])
+def test_simulate_matches_scalar_loop(entry, check, profile):
+    game, lam = _load_check(entry, check)
+    if profile is None:
+        eq = solve(game, lam)
+        row_mix, col_mix = eq.row_strategies(), eq.col_strategies()
+        # the first variable takes its first value, when there is one
+        names = game.variables()
+        texts = [f"{names[0]} = {game.structure.universe[0]}"] if names else []
+    else:
+        row_mix, col_mix = parse_profile(corpus_text(profile), game)
+        texts = [q.event for q in check.queries if q.profile == profile]
+    events = {text: parse_event(text, game) for text in texts}
+    counts = (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10_007)
+    for seed in range(1, 21):
+        # a play's draws do not depend on the plays after it, so every
+        # count is a prefix of one scalar run
+        terminals = list(_scalar_plays(game, lam, row_mix, col_mix,
+                                       max(counts), random.Random(seed)))
+        for plays in counts:
+            got = simulate(game, lam, row_mix, col_mix, plays, seed, events)
+            want = _scalar_report(game, terminals[:plays], seed, events)
+            assert (got.wins, got.event_counts) == \
+                (want.wins, want.event_counts), (seed, plays)
+
+
+def test_bulk_draws_equal_single_draws():
+    for k in (1, 2, 7, _BLOCK + 5):
+        bulk, single = random.Random(k), random.Random(k)
+        words = solver._draw_words(bulk, k)
+        assert words.tolist() == [single.getrandbits(64) for _ in range(k)]
+        assert bulk.getstate() == single.getstate()
+
+
+class _Words:
+    """Stands in for ``random.Random``: ``getrandbits(64)`` returns the
+    given words in order."""
+
+    def __init__(self, words):
+        self.words = iter(words)
+
+    def getrandbits(self, bits):
+        return next(self.words)
+
+
+@pytest.mark.parametrize("nature", [
+    "z : 0 -> 1/2, 1 -> 1/2\n",
+    "z : 0 -> 1/3, 1 -> 2/3\n",
+    MERSENNE_COIN,
+    "z : 0 -> 1, 1 -> 0\n",
+    "z : 0 -> 0, 1 -> 1\n",
+], ids=["den-2", "den-3", "den-2^61-1", "mass-1-then-0", "mass-0-then-1"])
+def test_sampler_picks_at_threshold_boundaries(nature):
+    # every draw at, just below and just above a pick boundary of the row
+    # mix, the column mix and the chance move, in each of the three roles
+    game, lam = load_game(corpus_text("stochastic_matching_pennies.if"),
+                          corpus_text("binary.struct"), nature)
+    rows = enumerate_reduced(game, EXIST)
+    cols = enumerate_reduced(game, UNIV)
+    row_mix = MixedStrategy(EXIST, [(rows[0], F(1, 3)), (rows[1], F(2, 3))])
+    col_mix = MixedStrategy(UNIV, [(cols[0], F(1, 2)), (cols[1], F(1, 2))])
+    chance = lam.distribution(game.chance_nodes()[0])
+    draws = {0, 2**63, 2**64 - 1}
+    for first in (F(1, 3), F(1, 2), chance[0]):
+        edge = -(-(first.numerator << 64) // first.denominator)
+        draws |= {edge - 1, edge, edge + 1}
+    draws = sorted(d for d in draws if 0 <= d < 2**64)
+    plays = [(a, b, c) for a in draws for b in draws for c in draws]
+    words = [w for play in plays for w in play]
+    sampler = solver._Sampler(game, lam, row_mix, col_mix)
+    assert sampler.words_per_play == 3
+    ends, used = sampler.walk(np.array(words + [0] * 3, dtype=np.uint64),
+                              len(words))
+    want = list(_scalar_plays(game, lam, row_mix, col_mix, len(plays),
+                              _Words(words)))
+    assert ends[::3].tolist() == want
+    assert set(used[::3].tolist()) == {3}
+
+
+def _sb_partial_mix(game):
+    """Half the tails strategy, half its restriction to the sets without
+    x = 2: undefined on the sets that a play reaches when the coin shows
+    tails."""
+    tails = _sb_mix(game, F(0)).support[0][0]
+    infosets = information_partition(game, EXIST)
+    partial = ReducedStrategy(game, EXIST, tuple(
+        (k, act) for k, act in tails.actions if "x=2" not in infosets[k].label))
+    return MixedStrategy(EXIST, [(tails, F(1, 2)), (partial, F(1, 2))])
+
+
+def test_simulate_undefined_on_reached_set_raises(sb_game):
+    lam = uniform_nature(sb_game)
+    tau = MixedStrategy.pure(enumerate_reduced(sb_game, UNIV)[0])
+    mix = _sb_partial_mix(sb_game)
+    for seed in range(1, 6):
+        for run in (_scalar_simulate, simulate):
+            with pytest.raises(GameError,
+                               match="profile strategy undefined on a reached set"):
+                run(sb_game, lam, mix, tau, 50, seed)
+
+
+def test_simulate_undefined_only_on_unused_starts(sb_game):
+    # one play reads at most `words_per_play` words, and the sampler walks a
+    # start at each of them; the starts after the first are never played
+    lam = uniform_nature(sb_game)
+    tau = MixedStrategy.pure(enumerate_reduced(sb_game, UNIV)[0])
+    mix = _sb_partial_mix(sb_game)
+    sampler = solver._Sampler(sb_game, lam, mix, tau)
+    unused_only = 0
+    for seed in range(1, 41):
+        ends, _ = sampler.walk(
+            solver._draw_words(random.Random(seed), 2 * sampler.words_per_play),
+            sampler.words_per_play)
+        stuck = (sampler.owner[ends] != TERMINAL).tolist()
+        try:
+            want = _scalar_simulate(sb_game, lam, mix, tau, 1, seed)
+        except GameError:
+            assert stuck[0]
+            with pytest.raises(GameError):
+                simulate(sb_game, lam, mix, tau, 1, seed)
+            continue
+        got = simulate(sb_game, lam, mix, tau, 1, seed)
+        assert (got.wins, got.event_counts) == (want.wins, want.event_counts)
+        unused_only += any(stuck[1:])
+    assert unused_only > 0
