@@ -46,6 +46,21 @@ def test_budget_error_exit_code_two(capsys):
     assert "budget" in err
 
 
+def test_strategy_budget_diagnostics(capsys):
+    # the falsifier of the chance Monty Hall sentence passes the default
+    # budget at its last information set; phi_mh's verifier passes 1000
+    # part way through its enumeration
+    for argv, reached in [
+        (["phi_mh_prime_chance.if", "doors3.struct"], "limit 1000000, reached 1048576"),
+        (["phi_mh.if", "doors3.struct", "--budget", "1000"], "limit 1000, reached 1088"),
+        (["phi_mh.if", "doors3.struct", "--budget", "823874"],
+         "limit 823874, reached 823875"),
+    ]:
+        code, out, err = run(capsys, "value", *map(corpus_path, argv[:2]), *argv[2:])
+        assert (code, out) == (2, "")
+        assert err == f"error: strategy budget exceeded: {reached}\n"
+
+
 def test_cell_budget_exit_code_two(capsys, monkeypatch):
     monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 3)
     code, _, err = run(capsys, "value", corpus_path("matching_pennies.if"),

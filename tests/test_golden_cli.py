@@ -24,6 +24,8 @@ COMMANDS = [
     ["value", "monty_hall.game", "--format", "structured"],
     ["value", "phi_mh.if", "doors3.struct", "--format", "structured"],
     ["value", "phi_mh_prime.if", "doors3.struct", "--format", "structured"],
+    # the falsifier has no information sets: one column, no choices
+    ["value", "phi_mh_chance.if", "doors3.struct", "--format", "structured"],
     ["value", "matching_pennies.if", "pennies_3.struct", "--format", "structured"],
     ["value", "stochastic_matching_pennies.if", "binary.struct",
      "--nature", "biased_coin.nat", "--format", "structured"],
