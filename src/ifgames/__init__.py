@@ -83,6 +83,7 @@ from .strategy import (
     count_pure_strategies,
     embedded_nature,
     enumerate_reduced,
+    follow_classes,
     follows,
     outcome_distribution,
     reduced_from_rules,

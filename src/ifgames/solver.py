@@ -3,10 +3,11 @@
 Every value-path computation is exact: payoff matrices are integer
 numerators over one common denominator, one row (column) per follow class
 of reduced strategies (those that follow the same verifier-win terminals,
-and so have equal payoffs), built by a float64 BLAS product when that
-denominator is at most 2**53 (exact, see ``build_matrix``) and by an int64
-product otherwise; the cell budget counts the enumerated strategies, not
-the classes.  The LP runs a fraction-free integer simplex
+and so have equal payoffs; :func:`~ifgames.strategy.follow_classes` finds
+them without enumerating the strategies), built by a float64 BLAS product
+when that denominator is at most 2**53 (exact, see ``build_matrix``) and by
+an int64 product otherwise; the cell budgets count the strategies, not the
+classes.  The LP runs a fraction-free integer simplex
 (Bareiss pivoting), Bland's rule, and reductions only merge duplicates or
 drop dominated strategies (which preserves the game value).  Matrices too
 large for a direct tableau are solved by column generation (a double-oracle
@@ -42,7 +43,7 @@ from .strategy import (
     MixedStrategy,
     ReducedStrategy,
     StrategyList,
-    enumerate_reduced,
+    follow_classes,
     outcome_distribution,
     uniform_nature,
 )
@@ -123,12 +124,14 @@ class EventPredicate:
 class PayoffMatrix:
     """Expected payoffs for the maximizer over reduced strategies.
 
-    Cells are exact: ``num[i, j] / den``.  ``rows``/``cols`` hold every
-    enumerated strategy; a row or column may stand for several of them (a
-    follow class, see :func:`build_matrix`).  ``row_origin``/``col_origin``
-    track each current row and column back to its index in the original
-    enumeration, through duplicate merging and dominance elimination.
-    ``reduced`` marks the output of :func:`reduce_matrix`.
+    Cells are exact: ``num[i, j] / den``.  ``rows``/``cols`` list the
+    strategies in enumeration order; ``row_origin``/``col_origin`` track
+    each current row and column back to its index there, through duplicate
+    merging and dominance elimination.  A row or column may stand for
+    several strategies (a follow class, see :func:`build_matrix`);
+    ``members`` counts the strategies that the rows and the columns stand
+    for in all (one each, unless given).  ``reduced`` marks the output of
+    :func:`reduce_matrix`.
     """
 
     def __init__(self, rows: StrategyList, cols: StrategyList,
@@ -136,7 +139,8 @@ class PayoffMatrix:
                  row_origin: np.ndarray | None = None,
                  col_origin: np.ndarray | None = None,
                  log: list[str] | None = None,
-                 reduced: bool = False):
+                 reduced: bool = False,
+                 members: tuple[int, int] | None = None):
         self.rows = rows
         self.cols = cols
         self.num = num
@@ -147,6 +151,7 @@ class PayoffMatrix:
                            if col_origin is None else col_origin)
         self.log = log if log is not None else []
         self.reduced = reduced
+        self.members = num.shape if members is None else members
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -169,47 +174,6 @@ def _chance_reach(g: ExtensiveGame, lam: BehavioralStrategy) -> list[Fraction]:
         else:
             reach.append(reach[at])
     return reach
-
-
-def _follow_matrix(strats: StrategyList, nodes: list[int]) -> np.ndarray:
-    """Boolean (strategies x terminals): does the strategy follow the history.
-
-    Raises :class:`BudgetError` before allocating when the table would
-    exceed ``DEFAULT_CELL_BUDGET`` cells.
-    """
-    cells = len(strats) * len(nodes)
-    if cells > DEFAULT_CELL_BUDGET:
-        raise BudgetError("follow cell", DEFAULT_CELL_BUDGET, cells)
-    columns, own = np.ascontiguousarray(strats.table.T), strats.plan.own
-    out = np.ones((len(nodes), len(strats)), dtype=bool)
-    for j, node in enumerate(nodes):
-        for ci, ai in own[node]:
-            out[j] &= columns[ci] == ai
-    return out.T
-
-
-def _follow_classes(follow: np.ndarray) -> np.ndarray:
-    """First strategy of each follow class (strategies that follow the same
-    terminals), in enumeration order.
-
-    Each strategy's follow row is packed into 64-bit words, eight terminals
-    to a byte; a stable sort by those words lists each class in enumeration
-    order, so the first entry of each run of equal words is the class's
-    first member.
-    """
-    by_terminal = follow.T.view(np.uint8)  # (terminals, strategies), 0 or 1
-    packed = np.zeros((follow.shape[0], 8 * (len(by_terminal) // 64 + 1)),
-                      dtype=np.uint8)
-    shifts = np.arange(8, dtype=np.uint8)[:, None]
-    for t in range(0, len(by_terminal), 8):
-        group = by_terminal[t:t + 8]
-        packed[:, t // 8] = np.bitwise_or.reduce(group << shifts[:len(group)])
-    words = packed.view(np.uint64).T
-    order = np.lexsort(words)
-    ordered = words[:, order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    return np.sort(order[first])
 
 
 def _smallest_int_dtype(max_value: int):
@@ -236,29 +200,31 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
     have equal payoffs: one row (column) per such class, whose
     ``row_origin`` (``col_origin``) is its first member in enumeration
     order.  Merging duplicates over the classes therefore keeps the rows
-    and columns that merging over every strategy would.  The cells come
-    from matrix products over the win-terminal follow tables: float64 BLAS
-    when the common denominator is at most 2**53 (exact, see the comment
-    below), int64 otherwise.  Raises :class:`BudgetError` before
-    allocating when the enumerated strategies would give more than
-    ``DEFAULT_CELL_BUDGET`` cells.
+    and columns that merging over every strategy would.  The classes come
+    from :func:`~ifgames.strategy.follow_classes`, which does not enumerate
+    the strategies; the cells from matrix products over the classes'
+    win-terminal follow tables: float64 BLAS when the common denominator is
+    at most 2**53 (exact, see the comment below), int64 otherwise.  Raises
+    :class:`BudgetError` before the product when the strategies would give
+    more than ``DEFAULT_CELL_BUDGET`` payoff cells, or follow cells on one
+    side.
     """
-    rows = enumerate_reduced(g, EXIST, budget)
-    cols = enumerate_reduced(g, UNIV, budget)
+    win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
+    rows, f_row = follow_classes(g, EXIST, win_nodes, budget)
+    cols, f_col = follow_classes(g, UNIV, win_nodes, budget)
     cells = len(rows) * len(cols)
     if cells > DEFAULT_CELL_BUDGET:
         raise BudgetError("payoff cell", DEFAULT_CELL_BUDGET, cells)
-    win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
+    for strategies in (rows, cols):
+        cells = len(strategies) * len(win_nodes)
+        if cells > DEFAULT_CELL_BUDGET:
+            raise BudgetError("follow cell", DEFAULT_CELL_BUDGET, cells)
     reach = _chance_reach(g, lam)
     masses = [reach[t] for t in win_nodes]
     den = math.lcm(*(mass.denominator for mass in masses))
     dtype = _smallest_int_dtype(den)
     nums = np.array([int(m * den) for m in masses], dtype=np.int64)
-    f_row = _follow_matrix(rows, win_nodes)
-    f_col = _follow_matrix(cols, win_nodes)
-    row_reps, col_reps = _follow_classes(f_row), _follow_classes(f_col)
-    f_row, f_col = f_row[row_reps], f_col[col_reps]
-    shape = (len(row_reps), len(col_reps))
+    shape = (len(f_row), len(f_col))
     # A cell sums the masses of the win terminals that both strategies
     # follow.  Those terminals all lie in the outcome distribution of one
     # profile, so the cell, and every partial sum in any summation order, is
@@ -281,7 +247,8 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
         for start in range(0, shape[1], chunk):
             block = left @ f_col[start:start + chunk].T.astype(work)
             out[:, start:start + chunk] = block.astype(dtype)
-    return PayoffMatrix(rows, cols, out, den, row_reps, col_reps)
+    return PayoffMatrix(rows, cols, out, den, rows.index, cols.index,
+                        members=(len(rows), len(cols)))
 
 
 # ---------------------------------------------------------------- reduction
@@ -334,19 +301,20 @@ def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMat
     col_origin = m.col_origin
     log = list(m.log)
 
-    # the merge counts every enumerated strategy, also those that a class
-    # row of build_matrix already stands for
+    # the merge counts every strategy, also those that a class row of
+    # build_matrix already stands for
+    members_rows, members_cols = m.members
     keep = _first_occurrences(num)
-    if len(keep) != len(m.rows):
-        log.append(f"rows: merged {len(m.rows) - len(keep)} duplicates "
-                   f"({len(m.rows)} -> {len(keep)})")
+    if len(keep) != members_rows:
+        log.append(f"rows: merged {members_rows - len(keep)} duplicates "
+                   f"({members_rows} -> {len(keep)})")
     if len(keep) != num.shape[0]:
         num = num[keep]
         row_origin = row_origin[keep]
     keep = _first_occurrences(num.T)
-    if len(keep) != len(m.cols):
-        log.append(f"cols: merged {len(m.cols) - len(keep)} duplicates "
-                   f"({len(m.cols)} -> {len(keep)})")
+    if len(keep) != members_cols:
+        log.append(f"cols: merged {members_cols - len(keep)} duplicates "
+                   f"({members_cols} -> {len(keep)})")
     if len(keep) != num.shape[1]:
         num = num[:, keep]
         col_origin = col_origin[keep]
@@ -385,7 +353,8 @@ def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMat
                         col_origin = col_origin[~mask]
                         changed = True
     return PayoffMatrix(m.rows, m.cols, np.ascontiguousarray(num), m.den,
-                        row_origin, col_origin, log, reduced=True)
+                        row_origin, col_origin, log, reduced=True,
+                        members=m.members)
 
 
 # ------------------------------------------------------------------ the LP

@@ -7,7 +7,9 @@ canonical information-set order, so strategy indices are reproducible; the
 whole enumeration is carried as one integer table (one row per strategy,
 one column per information set, ``-1`` marking unreachable sets) because
 interesting semantic games have strategy counts in the hundreds of
-thousands.
+thousands.  :func:`follow_classes` reaches the classes of strategies that
+follow the same histories, with their first members' rows and indices,
+without that table.
 """
 
 from __future__ import annotations
@@ -142,24 +144,48 @@ class PureStrategy:
 
 
 class StrategyList(Sequence):
-    """The full reduced-strategy enumeration, materialized lazily."""
+    """A player's reduced strategies in enumeration order.
+
+    ``table`` holds the action rows of the strategies at the ascending
+    enumeration indices ``index``, or of every strategy when ``index`` is
+    None; the first other row asked for enumerates them all.
+    """
 
     def __init__(self, game: ExtensiveGame, player: int,
-                 plan: PlayerPlan, table: np.ndarray):
+                 plan: PlayerPlan, table: np.ndarray,
+                 size: int | None = None, index: np.ndarray | None = None):
         self.game = game
         self.player = player
         self.plan = plan
         self.table = table
+        self.size = len(table) if size is None else size
+        self.index = index
 
     def __len__(self) -> int:
-        return len(self.table)
+        return self.size
 
     def __getitem__(self, i) -> ReducedStrategy:
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        row = self.table[i]
+        i = range(self.size)[i]
+        if self.index is None:
+            row = self.table[i]
+        else:
+            at = int(np.searchsorted(self.index, i))
+            if at < len(self.index) and self.index[at] == i:
+                row = self.table[at]
+            else:
+                self.table = enumerate_reduced(self.game, self.player, self.size).table
+                self.index = None
+                row = self.table[i]
         actions = {k: int(a) for k, a in enumerate(row) if a >= 0}
         return ReducedStrategy(self.game, self.player, actions)
+
+
+def _action_dtype(plan: PlayerPlan):
+    if len(plan.action_counts) == 0 or plan.action_counts.max() < 127:
+        return np.int8
+    return np.int16
 
 
 def _reachable_rows(plan: PlayerPlan, k: int, table: np.ndarray) -> np.ndarray:
@@ -186,8 +212,7 @@ def enumerate_reduced(g: ExtensiveGame, player: int,
         raise GameError("reduced strategies exist for the two principal players only")
     plan = player_plan(g, player)
     k_total = len(plan.infosets)
-    dtype = np.int8 if (len(plan.action_counts) == 0
-                        or plan.action_counts.max() < 127) else np.int16
+    dtype = _action_dtype(plan)
     table = np.full((1, k_total), -1, dtype=dtype)
     for k in range(k_total):
         reach = _reachable_rows(plan, k, table)
@@ -203,6 +228,171 @@ def enumerate_reduced(g: ExtensiveGame, player: int,
         new[:, k] = np.where(reach[src], pos, -1).astype(dtype)
         table = new
     return StrategyList(g, player, plan, table)
+
+
+def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
+                   budget: int = DEFAULT_STRATEGY_BUDGET
+                   ) -> tuple[StrategyList, np.ndarray]:
+    """The classes of ``player``'s reduced strategies that follow the same
+    histories among ``nodes``, without enumerating the strategies.
+
+    Returns a :class:`StrategyList` as long as :func:`enumerate_reduced`'s
+    whose ``index`` holds the first member of each class in enumeration
+    order and whose ``table`` holds those members' rows, and the boolean
+    (classes x nodes) follow table of those members.  Raises
+    :class:`BudgetError` where :func:`enumerate_reduced` would, with the
+    same count reached.
+
+    A frontier walk over the information sets in canonical order.  An
+    *item* is a constraint tuple (``plan.own``) of a member of a set or of
+    a node in ``nodes``; the state of a partial strategy is the bitmask of
+    the items its choices so far allow, less the members of the sets
+    already walked.  The completions of a partial strategy and the nodes
+    they follow depend on its state alone.  At set k a state that allows a
+    member of k branches into one child per action, in action order, and
+    any other state passes through, as the ``-1`` of the enumeration
+    does.  Children in the same state merge into the first of them and add
+    up the partial strategies they stand for, so depth-first order, which
+    is enumeration order, keeps each state's first partial strategy; their
+    running count is enumeration's row count at every set, and it bounds
+    the frontier.  After the last set only node bits are left, and the
+    states are the classes.  A backward pass counts the completions of
+    every state; a first member's enumeration index is the sum, over its
+    choices, of the completions of the lower actions beside them.
+    """
+    if player not in (EXIST, UNIV):
+        raise GameError("reduced strategies exist for the two principal players only")
+    plan = player_plan(g, player)
+    k_total = len(plan.infosets)
+    # per item, the last set that reads it (nodes are read at the end); bits
+    # go to items in order of last use, latest first, so that the items a
+    # state still holds after set k fill its first ``words[k]`` words
+    last: dict[Constraints, int] = {}
+    for k, rows in enumerate(plan.member_constraints):
+        for constraints in rows:
+            last[constraints] = k
+    for node in nodes:
+        last[plan.own[node]] = k_total
+    items = sorted(last, key=last.get, reverse=True)
+    bit = {constraints: i for i, constraints in enumerate(items)}
+    words = [sum(1 for c in items if last[c] > k) // 64 + 1
+             for k in range(k_total)]
+    widest = int(plan.action_counts.max()) if k_total else 0
+    reach = np.zeros((k_total, len(bit)), dtype=bool)
+    # keep[k, a]: the items that action a at set k allows and that later sets
+    # or the nodes still read; row ``widest`` is for states that pass through
+    keep = np.ones((k_total, widest + 1, len(bit)), dtype=bool)
+    for c, i in bit.items():
+        keep[last[c]:, :, i] = False
+        for ci, ai in c:
+            keep[ci, :ai, i] = False
+            keep[ci, ai + 1:widest, i] = False
+    for k, rows in enumerate(plan.member_constraints):
+        reach[k, [bit[c] for c in rows]] = True
+
+    def pack(bits: np.ndarray) -> np.ndarray:
+        """Bits along the last axis to ``uint64`` words along the first."""
+        padded = np.zeros(bits.shape[:-1] + (len(bit) // 64 * 64 + 64,), dtype=bool)
+        padded[..., :len(bit)] = bits
+        return np.moveaxis(
+            np.packbits(padded, axis=-1, bitorder="little").view("<u8"), -1, 0)
+
+    reach, keep = pack(reach), pack(keep)  # (words, sets), (words, sets, actions)
+    states = pack(np.ones((1, len(bit)), dtype=bool))  # (words, states)
+    counts = np.ones(1, dtype=np.int64)
+    # positions stay below the budget, which bounds the children
+    position = np.int32 if budget < 2**31 else np.int64
+    steps = []
+    for k in range(k_total):
+        live = np.zeros(states.shape[1], dtype=bool)
+        for row, mask in zip(states, reach[:, k]):
+            live |= (row & mask) != 0
+        widths = np.where(live, plan.action_counts[k], 1)
+        total = int(counts @ widths)
+        if total > budget:
+            raise BudgetError("strategy", budget, total)
+        offsets = np.zeros(len(widths) + 1, dtype=position)
+        np.cumsum(widths, out=offsets[1:])
+        parent = np.repeat(np.arange(len(widths), dtype=position), widths)
+        action = np.where(live[parent],
+                          np.arange(offsets[-1]) - offsets[parent], widest)
+        kept = words[k]
+        children = (np.take(states[:kept], parent, axis=1)
+                    & np.take(keep[:kept, k], action, axis=1))
+        inverse, first, counts = _merge(children, counts[parent])
+        states = np.take(children, first, axis=1)
+        steps.append((offsets, live, inverse.astype(position),
+                      first.astype(position), parent[first]))
+    # completions of every state, last set first; with them, the first
+    # partial strategy of each state is its parent's plus one action, and
+    # its enumeration index grows by the completions of the lower actions
+    completions = np.ones(states.shape[1], dtype=np.int64)
+    moves = []
+    dtype = _action_dtype(plan)
+    while steps:
+        offsets, live, inverse, first, up = steps.pop()
+        before = np.zeros(len(inverse) + 1, dtype=np.int64)
+        np.cumsum(completions[inverse], out=before[1:])
+        moves.append((up, np.where(live[up], first - offsets[up], -1).astype(dtype),
+                      before[first] - before[offsets[up]]))
+        completions = before[offsets[1:]] - before[offsets[:-1]]
+    index = np.zeros(1, dtype=np.int64)
+    for up, _, skipped in reversed(moves):
+        index = index[up] + skipped
+    at = np.arange(states.shape[1], dtype=position)
+    table = np.empty((k_total, states.shape[1]), dtype=dtype)
+    for k, (up, action, _) in zip(reversed(range(k_total)), moves):
+        table[k] = action[at]
+        at = up[at]
+    follow = np.empty((len(nodes), states.shape[1]), dtype=bool)
+    for row, node in zip(follow, nodes):
+        word, shift = divmod(bit[plan.own[node]], 64)
+        row[:] = (states[word] >> np.uint64(shift)) & np.uint64(1)
+    return (StrategyList(g, player, plan, table.T, int(completions[0]), index),
+            follow.T)
+
+
+def _merge(columns: np.ndarray, counts: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the equal columns of a (words x n) ``uint64`` array.
+
+    Returns per column its group, the groups numbered in order of their
+    first column; the first column of each group; and the sum of
+    ``counts`` over each group.  Columns are sorted by a 64-bit key, and
+    equal keys are accepted as one group only once the columns under them
+    are seen to be equal; another key is drawn otherwise.
+    """
+    n = columns.shape[1]
+    salt = 0
+    while True:
+        key = np.full(n, salt, dtype=np.uint64)
+        for word in columns:
+            key = _mix(key ^ word)
+        order = np.argsort(key)
+        start = np.ones(n, dtype=bool)
+        np.not_equal(key[order[1:]], key[order[:-1]], out=start[1:])
+        later = order[1:][~start[1:]]
+        earlier = order[:-1][~start[1:]]
+        if (columns[:, later] == columns[:, earlier]).all():
+            break
+        salt += 1
+    starts = np.flatnonzero(start)
+    first = np.minimum.reduceat(order, starts)
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    number = (np.cumsum(is_first) - 1)[first]
+    group = np.empty(n, dtype=np.int64)
+    group[order] = number[np.cumsum(start) - 1]
+    summed = np.empty(len(first), dtype=np.int64)
+    summed[number] = np.add.reduceat(counts[order], starts)
+    return group, np.flatnonzero(is_first), summed
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, a bijection of ``uint64``."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 def own_reachable_closure(plan: PlayerPlan, choose) -> dict[int, int]:

@@ -54,7 +54,6 @@ from ifgames.solver import (
     PayoffMatrix,
     SimulationReport,
     _chance_reach,
-    _follow_matrix,
     _simplex_max,
     _solve_double_oracle,
     _smallest_int_dtype,
@@ -180,6 +179,41 @@ def _load(source, structure, nature):
     text = (f"~({corpus_text(source[1:])})" if source.startswith("~")
             else corpus_text(source))
     return load_game(text, structure and corpus_text(structure), nature_text)
+
+
+def _follow_matrix(strats, nodes):
+    """Reference for the follow tables: boolean (strategies x nodes), does
+    the strategy follow the history, read off the enumeration table."""
+    columns, own = np.ascontiguousarray(strats.table.T), strats.plan.own
+    out = np.ones((len(nodes), len(strats)), dtype=bool)
+    for j, node in enumerate(nodes):
+        for ci, ai in own[node]:
+            out[j] &= columns[ci] == ai
+    return out.T
+
+
+def _follow_classes(follow):
+    """Reference for the follow classes: the first strategy of each class
+    (strategies that follow the same nodes), in enumeration order.
+
+    Each strategy's follow row is packed into 64-bit words, eight nodes to a
+    byte; a stable sort by those words lists each class in enumeration
+    order, so the first entry of each run of equal words is the class's
+    first member.
+    """
+    by_node = follow.T.view(np.uint8)  # (nodes, strategies), 0 or 1
+    packed = np.zeros((follow.shape[0], 8 * (len(by_node) // 64 + 1)),
+                      dtype=np.uint8)
+    shifts = np.arange(8, dtype=np.uint8)[:, None]
+    for t in range(0, len(by_node), 8):
+        group = by_node[t:t + 8]
+        packed[:, t // 8] = np.bitwise_or.reduce(group << shifts[:len(group)])
+    words = packed.view(np.uint64).T
+    order = np.lexsort(words)
+    ordered = words[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    return np.sort(order[first])
 
 
 def _full_matrix(g, lam):
@@ -366,6 +400,10 @@ def test_reduce_all_zero_matrix(sb_game):
     reduced = reduce_matrix(zero)
     assert reduced.shape == (1, 1)
     assert cell(reduced, 0, 0) == 0
+    # the merge counts the strategies that the matrix's rows stand for, one
+    # each here, not the lists it indexes into
+    assert reduced.log == ["rows: merged 3 duplicates (4 -> 1)",
+                           "cols: merged 2 duplicates (3 -> 1)"]
 
 
 def test_reduce_preserves_value_phi_mh(mh_solution):
