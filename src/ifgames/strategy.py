@@ -373,7 +373,7 @@ def _merge(columns: np.ndarray, counts: np.ndarray
         np.not_equal(key[order[1:]], key[order[:-1]], out=start[1:])
         later = order[1:][~start[1:]]
         earlier = order[:-1][~start[1:]]
-        if (columns[:, later] == columns[:, earlier]).all():
+        if all(np.array_equal(word[later], word[earlier]) for word in columns):
             break
         salt += 1
     starts = np.flatnonzero(start)
