@@ -365,14 +365,16 @@ def _merge(columns: np.ndarray, counts: np.ndarray
     n = columns.shape[1]
     salt = 0
     while True:
-        key = np.full(n, salt, dtype=np.uint64)
-        for word in columns:
-            key = _mix(key ^ word)
+        # one word is its own key; a salt changes the mixing of several
+        key = columns[0] ^ np.uint64(salt)
+        for word in columns[1:]:
+            key = _mix(key) ^ word
         order = np.argsort(key)
+        ordered = key[order]
         start = np.ones(n, dtype=bool)
-        np.not_equal(key[order[1:]], key[order[:-1]], out=start[1:])
-        later = order[1:][~start[1:]]
-        earlier = order[:-1][~start[1:]]
+        np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+        same = ~start[1:]
+        later, earlier = order[1:][same], order[:-1][same]
         if all(np.array_equal(word[later], word[earlier]) for word in columns):
             break
         salt += 1

@@ -80,14 +80,13 @@ def assert_classes_match(game, player, nodes, budget=strategy.DEFAULT_STRATEGY_B
 def test_corpus_classes_equal_enumeration(source, structure, nature):
     game, _ = _load(source, structure, nature)
     for player in (EXIST, UNIV):
-        assert_classes_match(game, player, _wins(game))
-
-
-def test_strategy_rows_equal_enumeration(fig1_game, sb_game, mh_game):
-    for game in (fig1_game, sb_game):
-        for player in (EXIST, UNIV):
-            got, want = assert_classes_match(game, player, _wins(game))
+        both = assert_classes_match(game, player, _wins(game))
+        if both is not None and len(both[1]) <= 10**4:
+            got, want = both
             assert list(got) == list(want)
+
+
+def test_strategy_rows_equal_enumeration(mh_game):
     got, want = assert_classes_match(mh_game, EXIST, _wins(mh_game))
     # the first members come from the walk; the first other row enumerates
     assert all(got[int(i)] == want[int(i)] for i in got.index)
@@ -172,12 +171,12 @@ def test_merge_draws_another_key_on_a_collision(monkeypatch):
 
     def colliding(x):
         calls.append(len(x))
-        # the first key puts every column under one value
-        return np.zeros_like(x) if len(calls) <= 2 else real(x)
+        # the first key is the second word alone, which columns share
+        return np.zeros_like(x) if len(calls) == 1 else real(x)
 
     monkeypatch.setattr(strategy, "_mix", colliding)
     got = strategy._merge(columns, np.arange(200))
-    assert len(calls) == 4
+    assert len(calls) == 2
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     group, first, summed = want
