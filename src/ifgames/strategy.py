@@ -241,7 +241,8 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
     order and whose ``table`` holds those members' rows, and the boolean
     (classes x nodes) follow table of those members.  Raises
     :class:`BudgetError` where :func:`enumerate_reduced` would, with the
-    same count reached.
+    same count reached; a budget too large for exact 64-bit counts acts
+    as the largest one that keeps them exact.
 
     A frontier walk over the information sets in canonical order.  An
     *item* is a constraint tuple (``plan.own``) of a member of a set or of
@@ -300,8 +301,10 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
     reach, keep = pack(reach), pack(keep)  # (words, sets), (words, sets, actions)
     states = pack(np.ones((1, len(bit)), dtype=bool))  # (words, states)
     counts = np.ones(1, dtype=np.int64)
-    # positions stay below the budget, which bounds the children
-    position = np.int32 if budget < 2**31 else np.int64
+    # a count grows at most ``widest``-fold per set, so int64 counts stay
+    # exact below this limit; positions stay below it too
+    limit = min(budget, (2**63 - 1) // max(widest, 1))
+    position = np.int32 if limit < 2**31 else np.int64
     steps = []
     for k in range(k_total):
         live = np.zeros(states.shape[1], dtype=bool)
@@ -309,8 +312,8 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
             live |= (row & mask) != 0
         widths = np.where(live, plan.action_counts[k], 1)
         total = int(counts @ widths)
-        if total > budget:
-            raise BudgetError("strategy", budget, total)
+        if total > limit:
+            raise BudgetError("strategy", limit, total)
         offsets = np.zeros(len(widths) + 1, dtype=position)
         np.cumsum(widths, out=offsets[1:])
         parent = np.repeat(np.arange(len(widths), dtype=position), widths)

@@ -45,7 +45,8 @@ def _load(source, structure, nature):
 
 
 def _outcome(fn):
-    """``fn()``, or the (what, limit, reached) of the BudgetError it raised."""
+    """``fn()``, or ("budget", what, limit, reached) for the BudgetError
+    it raised."""
     try:
         return fn()
     except BudgetError as exc:
@@ -185,3 +186,15 @@ def test_merge_draws_another_key_on_a_collision(monkeypatch):
     assert np.array_equal(columns[:, first][:, group], columns)
     assert summed.tolist() == [int(np.arange(200)[group == g].sum())
                                for g in range(len(first))]
+
+
+def test_counts_beyond_int64_stop_at_the_exact_limit():
+    # the verifier picks y in each of 64 sets (one per x); its 64**64
+    # strategies fall into few enough states that only the counts grow
+    universe = " ".join(str(i) for i in range(64))
+    game, _ = load_game("forall x exists y (x = y)", f"universe {universe}\n", None)
+    with pytest.raises(BudgetError) as info:
+        follow_classes(game, EXIST, _wins(game), budget=10**30)
+    limit = (2**63 - 1) // 64
+    assert (info.value.limit, info.value.reached) == (limit, 64**10)
+    assert len(follow_classes(game, UNIV, _wins(game), budget=10**30)[0]) == 64
