@@ -376,6 +376,8 @@ def _merge(columns: np.ndarray, counts: np.ndarray
         ordered = key[order]
         start = np.ones(n, dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+        if start.all():  # no two keys alike, so no two columns either
+            return np.arange(n), np.arange(n), counts
         same = ~start[1:]
         later, earlier = order[1:][same], order[:-1][same]
         if all(np.array_equal(word[later], word[earlier]) for word in columns):
