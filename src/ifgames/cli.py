@@ -213,7 +213,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--node-cap", type=positive_int, default=DEFAULT_NODE_CAP,
                        help="game tree node cap")
         p.add_argument("--no-weak-dominance", action="store_true",
-                       help="only merge duplicates and strict dominance")
+                       help="reduce only by merging duplicates and by strict "
+                            "dominance (better against every opposing "
+                            "strategy)")
         p.add_argument("--format", choices=("text", "structured"),
                        default="text")
 

@@ -18,6 +18,7 @@ LP optimum.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -266,28 +267,61 @@ def _first_occurrences(arr: np.ndarray) -> list[int]:
     return keep
 
 
+def _row_sums(num: np.ndarray) -> list[int]:
+    """Exact row sums, as Python integers.
+
+    Each entry splits into its high and low 32 bits, whose sums cannot
+    overflow int64 for any width under 2**31 columns, so the sums are
+    exact even where the plain int64 sum would wrap.
+    """
+    wide = num.astype(np.int64, copy=False)
+    high = (wide >> 32).sum(axis=1).tolist()
+    low = (wide & 0xFFFFFFFF).sum(axis=1).tolist()
+    return [(h << 32) + lo for h, lo in zip(high, low)]
+
+
 def _dominated_mask(num: np.ndarray, weak: bool) -> np.ndarray:
-    """Rows dominated by some other row (matrix must hold no duplicate rows)."""
-    n = len(num)
-    out = np.zeros(n, dtype=bool)
-    for i in range(n):
-        ge = (num >= num[i]).all(axis=1)
-        if weak:
-            ge &= (num != num[i]).any(axis=1)
-        else:
-            ge &= (num > num[i]).any(axis=1)
-        out[i] = bool(ge.any())
+    """Rows dominated by some other row: weakly (``>=`` in every column and
+    ``>`` in some) or strictly (``>`` in every column).
+
+    A weak dominator's row sum is larger by at least 1, a strict one's by
+    at least the number of columns, and dominance is transitive, so every
+    dominated row is dominated by an undominated one with a larger sum.
+    The sweep takes the rows by sum, largest first, compares each row not
+    yet marked with the rows whose sums are small enough, and marks those
+    it dominates; marked rows are skipped as dominators.
+    """
+    sums = _row_sums(num)
+    order = sorted(range(len(num)), key=sums.__getitem__, reverse=True)
+    ranked = num[order]
+    negated = [-sums[i] for i in order]  # ascending, for bisect
+    margin = 1 if weak else num.shape[1]
+    marked = np.zeros(len(num), dtype=bool)
+    for k, i in enumerate(order):
+        if marked[k]:
+            continue
+        start = bisect.bisect_left(negated, margin - sums[i])
+        if start == len(num):
+            continue
+        rest = ranked[start:]
+        # a row with a smaller sum that is nowhere above this one differs
+        # from it somewhere, so this is weak dominance
+        hit = (rest <= ranked[k]) if weak else (rest < ranked[k])
+        marked[start:] |= hit.all(axis=1)
+    out = np.empty(len(num), dtype=bool)
+    out[order] = marked
     return out
 
 
 def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMatrix:
     """Merge duplicate rows/columns, then iterate dominance elimination.
 
-    Strict dominance always runs (weak too, when the flag is set) until a
-    fixpoint, provided the deduplicated matrix is within
-    ``DEFAULT_DOMINANCE_CAP`` cells; above the cap only duplicate merging
-    happens, which still preserves the game value.  Provenance maps to the
-    original enumeration.
+    Strict dominance (better in every column, or row for the minimizer)
+    always runs, weak dominance (no worse anywhere, better somewhere) too
+    when the flag is set, until a fixpoint, provided the deduplicated
+    matrix is within ``DEFAULT_DOMINANCE_CAP`` cells; above the cap only
+    duplicate merging happens, which still preserves the game value.
+    Provenance maps to the original enumeration.
 
     A reduced matrix is returned as it is, so reducing twice changes
     nothing, the log included.  Running the merge again would not be a

@@ -6,12 +6,15 @@ syntax: quantifiers with slash sets (``exists y/{x}``), chance quantifiers,
 negation, and the literals ``=``/``!=`` between variables and universe
 elements.  Variables come from a small pool and may be quantified again, as
 ``y`` is in the Monty Hall sentence.  Everything is drawn from the given
-``random.Random``, so a seed fixes the sentence.
+``random.Random``, so a seed fixes the sentence.  ``random_game(seed)``
+builds the game of one such sentence over a universe of 2 or 3 elements.
 """
 
 from __future__ import annotations
 
 import random
+
+from ifgames.parser import load_game
 
 VARIABLES = ("x", "y", "z")
 
@@ -22,6 +25,14 @@ def random_sentence(rng: random.Random, universe: tuple[str, ...],
     formula tree is at most about ``depth`` connectives deep."""
     budget = [quantifiers - 1]
     return _quantified(rng, universe, (), budget, depth)
+
+
+def random_game(seed: int):
+    """The semantic game of the sentence that ``seed`` draws."""
+    rng = random.Random(seed)
+    universe = tuple(str(i) for i in range(rng.randint(2, 3)))
+    sentence = random_sentence(rng, universe)
+    return load_game(sentence, f"universe {' '.join(universe)}\n", None)[0]
 
 
 def _quantified(rng, universe, bound, budget, depth) -> str:

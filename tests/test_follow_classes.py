@@ -29,7 +29,7 @@ from ifgames.cli import main
 from ifgames.corpus import CORPUS, corpus_text
 from ifgames.parser import load_game
 from ifgames.strategy import enumerate_reduced, follow_classes
-from random_sentences import random_sentence
+from random_sentences import random_game
 from test_solver import _follow_classes, _follow_matrix
 
 _GAMES = sorted({(e.game or e.formula, c.structure, c.nature)
@@ -126,17 +126,10 @@ def test_budget_error_at_every_running_total(request, name):
                 assert_classes_match(game, player, _wins(game), budget)
 
 
-def _random_game(seed):
-    rng = random.Random(seed)
-    universe = tuple(str(i) for i in range(rng.randint(2, 3)))
-    sentence = random_sentence(rng, universe)
-    return load_game(sentence, f"universe {' '.join(universe)}\n", None)[0]
-
-
 def test_random_sentences_classes_equal_enumeration():
     checked = merged = 0
     for seed in range(220):
-        game = _random_game(seed)
+        game = random_game(seed)
         terminals = game.terminals()
         subset = random.Random(seed).sample(terminals, len(terminals) // 2)
         for player in (EXIST, UNIV):

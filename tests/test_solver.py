@@ -59,6 +59,7 @@ from ifgames.solver import (
     _smallest_int_dtype,
     _solve_int_matrix,
 )
+from random_sentences import random_game
 
 F = Fraction
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -417,6 +418,140 @@ def test_reduce_fig1_weak_dominance_keeps_value(fig1_solution):
     assert eq.value == F(2, 3)
     no_weak = reduce_matrix(matrix, use_weak_dominance=False)
     assert solve_zero_sum(no_weak).value == F(2, 3)
+
+
+def _dominated_reference(num, weak):
+    """Reference for ``_dominated_mask``: each row against every row, one
+    full comparison per row."""
+    out = np.zeros(len(num), dtype=bool)
+    for i in range(len(num)):
+        above = (num >= num[i]).all(axis=1)
+        if weak:
+            above &= (num != num[i]).any(axis=1)
+        else:
+            above &= (num > num[i]).all(axis=1)
+        out[i] = bool(above.any())
+    return out
+
+
+def _random_dominance_case(rng, kind):
+    """A small matrix of ``kind`` ("small", "int8" or "huge") whose rows
+    are often dominated: few distinct entries, rows raised from earlier
+    rows, permuted rows (equal sums) and repeated rows."""
+    shape = rng.choice(["any", "any", "any", "one-row", "one-col"])
+    n = 1 if shape == "one-row" else rng.randrange(2, 10)
+    c = 1 if shape == "one-col" else rng.randrange(2, 7)
+    lo, hi, dtype = {"small": (-3, 3, np.int64), "int8": (-128, 127, np.int8),
+                     "huge": (2**62 - 3, 2**62 + 3, np.int64)}[kind]
+    levels = [rng.randint(lo, hi) for _ in range(rng.randrange(2, 4))]
+    rows = [[rng.choice(levels) for _ in range(c)]]
+    while len(rows) < n:
+        base = rng.choice(rows)
+        roll = rng.random()
+        if roll < 0.3:
+            row = [min(hi, x + rng.randrange(0, 2)) for x in base]
+        elif roll < 0.5:
+            row = rng.sample(base, c)  # the same row sum
+        elif roll < 0.6:
+            row = list(base)
+        else:
+            row = [rng.choice(levels) for _ in range(c)]
+        rows.append(row)
+    num = np.array(rows, dtype=dtype)
+    if kind == "huge" and rng.random() < 0.5:
+        num = -num  # entries near -2**62, as the column pass negates
+    return num
+
+
+def test_dominated_mask_matches_reference():
+    rng = random.Random(8)
+    seen = Counter()
+    for trial in range(2400):
+        kind = ("small", "int8", "huge")[trial % 3]
+        num = _random_dominance_case(rng, kind)
+        sums = [sum(map(int, row)) for row in num]
+        for weak in (False, True):
+            got = solver._dominated_mask(num, weak)
+            want = _dominated_reference(num, weak)
+            assert got.tolist() == want.tolist(), (num, weak)
+            seen["strict" if not weak else "weak"] += bool(want.any())
+        seen["negative"] += bool((num < 0).any())
+        seen["equal sums"] += len(set(sums)) < len(sums)
+        seen["one row"] += num.shape[0] == 1
+        seen["one col"] += num.shape[1] == 1
+        # the row sum that int64 (or int8) arithmetic would wrap
+        seen["wraps"] += num.sum(axis=1, dtype=num.dtype).tolist() != sums
+    assert min(seen.values()) >= 150, seen
+
+
+def test_dominance_strict_needs_every_column():
+    num = np.array([[1, 1], [1, 0]], dtype=np.int8)
+    assert solver._dominated_mask(num, weak=True).tolist() == [False, True]
+    assert solver._dominated_mask(num, weak=False).tolist() == [False, False]
+    matrix = PayoffMatrix(None, None, num, 1)
+    weak = reduce_matrix(matrix)
+    assert weak.num.tolist() == [[1, 1]]
+    assert weak.log == ["rows: removed 1 by weak dominance"]
+    strict = reduce_matrix(matrix, use_weak_dominance=False)
+    assert strict.num.tolist() == [[1, 1], [1, 0]]
+    assert strict.log == []
+    assert solve_zero_sum(weak).value == solve_zero_sum(strict).value == 1
+
+
+@pytest.mark.parametrize("entry, check", _VALUED_CHECKS,
+                         ids=[_check_id(e, c) for e, c in _VALUED_CHECKS])
+def test_corpus_dominance_masks_match_reference(monkeypatch, entry, check):
+    sweep = solver._dominated_mask
+    compared = []
+
+    def checked(num, weak):
+        got = sweep(num, weak)
+        assert got.tolist() == _dominated_reference(num, weak).tolist()
+        compared.append(num.shape)
+        return got
+
+    monkeypatch.setattr(solver, "_dominated_mask", checked)
+    game, lam = _load_check(entry, check)
+    matrix = build_matrix(game, lam)
+    for use_weak in (True, False):
+        reduced = reduce_matrix(matrix, use_weak)
+    skipped = any("skipped" in line for line in reduced.log)
+    assert skipped or compared
+
+
+def _assert_no_dominance(num, use_weak):
+    for weak in (False, True) if use_weak else (False,):
+        assert not _dominated_reference(num, weak).any()
+        assert not _dominated_reference(-num.T, weak).any()
+
+
+def test_random_sentences_reduce_properties():
+    """On seeded random sentences: reducing is idempotent, keeps the value
+    and, under the cap, leaves no dominated row or column."""
+    reduced_by = Counter()
+    for seed in range(300):
+        game = random_game(seed)
+        try:
+            matrix = build_matrix(game, uniform_nature(game), budget=10**4)
+        except BudgetError:
+            continue
+        value = solve_zero_sum(matrix).value
+        for use_weak in (True, False):
+            once = reduce_matrix(matrix, use_weak)
+            assert reduce_matrix(once, use_weak) is once
+            # reduced afresh, the result only merges the duplicates that
+            # dominance left behind
+            again = reduce_matrix(PayoffMatrix(once.rows, once.cols, once.num,
+                                               once.den), use_weak)
+            assert all("merged" in line for line in again.log)
+            assert solve_zero_sum(once).value == value
+            assert solve_zero_sum(again).value == value
+            assert not any("skipped" in line for line in once.log)
+            _assert_no_dominance(once.num, use_weak)
+            reduced_by.update(line.split(" by ")[-1] for line in once.log
+                              if "removed" in line)
+    assert reduced_by["strict dominance"] >= 50
+    assert reduced_by["weak dominance"] >= 50
 
 
 def test_solve_one_by_one():
