@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``value``, ``condition``, ``corpus``, ``export``, ``simulate``,
-``parse``.  Exit status 0 on success, 1 on any diagnostic, 2 when a node or
-strategy budget is exceeded.  ``--format structured`` emits stable JSON
-(same inputs and configuration give byte-identical output).
+``parse``.  Exit status 0 on success, 1 on any diagnostic or usage error,
+2 when a node or strategy budget is exceeded.  ``--format structured``
+emits stable JSON (same inputs and configuration give byte-identical
+output).
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, inputs=True, nature=True):
+    def common(p, inputs=True, nature=True, solves=True):
         if inputs:
             p.add_argument("input",
                            help="formula (.if) or extensive game (.game) file")
@@ -207,17 +208,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--nature", default=None, metavar="FILE|uniform",
                            help="chance player's behavioral strategy "
                                 "(default: uniform)")
-        p.add_argument("--budget", type=positive_int,
-                       default=DEFAULT_STRATEGY_BUDGET,
-                       help="reduced-strategy enumeration budget per player")
         p.add_argument("--node-cap", type=positive_int, default=DEFAULT_NODE_CAP,
                        help="game tree node cap")
-        p.add_argument("--no-weak-dominance", action="store_true",
-                       help="reduce only by merging duplicates and by strict "
-                            "dominance (better against every opposing "
-                            "strategy)")
-        p.add_argument("--format", choices=("text", "structured"),
-                       default="text")
+        if solves:
+            p.add_argument("--budget", type=positive_int,
+                           default=DEFAULT_STRATEGY_BUDGET,
+                           help="reduced-strategy enumeration budget per "
+                                "player")
+            p.add_argument("--no-weak-dominance", action="store_true",
+                           help="reduce only by merging duplicates and by "
+                                "strict dominance (better against every "
+                                "opposing strategy)")
+            p.add_argument("--format", choices=("text", "structured"),
+                           default="text")
 
     p = sub.add_parser("value", help="equilibrium value of a sentence or game")
     common(p)
@@ -240,7 +243,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_corpus)
 
     p = sub.add_parser("export", help="write the game tree as Graphviz text")
-    common(p, nature=False)
+    common(p, nature=False, solves=False)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_export, nature=None)
 
@@ -265,6 +268,10 @@ def main(argv=None) -> int:
     try:
         args = build_arg_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, after printing it; here 2
+        # means an exceeded budget, so a usage error exits 1 (--help, 0)
+        return 1 if exc.code else 0
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

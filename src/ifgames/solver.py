@@ -234,20 +234,17 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
     work = np.float64 if den <= 2**53 else np.int64
     weights = nums.astype(work)
     out = np.empty(shape, dtype=dtype)
-    # The masses go on the smaller side and the product runs in blocks of
-    # the larger one, so neither the weighted operand nor a product block
-    # grows with the larger side.
+    # The product runs in blocks of the larger side, with the masses on the
+    # smaller one, so neither the weighted operand nor a product block grows
+    # with the larger side.  A cell is the same sum either way round, so
+    # when the columns are more, the blocks fill ``out.T``.
+    big, small, target = ((f_row, f_col, out) if shape[0] >= shape[1]
+                          else (f_col, f_row, out.T))
+    weighted = small.T * weights[:, None]  # (terminals, smaller side)
     chunk = max(1, _PRODUCT_BLOCK_CELLS // min(shape))
-    if shape[0] >= shape[1]:
-        right = f_col.T * weights[:, None]  # (terminals, cols)
-        for start in range(0, shape[0], chunk):
-            block = f_row[start:start + chunk].astype(work) @ right
-            out[start:start + chunk] = block.astype(dtype)
-    else:
-        left = f_row * weights  # (rows, terminals)
-        for start in range(0, shape[1], chunk):
-            block = left @ f_col[start:start + chunk].T.astype(work)
-            out[:, start:start + chunk] = block.astype(dtype)
+    for start in range(0, len(big), chunk):
+        block = big[start:start + chunk].astype(work) @ weighted
+        target[start:start + chunk] = block.astype(dtype)
     return PayoffMatrix(rows, cols, out, den, rows.index, cols.index,
                         members=(len(rows), len(cols)))
 
@@ -313,6 +310,31 @@ def _dominated_mask(num: np.ndarray, weak: bool) -> np.ndarray:
     return out
 
 
+def _merge_rows(num: np.ndarray, origin: np.ndarray, members: int,
+                side: str, log: list[str]):
+    """Keep the first of each set of equal rows, logging the merge against
+    the ``members`` strategies that the rows stand for."""
+    keep = _first_occurrences(num)
+    if len(keep) != members:
+        log.append(f"{side}: merged {members - len(keep)} duplicates "
+                   f"({members} -> {len(keep)})")
+    if len(keep) == len(num):
+        return num, origin
+    return num[keep], origin[keep]
+
+
+def _drop_dominated_rows(num: np.ndarray, origin: np.ndarray, weak: bool,
+                         side: str, log: list[str]):
+    """Remove the rows that another row dominates (the rows maximize)."""
+    if len(num) > 1:
+        mask = _dominated_mask(num, weak)
+        if mask.any():
+            log.append(f"{side}: removed {int(mask.sum())} by "
+                       f"{'weak' if weak else 'strict'} dominance")
+            return num[~mask], origin[~mask]
+    return num, origin
+
+
 def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMatrix:
     """Merge duplicate rows/columns, then iterate dominance elimination.
 
@@ -321,7 +343,9 @@ def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMat
     when the flag is set, until a fixpoint, provided the deduplicated
     matrix is within ``DEFAULT_DOMINANCE_CAP`` cells; above the cap only
     duplicate merging happens, which still preserves the game value.
-    Provenance maps to the original enumeration.
+    Provenance maps to the original enumeration.  Each step is written for
+    the rows; the columns run it on the transpose, negated for dominance,
+    because the column player minimizes.
 
     A reduced matrix is returned as it is, so reducing twice changes
     nothing, the log included.  Running the merge again would not be a
@@ -330,62 +354,28 @@ def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMat
     """
     if m.reduced:
         return m
-    num = m.num
-    row_origin = m.row_origin
-    col_origin = m.col_origin
     log = list(m.log)
-
     # the merge counts every strategy, also those that a class row of
     # build_matrix already stands for
     members_rows, members_cols = m.members
-    keep = _first_occurrences(num)
-    if len(keep) != members_rows:
-        log.append(f"rows: merged {members_rows - len(keep)} duplicates "
-                   f"({members_rows} -> {len(keep)})")
-    if len(keep) != num.shape[0]:
-        num = num[keep]
-        row_origin = row_origin[keep]
-    keep = _first_occurrences(num.T)
-    if len(keep) != members_cols:
-        log.append(f"cols: merged {members_cols - len(keep)} duplicates "
-                   f"({members_cols} -> {len(keep)})")
-    if len(keep) != num.shape[1]:
-        num = num[:, keep]
-        col_origin = col_origin[keep]
-
-    def ops_guard() -> bool:
-        r, c = num.shape
-        return (r * c <= DEFAULT_DOMINANCE_CAP
-                and r * r * c + c * c * r <= _DOMINANCE_OPS_GUARD)
-
-    if not ops_guard():
-        log.append(f"dominance elimination skipped: {num.shape[0]}x{num.shape[1]} "
-                   f"exceeds the cap")
+    num, row_origin = _merge_rows(m.num, m.row_origin, members_rows, "rows", log)
+    num_t, col_origin = _merge_rows(num.T, m.col_origin, members_cols, "cols",
+                                    log)
+    num = num_t.T
+    r, c = num.shape
+    if r * c > DEFAULT_DOMINANCE_CAP or r * c * (r + c) > _DOMINANCE_OPS_GUARD:
+        log.append(f"dominance elimination skipped: {r}x{c} exceeds the cap")
     else:
-        passes = [("strict", False)]
-        if use_weak_dominance:
-            passes.append(("weak", True))
-        changed = True
-        while changed:
-            changed = False
-            for name, weak in passes:
-                if num.shape[0] > 1:
-                    mask = _dominated_mask(num, weak)
-                    if mask.any():
-                        log.append(f"rows: removed {int(mask.sum())} by "
-                                   f"{name} dominance")
-                        num = num[~mask]
-                        row_origin = row_origin[~mask]
-                        changed = True
-                if num.shape[1] > 1:
-                    # the column player minimizes, so dominance is reversed
-                    mask = _dominated_mask(-num.T, weak)
-                    if mask.any():
-                        log.append(f"cols: removed {int(mask.sum())} by "
-                                   f"{name} dominance")
-                        num = num[:, ~mask]
-                        col_origin = col_origin[~mask]
-                        changed = True
+        passes = [False, True] if use_weak_dominance else [False]
+        shape = None
+        while num.shape != shape:
+            shape = num.shape
+            for weak in passes:
+                num, row_origin = _drop_dominated_rows(num, row_origin, weak,
+                                                       "rows", log)
+                neg_t, col_origin = _drop_dominated_rows(-num.T, col_origin,
+                                                         weak, "cols", log)
+                num = -neg_t.T
     return PayoffMatrix(m.rows, m.cols, np.ascontiguousarray(num), m.den,
                         row_origin, col_origin, log, reduced=True,
                         members=m.members)
@@ -496,29 +486,21 @@ def _solve_int_matrix(num: list[list[int]], den: int):
     return value, tuple(row_mix), tuple(col_mix)
 
 
-def _exact_mix_scores(num: np.ndarray, den: int, mix, axis: int):
-    """Exact expected payoffs of a mixed strategy against every opponent
-    pure strategy; returns (integer vector, scale) with score = vec/scale."""
+def _exact_mix_scores(num: np.ndarray, den: int, mix):
+    """Exact expected payoffs of a mix over the rows of ``num`` against
+    every column (pass ``num.T`` for a column mix); returns (integer
+    vector, scale) with score = vec/scale.  The vector is int64 when no
+    score can exceed ``den * q <= 2**62``, Python integers otherwise."""
     q = math.lcm(*(w.denominator for _, w in mix))
-    weights = [(idx, int(w * q)) for idx, w in mix]
-    n_out = num.shape[1 - axis]
-    max_cell = int(den)
-    if max_cell * q <= 2**62:
-        acc = np.zeros(n_out, dtype=np.int64)
-        for idx, w_int in weights:
-            line = num[idx] if axis == 0 else num[:, idx]
-            acc += line.astype(np.int64) * w_int
-        return acc, den * q
-    acc_obj = np.zeros(n_out, dtype=object)
-    for idx, w_int in weights:
-        line = num[idx] if axis == 0 else num[:, idx]
-        acc_obj += line.astype(object) * w_int
-    return acc_obj, den * q
+    dtype = np.int64 if den * q <= 2**62 else object
+    acc = np.zeros(num.shape[1], dtype=dtype)
+    for idx, w in mix:
+        acc += num[idx].astype(dtype) * int(w * q)
+    return acc, den * q
 
 
 def _solve_double_oracle(m: PayoffMatrix) -> Equilibrium:
     num = m.num
-    n_rows, n_cols = num.shape
     rset: list[int] = [0]
     cset: list[int] = [0]
     while True:
@@ -528,7 +510,7 @@ def _solve_double_oracle(m: PayoffMatrix) -> Equilibrium:
         col_mix = tuple((cset[j], w) for j, w in col_local)
         improved = False
         # best column response (minimizer) against the current row mix
-        scores, scale = _exact_mix_scores(num, m.den, row_mix, axis=0)
+        scores, scale = _exact_mix_scores(num, m.den, row_mix)
         j_best = int(np.argmin(scores))
         if Fraction(int(scores[j_best]), scale) < value:
             if j_best in cset:
@@ -536,7 +518,7 @@ def _solve_double_oracle(m: PayoffMatrix) -> Equilibrium:
             cset.append(j_best)
             improved = True
         # best row response (maximizer) against the current column mix
-        scores, scale = _exact_mix_scores(num, m.den, col_mix, axis=1)
+        scores, scale = _exact_mix_scores(num.T, m.den, col_mix)
         i_best = int(np.argmax(scores))
         if Fraction(int(scores[i_best]), scale) > value:
             if i_best in rset:
@@ -578,10 +560,10 @@ def verify_equilibrium(m: PayoffMatrix, eq: Equilibrium) -> bool:
     if (sum(w for _, w in eq.row_mix) != 1
             or sum(w for _, w in eq.col_mix) != 1):
         return False
-    scores, scale = _exact_mix_scores(m.num, m.den, eq.row_mix, axis=0)
+    scores, scale = _exact_mix_scores(m.num, m.den, eq.row_mix)
     if Fraction(int(scores.min()), scale) != eq.value:
         return False
-    scores, scale = _exact_mix_scores(m.num, m.den, eq.col_mix, axis=1)
+    scores, scale = _exact_mix_scores(m.num.T, m.den, eq.col_mix)
     return Fraction(int(scores.max()), scale) == eq.value
 
 

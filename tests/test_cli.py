@@ -97,6 +97,28 @@ def test_nonpositive_cap_exit_code_one(capsys):
     assert "error: caps, budgets and play counts must be positive" in err
 
 
+
+def test_usage_errors_exit_code_one(capsys):
+    # argparse exits 2 on a usage error; here 2 means an exceeded budget
+    mh = (corpus_path("phi_mh.if"), corpus_path("doors3.struct"))
+    for argv, message in [
+        (["value"], "the following arguments are required: input"),
+        (["value", *mh, "--budget", "abc"],
+         "argument --budget: invalid positive_int value: 'abc'"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: ifgames value")
+        assert message in err
+
+
+def test_help_exit_code_zero(capsys):
+    for argv in (["--help"], ["value", "--help"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: ifgames")
+
+
 def test_parse_error_exit_code_one(capsys, tmp_path):
     bad = tmp_path / "bad.if"
     bad.write_text("R(x) garbage")
@@ -169,6 +191,17 @@ def test_export_dot(capsys, tmp_path):
     assert code == 0
     text = out_file.read_text()
     assert text.startswith("digraph") and "style=dotted" in text
+
+
+
+def test_export_rejects_solver_flags(capsys):
+    # export builds the game only; it has no budget, reduction or format
+    pennies = (corpus_path("matching_pennies.if"), corpus_path("pennies_2.struct"))
+    for flags in (["--format", "structured"], ["--budget", "5"],
+                  ["--no-weak-dominance"]):
+        code, out, err = run(capsys, "export", *pennies, *flags)
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
 
 
 def test_simulate_structured_stable(capsys):

@@ -54,6 +54,7 @@ from ifgames.solver import (
     PayoffMatrix,
     SimulationReport,
     _chance_reach,
+    _exact_mix_scores,
     _simplex_max,
     _solve_double_oracle,
     _smallest_int_dtype,
@@ -554,6 +555,35 @@ def test_random_sentences_reduce_properties():
     assert reduced_by["weak dominance"] >= 50
 
 
+
+def test_reduce_matrix_treats_players_alike():
+    """Reducing the dual game ``den - num.T``, in which the players swap
+    places, mirrors reducing ``num``: under strict dominance alone the
+    result is the dual of the reduced matrix with the origins swapped, and
+    with or without weak dominance the two values sum to 1."""
+    rng = random.Random(9)
+    removed = Counter()
+    for trial in range(1200):
+        n_rows, n_cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        den = rng.choice([1, 2, 3, 5])
+        num = np.array([[rng.randrange(den + 1) for _ in range(n_cols)]
+                        for _ in range(n_rows)], dtype=np.int64)
+        game = PayoffMatrix(None, None, num, den)
+        dual = PayoffMatrix(None, None, den - num.T, den)
+        for use_weak in (False, True):
+            once = reduce_matrix(game, use_weak)
+            mirror = reduce_matrix(dual, use_weak)
+            if not use_weak:
+                assert np.array_equal(mirror.num, den - once.num.T), (num, den)
+                assert mirror.row_origin.tolist() == once.col_origin.tolist()
+                assert mirror.col_origin.tolist() == once.row_origin.tolist()
+            assert (solve_zero_sum(once).value
+                    + solve_zero_sum(mirror).value) == 1, (num, den, use_weak)
+            removed.update(line.split(":")[0] + line.split(" by ")[-1]
+                           for line in once.log if "removed" in line)
+    assert min(removed.values()) >= 100 and len(removed) == 4, removed
+
+
 def test_solve_one_by_one():
     m = Structure(("1",), relations={"T": (1, frozenset({("1",)}))})
     game = build_semantic_game(m, parse_formula("T(1)"))
@@ -697,6 +727,60 @@ def test_verify_equilibrium_rejects_bad_claim():
     bad = Equilibrium(F(1, 2), ((0, F(1)),), eq.col_mix, matrix)
     assert verify_equilibrium(matrix, eq)
     assert not verify_equilibrium(matrix, bad)
+
+
+
+def _random_mix(rng, n, q):
+    """A mix over ``n`` strategies whose masses have lcm denominator ``q``
+    (a prime): ``q`` split into at least two positive parts."""
+    cuts = sorted(rng.sample(range(1, q), rng.randrange(1, min(q, n))))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [q])]
+    return tuple(zip(rng.sample(range(n), len(parts)), (F(k, q) for k in parts)))
+
+
+@pytest.mark.parametrize("q", [2, 3], ids=["int64", "object"])
+def test_exact_mix_scores_near_int64_limit(q):
+    # den * q is 2**62 - 2 for halves, which int64 holds, and
+    # 3 * 2**61 - 3 for thirds, beyond 2**62, where the scores are Python
+    # integers
+    den = 2**61 - 1
+    rng = random.Random(q)
+    for trial in range(40):
+        n_rows, n_cols = rng.randrange(3, 6), rng.randrange(3, 6)
+        cells = [[rng.choice([0, 1, den - 1, den, rng.randrange(den + 1)])
+                  for _ in range(n_cols)] for _ in range(n_rows)]
+        num = np.array(cells, dtype=np.int64)
+        row_mix = _random_mix(rng, n_rows, q)
+        col_mix = _random_mix(rng, n_cols, q)
+        against_cols = [sum(w * F(cells[i][j], den) for i, w in row_mix)
+                        for j in range(n_cols)]
+        against_rows = [sum(w * F(cells[i][j], den) for j, w in col_mix)
+                        for i in range(n_rows)]
+        for matrix, mix, want in ((num, row_mix, against_cols),
+                                  (num.T, col_mix, against_rows)):
+            scores, scale = _exact_mix_scores(matrix, den, mix)
+            assert scale == den * q
+            assert scores.dtype == (np.int64 if q == 2 else object)
+            assert [F(int(s), scale) for s in scores] == want
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["int64", "object"])
+def test_verify_equilibrium_near_int64_limit(n):
+    # matching pennies on n elements, scaled to den = 2**61 - 1: the
+    # uniform mixes have denominator n, so the check runs in int64 for
+    # n = 2 and on Python integers for n = 3
+    den = 2**61 - 1
+    matrix = PayoffMatrix(None, None, np.eye(n, dtype=np.int64) * den, den)
+    uniform = tuple((k, F(1, n)) for k in range(n))
+    skewed = ((0, F(2, 3)), (1, F(1, 3))) if n == 3 else ((0, F(1)),)
+    assert verify_equilibrium(matrix, Equilibrium(F(1, n), uniform, uniform,
+                                                  matrix))
+    for claim in (Equilibrium(F(1, 2) if n == 3 else F(1, 3), uniform,
+                              uniform, matrix),
+                  Equilibrium(F(1, n), skewed, uniform, matrix),
+                  Equilibrium(F(1, n), uniform, skewed, matrix)):
+        assert not verify_equilibrium(matrix, claim)
+    assert solve_zero_sum(matrix).value == F(1, n)
 
 
 def test_unverified_equilibrium_raises(monkeypatch):
