@@ -53,13 +53,16 @@ def _load_game(args):
             raise IfGameError("a formula input needs a structure file")
         structure = Path(args.structure).read_text()
     nature = None
-    if args.nature and args.nature != "uniform":
+    if args.nature == "uniform":
+        nature = ""  # no rule: uniform at every chance point
+    elif args.nature:
         nature = Path(args.nature).read_text()
     return load_game(source.read_text(), structure, nature, args.node_cap)
 
 
 def _solve(args, game, lam):
-    return solve(game, lam, args.budget, not args.no_weak_dominance)
+    return solve(game, lam, args.budget or DEFAULT_STRATEGY_BUDGET,
+                 not args.no_weak_dominance)
 
 
 def _profile_for(args, game, lam):
@@ -68,6 +71,8 @@ def _profile_for(args, game, lam):
         return eq.row_strategies(), eq.col_strategies()
     if not args.profile:
         raise IfGameError("need --profile FILE or --solve")
+    if args.budget is not None or args.no_weak_dominance:
+        raise IfGameError("--budget and --no-weak-dominance act only with --solve")
     return parse_profile(Path(args.profile).read_text(), game)
 
 
@@ -116,8 +121,11 @@ def cmd_condition(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    results = run_corpus(args.filter, node_cap=args.node_cap, budget=args.budget,
+    results = run_corpus(args.filter, node_cap=args.node_cap,
+                         budget=args.budget or DEFAULT_STRATEGY_BUDGET,
                          use_weak_dominance=not args.no_weak_dominance)
+    if not results:
+        raise IfGameError(f"no corpus entry matches --filter {args.filter!r}")
     failed = [r for r in results if not r.passed]
     if args.format == "structured":
         payload = [
@@ -207,14 +215,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
         if nature:
             p.add_argument("--nature", default=None, metavar="FILE|uniform",
                            help="chance player's behavioral strategy "
-                                "(default: uniform)")
+                                "(default: uniform for a sentence, the "
+                                "declared p= for a .game file)")
         p.add_argument("--node-cap", type=positive_int, default=DEFAULT_NODE_CAP,
                        help="game tree node cap")
         if solves:
-            p.add_argument("--budget", type=positive_int,
-                           default=DEFAULT_STRATEGY_BUDGET,
+            p.add_argument("--budget", type=positive_int, default=None,
                            help="reduced-strategy enumeration budget per "
-                                "player")
+                                f"player (default: {DEFAULT_STRATEGY_BUDGET})")
             p.add_argument("--no-weak-dominance", action="store_true",
                            help="reduce only by merging duplicates and by "
                                 "strict dominance (better against every "

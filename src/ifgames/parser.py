@@ -57,6 +57,16 @@ from .game import (
     SemanticGame,
     build_semantic_game,
 )
+from .solver import EventPredicate
+from .strategy import (
+    BehavioralStrategy,
+    MixedStrategy,
+    ReducedStrategy,
+    embedded_nature,
+    own_reachable_closure,
+    player_plan,
+    uniform_nature,
+)
 from .structure import Assignment, Structure
 
 _QUANT_KEYWORDS = ("forall", "exists", "chance")
@@ -113,9 +123,10 @@ def _tokenize(text: str, hash_is_op: bool = False) -> list[_Token]:
 
 
 class _TokenStream:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], variables: frozenset[str] = frozenset()):
         self.tokens = tokens
         self.pos = 0
+        self.variables = variables  # the names a sentence's terms read as Var
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -148,11 +159,31 @@ class _TokenStream:
 
 def parse_formula(src: str) -> Formula:
     """Parse one sentence; implications desugared, negation pushed inward."""
-    ts = _TokenStream(_tokenize(src))
+    tokens = _tokenize(src)
+    ts = _TokenStream(tokens, _bound_variables(tokens))
     phi = _implication(ts)
     if ts.peek().kind != "eof":
         ts.error(f"trailing input starting at {ts.peek().text!r}")
-    return _resolve_names(phi)
+    return phi
+
+
+def _bound_variables(tokens: list[_Token]) -> frozenset[str]:
+    """The names a quantifier binds or a slash set lists, anywhere in the
+    sentence.  The name after a quantifier keyword is its variable, even
+    when it is itself a keyword (``forall chance ...``)."""
+    bound: set[str] = set()
+    in_slash = after_keyword = False
+    for tok in tokens:
+        if tok.kind != "name":
+            # braces occur only around slash sets
+            in_slash = tok.text == "{" or (in_slash and tok.text != "}")
+            after_keyword = False
+        elif in_slash or after_keyword:
+            bound.add(tok.text)
+            after_keyword = False
+        else:
+            after_keyword = tok.text in _QUANT_KEYWORDS
+    return frozenset(bound)
 
 
 def _implication(ts: _TokenStream) -> Formula:
@@ -269,7 +300,7 @@ def _term(ts: _TokenStream) -> Term:
             args.append(_term(ts))
         ts.expect(")")
         return App(tok.text, tuple(args))
-    return Var(tok.text)
+    return Var(tok.text) if tok.text in ts.variables else Const(tok.text)
 
 
 def _atom(ts: _TokenStream) -> Formula:
@@ -299,49 +330,6 @@ def _atom(ts: _TokenStream) -> Formula:
     if not rels:
         ts.error("a bare term is not a formula")
     return Literal(ChainAtom(tuple(terms), tuple(rels)))
-
-
-def _bound_names(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Literal):
-        return frozenset()
-    if isinstance(phi, (Or, And)):
-        return _bound_names(phi.left) | _bound_names(phi.right) | phi.slash
-    if isinstance(phi, ChanceOr):
-        return _bound_names(phi.left) | _bound_names(phi.right)
-    if isinstance(phi, (Exists, Forall)):
-        return _bound_names(phi.body) | {phi.var} | phi.slash
-    return _bound_names(phi.body) | {phi.var}
-
-
-def _resolve_term(term: Term, variables: frozenset[str]) -> Term:
-    if isinstance(term, Var) and term.name not in variables:
-        return Const(term.name)
-    if isinstance(term, App):
-        return App(term.func, tuple(_resolve_term(a, variables) for a in term.args))
-    return term
-
-
-def _resolve_names(phi: Formula, variables: frozenset[str] | None = None) -> Formula:
-    if variables is None:
-        variables = _bound_names(phi)
-    if isinstance(phi, Literal):
-        atom = phi.atom
-        if isinstance(atom, RelAtom):
-            atom = RelAtom(atom.name, tuple(_resolve_term(a, variables) for a in atom.args))
-        else:
-            atom = ChainAtom(tuple(_resolve_term(t, variables) for t in atom.terms), atom.rels)
-        return Literal(atom, phi.positive)
-    if isinstance(phi, (Or, And)):
-        return type(phi)(_resolve_names(phi.left, variables),
-                         _resolve_names(phi.right, variables), phi.slash)
-    if isinstance(phi, ChanceOr):
-        return ChanceOr(_resolve_names(phi.left, variables),
-                        _resolve_names(phi.right, variables))
-    return type(phi)(*(
-        (phi.var, phi.slash, _resolve_names(phi.body, variables))
-        if isinstance(phi, (Exists, Forall))
-        else (phi.var, _resolve_names(phi.body, variables))
-    ))
 
 
 # ------------------------------------------------------- formula formatting
@@ -541,8 +529,6 @@ def parse_nature_strategy(src: str, game: ExtensiveGame):
     variables assigned earlier in the history.  Decision points no rule
     covers default to the uniform distribution.
     """
-    from .strategy import BehavioralStrategy, uniform_nature
-
     rules = _parse_nature_rules(src)
     dists = dict(uniform_nature(game).dists)
     for node in game.chance_nodes():
@@ -681,8 +667,6 @@ def load_game(source: str, structure: str | None, nature: str | None = None,
     ``structure`` is None.  ``nature`` is a ``.nat`` text; without one, chance
     is uniform in a semantic game and as declared in a game file.
     """
-    from .strategy import embedded_nature, uniform_nature
-
     if structure is None:
         game = parse_extensive_game(source)
         default = embedded_nature
@@ -704,13 +688,6 @@ def parse_profile(src: str, game: ExtensiveGame):
     side with no blocks defaults to its single empty strategy, which exists
     only when that player has no decision points.
     """
-    from .strategy import (
-        MixedStrategy,
-        ReducedStrategy,
-        own_reachable_closure,
-        player_plan,
-    )
-
     text = "\n".join(line for _, line in _data_lines(src))
     pattern = re.compile(r"(row|col)\s+(\S+)\s*\{([^}]*)\}", re.S)
     pos = 0
@@ -788,8 +765,6 @@ def parse_event(src: str, game: ExtensiveGame, structure: Structure | None = Non
     ``y#1`` / ``y#last`` (the k-th or last value assigned along the play),
     elements, or constants.  Boolean structure via ``and``/``or``/``not``.
     """
-    from .solver import EventPredicate
-
     if structure is None and isinstance(game, SemanticGame):
         structure = game.structure
     variables = set(game.variables())

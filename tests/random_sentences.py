@@ -6,8 +6,9 @@ syntax: quantifiers with slash sets (``exists y/{x}``), chance quantifiers,
 negation, and the literals ``=``/``!=`` between variables and universe
 elements.  Variables come from a small pool and may be quantified again, as
 ``y`` is in the Monty Hall sentence.  Everything is drawn from the given
-``random.Random``, so a seed fixes the sentence.  ``random_game(seed)``
-builds the game of one such sentence over a universe of 2 or 3 elements.
+``random.Random``, so a seed fixes the sentence.  ``seeded_sentence(seed)``
+draws one such sentence with a universe of 2 or 3 elements, and
+``random_game(seed)`` builds its game.
 """
 
 from __future__ import annotations
@@ -27,12 +28,17 @@ def random_sentence(rng: random.Random, universe: tuple[str, ...],
     return _quantified(rng, universe, (), budget, depth)
 
 
-def random_game(seed: int):
-    """The semantic game of the sentence that ``seed`` draws."""
+def seeded_sentence(seed: int) -> tuple[str, str]:
+    """The sentence that ``seed`` draws and its structure's text, a
+    universe of 2 or 3 elements."""
     rng = random.Random(seed)
     universe = tuple(str(i) for i in range(rng.randint(2, 3)))
-    sentence = random_sentence(rng, universe)
-    return load_game(sentence, f"universe {' '.join(universe)}\n", None)[0]
+    return random_sentence(rng, universe), f"universe {' '.join(universe)}\n"
+
+
+def random_game(seed: int):
+    """The semantic game of the sentence that ``seed`` draws."""
+    return load_game(*seeded_sentence(seed), None)[0]
 
 
 def _quantified(rng, universe, bound, budget, depth) -> str:

@@ -51,6 +51,28 @@ def test_value_with_nature_file(capsys):
     assert "value = 2/9" in out
 
 
+CHANCE_GAME = """\
+player=chance info=c
+  action=a p=1/4 player=I info=i
+    action=l win=I
+    action=r win=II
+  action=b p=3/4 player=I info=i
+    action=l win=II
+    action=r win=I
+"""
+
+
+def test_nature_uniform_overrides_declared_chance(capsys, tmp_path):
+    game = tmp_path / "biased.game"
+    game.write_text(CHANCE_GAME)
+    code, out, _ = run(capsys, "value", str(game))
+    assert code == 0
+    assert "value = 3/4" in out
+    code, out, _ = run(capsys, "value", str(game), "--nature", "uniform")
+    assert code == 0
+    assert "value = 1/2" in out
+
+
 def test_budget_error_exit_code_two(capsys):
     code, out, err = run(capsys, "value", corpus_path("phi_mh.if"),
                          corpus_path("doors3.struct"), "--budget", "1")
@@ -158,6 +180,19 @@ def test_condition_solve_profile(capsys):
     assert "conditional value = 2/3" in out  # equilibrium plays Tails
 
 
+def test_solver_flags_need_solve(capsys):
+    sb = (corpus_path("phi_sb.if"), corpus_path("sleeping_beauty.struct"))
+    for command in (["condition", *sb, "--event", "Awake(x,t)"],
+                    ["simulate", *sb, "--plays", "10"]):
+        for flags in (["--budget", "1"], ["--no-weak-dominance"]):
+            code, out, err = run(capsys, *command, "--profile",
+                                 corpus_path("sb_heads.profile"), *flags)
+            assert (code, out) == (1, "")
+            assert "act only with --solve" in err
+            code, _, err = run(capsys, *command, "--solve", *flags)
+            assert code == (2 if flags[0] == "--budget" else 0), err
+
+
 def test_condition_bad_event_element(capsys):
     code, _, err = run(capsys, "condition", corpus_path("phi_sb.if"),
                        corpus_path("sleeping_beauty.struct"), "--solve",
@@ -182,6 +217,12 @@ def test_corpus_filter(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
     assert all("sleeping" in l for l in lines)
+
+
+def test_corpus_filter_matching_nothing(capsys):
+    code, out, err = run(capsys, "corpus", "--filter", "zzz")
+    assert (code, out) == (1, "")
+    assert "no corpus entry matches --filter 'zzz'" in err
 
 
 def test_export_dot(capsys, tmp_path):

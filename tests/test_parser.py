@@ -5,16 +5,20 @@ from fractions import Fraction
 import pytest
 
 from ifgames import (
+    App,
     ChainAtom,
     ChanceQ,
+    Const,
     Exists,
     Forall,
+    GameError,
     Literal,
     Or,
     ParseError,
     ProfileError,
     RelAtom,
     Var,
+    build_semantic_game,
     format_formula,
     parse_extensive_game,
     parse_formula,
@@ -25,6 +29,7 @@ from ifgames import (
 )
 from ifgames.corpus import corpus_text
 from ifgames.errors import NatureStrategyError
+from random_sentences import seeded_sentence
 
 
 def test_parse_matching_pennies_shape():
@@ -82,6 +87,49 @@ def test_canonical_phi_mh_format(phi_mh):
 def test_round_trip_all_corpus_formulas(corpus_formulas):
     for name, phi in corpus_formulas.items():
         assert parse_formula(format_formula(phi)) == phi, name
+
+
+def test_name_after_a_keyword_is_the_variable():
+    # the second "chance" is a term, so it binds nothing: top stays a constant
+    phi = parse_formula("forall chance top = chance")
+    assert phi == Forall("chance", frozenset(), Literal(
+        ChainAtom((Const("top"), Var("chance")), ("=",))))
+
+
+def test_keyword_as_variable_then_keyword():
+    phi = parse_formula("forall chance chance x x = top")
+    assert phi == Forall("chance", frozenset(), ChanceQ("x", Literal(
+        ChainAtom((Var("x"), Const("top")), ("=",)))))
+
+
+def test_slash_set_names_are_variables():
+    phi = parse_formula("forall x exists y/{x,t} R(x, top)")
+    assert phi == Forall("x", frozenset(), Exists(
+        "y", frozenset({"x", "t"}),
+        Literal(RelAtom("R", (Var("x"), Const("top"))))))
+
+
+def test_function_arguments_classified():
+    phi = parse_formula("forall x (x = c \\/{z} f(x) = d)")
+    assert phi == Forall("x", frozenset(), Or(
+        Literal(ChainAtom((Var("x"), Const("c")), ("=",))),
+        Literal(ChainAtom((App("f", (Var("x"),)), Const("d")), ("=",))),
+        frozenset({"z"})))
+
+
+def test_slashed_name_stays_free():
+    # q is listed in a slash set, so it is a variable, and nothing binds it
+    phi = parse_formula("exists x/{q} x = q")
+    assert phi == Exists("x", frozenset({"q"}), Literal(
+        ChainAtom((Var("x"), Var("q")), ("=",))))
+    with pytest.raises(GameError, match=r"not a sentence: free variables \['q'\]"):
+        build_semantic_game(parse_structure("universe 0 1\n"), phi)
+
+
+def test_round_trip_random_sentences():
+    for seed in range(300):
+        phi = parse_formula(seeded_sentence(seed)[0])
+        assert parse_formula(format_formula(phi)) == phi, seed
 
 
 def test_empty_slash_set_omitted():

@@ -60,7 +60,7 @@ from ifgames.solver import (
     _smallest_int_dtype,
     _solve_int_matrix,
 )
-from random_sentences import random_game
+from random_sentences import random_game, seeded_sentence
 
 F = Fraction
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -928,6 +928,28 @@ def test_bivalence_classical_corpus(corpus_formulas, doors3, sb_structure):
     assert len(values) == 10
     for name, value in values.items():
         assert (value == 1) == ("_true_" in name)
+
+
+def test_random_sentences_duality_and_bivalence():
+    """On seeded random sentences: v(phi) + v(~phi) = 1, and a sentence
+    without slashes or chance has the value 0 or 1."""
+    from ifgames.formula import has_chance, is_slash_free
+    stopped = bivalent = 0
+    for seed in range(400):
+        sentence, universe = seeded_sentence(seed)
+        structure, phi = parse_structure(universe), parse_formula(sentence)
+        try:
+            value = truth_value(structure, phi, budget=10**4).value
+            dual = truth_value(structure, negate(phi), budget=10**4).value
+        except BudgetError:
+            stopped += 1
+            continue
+        assert value + dual == 1, seed
+        if is_slash_free(phi) and not has_chance(phi):
+            assert value in (0, 1), seed
+            bivalent += 1
+    assert stopped <= 20
+    assert bivalent >= 50
 
 
 def test_simulate_deterministic_game(fig1_game):
