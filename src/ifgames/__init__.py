@@ -77,7 +77,6 @@ from .solver import (
 from .strategy import (
     BehavioralStrategy,
     MixedStrategy,
-    PureStrategy,
     ReducedStrategy,
     StrategyList,
     count_pure_strategies,

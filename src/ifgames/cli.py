@@ -48,9 +48,12 @@ def _load_game(args):
     """Resolve the positional inputs into (game, nature strategy)."""
     source = Path(args.input)
     structure = None
-    if source.suffix != ".game":
-        if not args.structure:
-            raise IfGameError("a formula input needs a structure file")
+    if source.suffix == ".game":
+        if args.structure:
+            raise IfGameError("a .game input takes no structure file")
+    elif not args.structure:
+        raise IfGameError("a formula input needs a structure file")
+    else:
         structure = Path(args.structure).read_text()
     nature = None
     if args.nature == "uniform":

@@ -830,9 +830,9 @@ def parse_event(src: str, game: ExtensiveGame, structure: Structure | None = Non
         return name
 
     def _check_element(name: str, tok: _Token):
-        if structure is None:
-            return
-        if name in structure.constants or structure.has_element(name):
+        # a game with no structure has no elements to name
+        if structure is not None and (name in structure.constants
+                                      or structure.has_element(name)):
             return
         raise EventError(f"{name!r} is neither a game variable, a constant, "
                          f"nor a universe element")

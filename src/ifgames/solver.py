@@ -125,13 +125,14 @@ class EventPredicate:
 class PayoffMatrix:
     """Expected payoffs for the maximizer over reduced strategies.
 
-    Cells are exact: ``num[i, j] / den``.  ``rows``/``cols`` list the
-    strategies in enumeration order; ``row_origin``/``col_origin`` track
-    each current row and column back to its index there, through duplicate
-    merging and dominance elimination.  A row or column may stand for
-    several strategies (a follow class, see :func:`build_matrix`);
-    ``members`` counts the strategies that the rows and the columns stand
-    for in all (one each, unless given).  ``reduced`` marks the output of
+    Cells are exact: ``num[i, j] / den``.  ``rows``/``cols`` list one
+    strategy per row and column of the matrix as built;
+    ``row_origin``/``col_origin`` index each current row and column in those
+    lists, through duplicate merging and dominance elimination.  A row or
+    column may stand for several strategies (a follow class, listed as its
+    first member, see :func:`build_matrix`); ``members`` counts the
+    strategies that the rows and the columns stand for in all (one each,
+    unless given).  ``reduced`` marks the output of
     :func:`reduce_matrix`.
     """
 
@@ -198,10 +199,10 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
 
     A cell sums the chance masses of the verifier-win terminals that both
     strategies follow, so strategies that follow the same win terminals
-    have equal payoffs: one row (column) per such class, whose
-    ``row_origin`` (``col_origin``) is its first member in enumeration
-    order.  Merging duplicates over the classes therefore keeps the rows
-    and columns that merging over every strategy would.  The classes come
+    have equal payoffs: one row (column) per such class, listed in
+    ``rows`` (``cols``) as its first member in enumeration order.  Merging
+    duplicates over the classes therefore keeps the rows and columns that
+    merging over every strategy would.  The classes come
     from :func:`~ifgames.strategy.follow_classes`, which does not enumerate
     the strategies; the cells from matrix products over the classes'
     win-terminal follow tables: float64 BLAS when the common denominator is
@@ -211,13 +212,13 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
     side.
     """
     win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
-    rows, f_row = follow_classes(g, EXIST, win_nodes, budget)
-    cols, f_col = follow_classes(g, UNIV, win_nodes, budget)
-    cells = len(rows) * len(cols)
+    rows, f_row, count_rows = follow_classes(g, EXIST, win_nodes, budget)
+    cols, f_col, count_cols = follow_classes(g, UNIV, win_nodes, budget)
+    cells = count_rows * count_cols
     if cells > DEFAULT_CELL_BUDGET:
         raise BudgetError("payoff cell", DEFAULT_CELL_BUDGET, cells)
-    for strategies in (rows, cols):
-        cells = len(strategies) * len(win_nodes)
+    for count in (count_rows, count_cols):
+        cells = count * len(win_nodes)
         if cells > DEFAULT_CELL_BUDGET:
             raise BudgetError("follow cell", DEFAULT_CELL_BUDGET, cells)
     reach = _chance_reach(g, lam)
@@ -245,8 +246,7 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
     for start in range(0, len(big), chunk):
         block = big[start:start + chunk].astype(work) @ weighted
         target[start:start + chunk] = block.astype(dtype)
-    return PayoffMatrix(rows, cols, out, den, rows.index, cols.index,
-                        members=(len(rows), len(cols)))
+    return PayoffMatrix(rows, cols, out, den, members=(count_rows, count_cols))
 
 
 # ---------------------------------------------------------------- reduction
@@ -342,10 +342,10 @@ def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMat
     always runs, weak dominance (no worse anywhere, better somewhere) too
     when the flag is set, until a fixpoint, provided the deduplicated
     matrix is within ``DEFAULT_DOMINANCE_CAP`` cells; above the cap only
-    duplicate merging happens, which still preserves the game value.
-    Provenance maps to the original enumeration.  Each step is written for
-    the rows; the columns run it on the transpose, negated for dominance,
-    because the column player minimizes.
+    duplicate merging happens, which still preserves the game value.  The
+    origins keep indexing ``m.rows`` and ``m.cols``.  Each step is written
+    for the rows; the columns run it on the transpose, negated for
+    dominance, because the column player minimizes.
 
     A reduced matrix is returned as it is, so reducing twice changes
     nothing, the log included.  Running the merge again would not be a

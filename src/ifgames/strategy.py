@@ -8,8 +8,8 @@ whole enumeration is carried as one integer table (one row per strategy,
 one column per information set, ``-1`` marking unreachable sets) because
 interesting semantic games have strategy counts in the hundreds of
 thousands.  :func:`follow_classes` reaches the classes of strategies that
-follow the same histories, with their first members' rows and indices,
-without that table.
+follow the same histories, one row per class (its first member), without
+that table.
 """
 
 from __future__ import annotations
@@ -129,55 +129,22 @@ class ReducedStrategy:
                f"{'; '.join(self.lines())})"
 
 
-class PureStrategy:
-    """A total plan: one action per information set of the owner."""
-
-    __slots__ = ("game", "player", "actions")
-
-    def __init__(self, game: ExtensiveGame, player: int, actions: tuple[int, ...]):
-        self.game = game
-        self.player = player
-        self.actions = actions
-
-    def action_at(self, infoset_index: int) -> int:
-        return self.actions[infoset_index]
-
-
 class StrategyList(Sequence):
-    """A player's reduced strategies in enumeration order.
+    """Reduced strategies of one player, one per row of ``table`` (one
+    column per information set, ``-1`` marking unreachable sets)."""
 
-    ``table`` holds the action rows of the strategies at the ascending
-    enumeration indices ``index``, or of every strategy when ``index`` is
-    None; the first other row asked for enumerates them all.
-    """
-
-    def __init__(self, game: ExtensiveGame, player: int,
-                 plan: PlayerPlan, table: np.ndarray,
-                 size: int | None = None, index: np.ndarray | None = None):
+    def __init__(self, game: ExtensiveGame, player: int, table: np.ndarray):
         self.game = game
         self.player = player
-        self.plan = plan
         self.table = table
-        self.size = len(table) if size is None else size
-        self.index = index
 
     def __len__(self) -> int:
-        return self.size
+        return len(self.table)
 
     def __getitem__(self, i) -> ReducedStrategy:
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(self.size)[i]
-        if self.index is None:
-            row = self.table[i]
-        else:
-            at = int(np.searchsorted(self.index, i))
-            if at < len(self.index) and self.index[at] == i:
-                row = self.table[at]
-            else:
-                self.table = enumerate_reduced(self.game, self.player, self.size).table
-                self.index = None
-                row = self.table[i]
+        row = self.table[range(len(self))[i]]
         actions = {k: int(a) for k, a in enumerate(row) if a >= 0}
         return ReducedStrategy(self.game, self.player, actions)
 
@@ -227,19 +194,18 @@ def enumerate_reduced(g: ExtensiveGame, player: int,
         pos = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
         new[:, k] = np.where(reach[src], pos, -1).astype(dtype)
         table = new
-    return StrategyList(g, player, plan, table)
+    return StrategyList(g, player, table)
 
 
 def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
                    budget: int = DEFAULT_STRATEGY_BUDGET
-                   ) -> tuple[StrategyList, np.ndarray]:
+                   ) -> tuple[StrategyList, np.ndarray, int]:
     """The classes of ``player``'s reduced strategies that follow the same
     histories among ``nodes``, without enumerating the strategies.
 
-    Returns a :class:`StrategyList` as long as :func:`enumerate_reduced`'s
-    whose ``index`` holds the first member of each class in enumeration
-    order and whose ``table`` holds those members' rows, and the boolean
-    (classes x nodes) follow table of those members.  Raises
+    Returns a :class:`StrategyList` with one row per class, the row of its
+    first member, in enumeration order; the boolean (classes x nodes)
+    follow table of those members; and the number of strategies.  Raises
     :class:`BudgetError` where :func:`enumerate_reduced` would, with the
     same count reached; a budget too large for exact 64-bit counts acts
     as the largest one that keeps them exact.
@@ -257,9 +223,8 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
     is enumeration order, keeps each state's first partial strategy; their
     running count is enumeration's row count at every set, and it bounds
     the frontier.  After the last set only node bits are left, and the
-    states are the classes.  A backward pass counts the completions of
-    every state; a first member's enumeration index is the sum, over its
-    choices, of the completions of the lower actions beside them.
+    states are the classes; walking back from them through the sets gives
+    their first members' rows.
     """
     if player not in (EXIST, UNIV):
         raise GameError("reduced strategies exist for the two principal players only")
@@ -305,6 +270,7 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
     # exact below this limit; positions stay below it too
     limit = min(budget, (2**63 - 1) // max(widest, 1))
     position = np.int32 if limit < 2**31 else np.int64
+    dtype = _action_dtype(plan)
     steps = []
     for k in range(k_total):
         live = np.zeros(states.shape[1], dtype=bool)
@@ -322,45 +288,30 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
         kept = words[k]
         children = (np.take(states[:kept], parent, axis=1)
                     & np.take(keep[:kept, k], action, axis=1))
-        inverse, first, counts = _merge(children, counts[parent])
+        first, counts = _merge(children, counts[parent])
         states = np.take(children, first, axis=1)
-        steps.append((offsets, live, inverse.astype(position),
-                      first.astype(position), parent[first]))
-    # completions of every state, last set first; with them, the first
-    # partial strategy of each state is its parent's plus one action, and
-    # its enumeration index grows by the completions of the lower actions
-    completions = np.ones(states.shape[1], dtype=np.int64)
-    moves = []
-    dtype = _action_dtype(plan)
-    while steps:
-        offsets, live, inverse, first, up = steps.pop()
-        before = np.zeros(len(inverse) + 1, dtype=np.int64)
-        np.cumsum(completions[inverse], out=before[1:])
-        moves.append((up, np.where(live[up], first - offsets[up], -1).astype(dtype),
-                      before[first] - before[offsets[up]]))
-        completions = before[offsets[1:]] - before[offsets[:-1]]
-    index = np.zeros(1, dtype=np.int64)
-    for up, _, skipped in reversed(moves):
-        index = index[up] + skipped
+        # the first partial strategy of each state: its parent's plus one
+        # action, or none at a set it passes through
+        up = parent[first]
+        steps.append((up, np.where(live[up], action[first], -1).astype(dtype)))
     at = np.arange(states.shape[1], dtype=position)
     table = np.empty((k_total, states.shape[1]), dtype=dtype)
-    for k, (up, action, _) in zip(reversed(range(k_total)), moves):
-        table[k] = action[at]
+    for k in reversed(range(k_total)):
+        up, chosen = steps[k]
+        table[k] = chosen[at]
         at = up[at]
     follow = np.empty((len(nodes), states.shape[1]), dtype=bool)
     for row, node in zip(follow, nodes):
         word, shift = divmod(bit[plan.own[node]], 64)
         row[:] = (states[word] >> np.uint64(shift)) & np.uint64(1)
-    return (StrategyList(g, player, plan, table.T, int(completions[0]), index),
-            follow.T)
+    return StrategyList(g, player, table.T), follow.T, int(counts.sum())
 
 
 def _merge(columns: np.ndarray, counts: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Group the equal columns of a (words x n) ``uint64`` array.
 
-    Returns per column its group, the groups numbered in order of their
-    first column; the first column of each group; and the sum of
+    Returns the first column of each group, ascending, and the sum of
     ``counts`` over each group.  Columns are sorted by a 64-bit key, and
     equal keys are accepted as one group only once the columns under them
     are seen to be equal; another key is drawn otherwise.
@@ -377,7 +328,7 @@ def _merge(columns: np.ndarray, counts: np.ndarray
         start = np.ones(n, dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
         if start.all():  # no two keys alike, so no two columns either
-            return np.arange(n), np.arange(n), counts
+            return np.arange(n), counts
         same = ~start[1:]
         later, earlier = order[1:][same], order[:-1][same]
         if all(np.array_equal(word[later], word[earlier]) for word in columns):
@@ -385,14 +336,8 @@ def _merge(columns: np.ndarray, counts: np.ndarray
         salt += 1
     starts = np.flatnonzero(start)
     first = np.minimum.reduceat(order, starts)
-    is_first = np.zeros(n, dtype=bool)
-    is_first[first] = True
-    number = (np.cumsum(is_first) - 1)[first]
-    group = np.empty(n, dtype=np.int64)
-    group[order] = number[np.cumsum(start) - 1]
-    summed = np.empty(len(first), dtype=np.int64)
-    summed[number] = np.add.reduceat(counts[order], starts)
-    return group, np.flatnonzero(is_first), summed
+    in_order = np.argsort(first)
+    return first[in_order], np.add.reduceat(counts[order], starts)[in_order]
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -439,20 +384,6 @@ def count_pure_strategies(g: ExtensiveGame, player: int) -> int:
     for info in g.information_partition(player):
         total *= len(info.actions)
     return total
-
-
-def extend_to_pure(sigma: ReducedStrategy, fill) -> PureStrategy:
-    """Extend a reduced strategy to a total one; ``fill(InfoSet) -> action``
-    decides the unreachable sets."""
-    infosets = sigma.game.information_partition(sigma.player)
-    chosen = dict(sigma.actions)
-    out = []
-    for info in infosets:
-        if info.index in chosen:
-            out.append(chosen[info.index])
-        else:
-            out.append(int(fill(info)))
-    return PureStrategy(sigma.game, sigma.player, tuple(out))
 
 
 def follows(node: int, sigma) -> bool:

@@ -155,6 +155,14 @@ def test_missing_structure_is_diagnostic(capsys):
     assert "structure" in err
 
 
+def test_game_input_refuses_a_structure(capsys):
+    for command in ("value", "export"):
+        code, out, err = run(capsys, command, corpus_path("monty_hall.game"),
+                             corpus_path("doors3.struct"))
+        assert (code, out) == (1, "")
+        assert err == "error: a .game input takes no structure file\n"
+
+
 def test_parse_echoes_canonical(capsys):
     code, out, _ = run(capsys, "parse", corpus_path("phi_mh.if"))
     assert code == 0
@@ -199,6 +207,15 @@ def test_condition_bad_event_element(capsys):
                        "--event", "x = 9")
     assert code == 1
     assert "9" in err
+
+
+def test_condition_unknown_name_on_game_input(capsys):
+    # a .game input has no universe, so no name there is an element
+    code, _, err = run(capsys, "condition", corpus_path("monty_hall.game"),
+                       "--solve", "--event", "x = 1")
+    assert code == 1
+    assert "'x' is neither a game variable" in err
+    assert "probability zero" not in err
 
 
 def test_condition_bad_profile_mass(capsys, tmp_path):

@@ -2,11 +2,11 @@
 
 ``follow_classes`` must give what enumerating every reduced strategy and
 grouping the follow table gives (``_follow_classes(_follow_matrix(...))`` in
-``test_solver.py``): the same strategy count, the same first member of each
-class with its action row and enumeration index, the same follow bits, and
-the same ``BudgetError`` at the same count.  Checked on every corpus game,
-on the negated Monty Hall sentence (whose falsifier has the 823,875
-strategies) and on seeded random sentences.
+``test_solver.py``): the same strategy count, the same number of classes,
+the action row of each class's first member in enumeration order, the same
+follow bits, and the same ``BudgetError`` at the same count.  Checked on
+every corpus game, on the negated Monty Hall sentence (whose falsifier has
+the 823,875 strategies) and on seeded random sentences.
 """
 
 import random
@@ -19,6 +19,7 @@ from ifgames import (
     EXIST,
     UNIV,
     BudgetError,
+    ReducedStrategy,
     build_matrix,
     reduce_matrix,
     solve,
@@ -58,21 +59,22 @@ def _wins(game):
 
 
 def assert_classes_match(game, player, nodes, budget=strategy.DEFAULT_STRATEGY_BUDGET):
-    """Check ``follow_classes`` against the enumeration; returns both lists
-    (``None`` when both raised the same BudgetError)."""
+    """Check ``follow_classes`` against the enumeration; returns the class
+    list, the enumerated list and the enumeration index of each class's
+    first member (``None`` when both raised the same BudgetError)."""
     want = _outcome(lambda: enumerate_reduced(game, player, budget))
     got = _outcome(lambda: follow_classes(game, player, nodes, budget))
     if isinstance(want, tuple):
         assert got == want
         return None
-    strategies, follow = got
+    classes, follow, count = got
     table = _follow_matrix(want, nodes)
     first = _follow_classes(table)
-    assert len(strategies) == len(want)
-    assert strategies.index.tolist() == first.tolist()
-    assert np.array_equal(strategies.table, want.table[first])
+    assert count == len(want)
+    assert len(classes) == len(first)
+    assert np.array_equal(classes.table, want.table[first])
     assert np.array_equal(follow, table[first])
-    return strategies, want
+    return classes, want, first
 
 
 @pytest.mark.parametrize("source, structure, nature", _GAMES,
@@ -81,23 +83,20 @@ def assert_classes_match(game, player, nodes, budget=strategy.DEFAULT_STRATEGY_B
 def test_corpus_classes_equal_enumeration(source, structure, nature):
     game, _ = _load(source, structure, nature)
     for player in (EXIST, UNIV):
-        both = assert_classes_match(game, player, _wins(game))
-        if both is not None and len(both[1]) <= 10**4:
-            got, want = both
-            assert list(got) == list(want)
+        found = assert_classes_match(game, player, _wins(game))
+        if found is not None and len(found[1]) <= 10**4:
+            got, want, first = found
+            assert list(got) == [want[int(i)] for i in first]
 
 
 def test_strategy_rows_equal_enumeration(mh_game):
-    got, want = assert_classes_match(mh_game, EXIST, _wins(mh_game))
-    # the first members come from the walk; the first other row enumerates
-    assert all(got[int(i)] == want[int(i)] for i in got.index)
-    assert got.index is not None
-    picks = random.Random(7).sample(range(len(want)), 1000)
-    assert [got[i] for i in picks] == [want[i] for i in picks]
-    assert got.index is None
-    assert got[-1] == want[len(want) - 1]
+    got, want, first = assert_classes_match(mh_game, EXIST, _wins(mh_game))
+    # every class row is the enumerated strategy at its first member
+    assert len(got) == 4_114
+    assert all(got[k] == want[int(i)] for k, i in enumerate(first))
+    assert got[-1] == want[int(first[-1])]
     with pytest.raises(IndexError):
-        got[len(want)]
+        got[len(got)]
 
 
 def _running_totals(game, player):
@@ -137,7 +136,7 @@ def test_random_sentences_classes_equal_enumeration():
                 got = assert_classes_match(game, player, nodes, budget=10**4)
                 if got is not None:
                     checked += 1
-                    merged += len(got[0]) > len(got[0].index)
+                    merged += len(got[1]) > len(got[0])
     assert checked >= 800
     assert merged >= 150
 
@@ -148,13 +147,25 @@ def test_value_path_does_not_enumerate(monkeypatch, capsys, mh_game):
 
     monkeypatch.setattr(strategy, "enumerate_reduced", refuse)
     matrix = build_matrix(mh_game, uniform_nature(mh_game))
-    assert (len(matrix.rows), len(matrix.cols)) == (823_875, 81)
+    assert matrix.members == (823_875, 81)
+    assert len(matrix.rows) == 4_114
     assert reduce_matrix(matrix).log[0] == "rows: merged 823019 duplicates (823875 -> 856)"
     eq = solve(mh_game, uniform_nature(mh_game))
     assert [s.lines() for s, _ in eq.row_strategies()]
     corpus = resources.files("ifgames") / "corpus"
     assert main(["value", str(corpus / "phi_mh.if"), str(corpus / "doors3.struct")]) == 0
     assert "value = 2/3" in capsys.readouterr().out
+
+
+def test_class_lists_read_without_enumerating(monkeypatch, mh_game):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_reduced called")
+
+    monkeypatch.setattr(strategy, "enumerate_reduced", refuse)
+    matrix = build_matrix(mh_game, uniform_nature(mh_game))
+    read = list(matrix.rows) + list(matrix.cols)
+    assert len(read) == 4_114 + 81
+    assert all(isinstance(s, ReducedStrategy) for s in read)
 
 
 def test_merge_draws_another_key_on_a_collision(monkeypatch):
@@ -173,9 +184,12 @@ def test_merge_draws_another_key_on_a_collision(monkeypatch):
     assert len(calls) == 2
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    group, first, summed = want
-    _, first_ref = np.unique(columns.T, axis=0, return_index=True)
+    first, summed = want
+    _, first_ref, inverse = np.unique(columns.T, axis=0, return_index=True,
+                                      return_inverse=True)
     assert first.tolist() == sorted(first_ref.tolist())
+    # per column, its group, the groups numbered in order of their first column
+    group = np.argsort(np.argsort(first_ref))[inverse.ravel()]
     assert np.array_equal(columns[:, first][:, group], columns)
     assert summed.tolist() == [int(np.arange(200)[group == g].sum())
                                for g in range(len(first))]
@@ -190,4 +204,4 @@ def test_counts_beyond_int64_stop_at_the_exact_limit():
         follow_classes(game, EXIST, _wins(game), budget=10**30)
     limit = (2**63 - 1) // 64
     assert (info.value.limit, info.value.reached) == (limit, 64**10)
-    assert len(follow_classes(game, UNIV, _wins(game), budget=10**30)[0]) == 64
+    assert follow_classes(game, UNIV, _wins(game), budget=10**30)[2] == 64

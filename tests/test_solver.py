@@ -60,6 +60,7 @@ from ifgames.solver import (
     _smallest_int_dtype,
     _solve_int_matrix,
 )
+from ifgames.strategy import player_plan
 from random_sentences import random_game, seeded_sentence
 
 F = Fraction
@@ -186,7 +187,8 @@ def _load(source, structure, nature):
 def _follow_matrix(strats, nodes):
     """Reference for the follow tables: boolean (strategies x nodes), does
     the strategy follow the history, read off the enumeration table."""
-    columns, own = np.ascontiguousarray(strats.table.T), strats.plan.own
+    columns = np.ascontiguousarray(strats.table.T)
+    own = player_plan(strats.game, strats.player).own
     out = np.ones((len(nodes), len(strats)), dtype=bool)
     for j, node in enumerate(nodes):
         for ci, ai in own[node]:
@@ -238,16 +240,17 @@ def _full_matrix(g, lam):
     return PayoffMatrix(rows, cols, num, den)
 
 
-def _follow_class_index(strats, origin, wins):
-    """Each strategy's row (column) in a built matrix, found from the win
-    terminals it follows; checks that ``origin`` holds the first member of
-    each class, in enumeration order."""
+def _follow_class_index(strats, classes, wins):
+    """Each enumerated strategy's row (column) in a built matrix, found from
+    the win terminals it follows; checks that ``classes`` lists the first
+    member of each class, in enumeration order."""
     keys = [tuple(follows(t, s) for t in wins) for s in strats]
     first = {}
     for i, key in enumerate(keys):
         first.setdefault(key, i)
-    assert origin.tolist() == sorted(first.values())
-    where = {i: k for k, i in enumerate(origin.tolist())}
+    members = sorted(first.values())
+    assert np.array_equal(classes.table, strats.table[members])
+    where = {i: k for k, i in enumerate(members)}
     return [where[first[key]] for key in keys]
 
 
@@ -263,18 +266,21 @@ def _follow_class_index(strats, origin, wins):
 def test_build_matrix_cells_equal_expected_payoff(source, structure, nature):
     game, lam = _load(source, structure, nature)
     matrix = build_matrix(game, lam)
+    rows, cols = enumerate_reduced(game, EXIST), enumerate_reduced(game, UNIV)
     if nature == MERSENNE_COIN:
         assert matrix.den == MERSENNE_61
         assert int(matrix.num.max()) == MERSENNE_61 - 1
+    assert matrix.members == (len(rows), len(cols))
     if source.startswith("~"):
-        assert (len(matrix.rows), len(matrix.cols)) == (4, 31)
+        assert matrix.members == (4, 31)
         assert matrix.shape == (4, 23)  # 7 win terminals split 23 classes
+    assert matrix.shape == (len(matrix.rows), len(matrix.cols))
     wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
-    row_class = _follow_class_index(matrix.rows, matrix.row_origin, wins)
-    col_class = _follow_class_index(matrix.cols, matrix.col_origin, wins)
+    row_class = _follow_class_index(rows, matrix.rows, wins)
+    col_class = _follow_class_index(cols, matrix.cols, wins)
     assert matrix.shape == (max(row_class) + 1, max(col_class) + 1)
-    for i, sigma in enumerate(matrix.rows):
-        for j, tau in enumerate(matrix.cols):
+    for i, sigma in enumerate(rows):
+        for j, tau in enumerate(cols):
             assert cell(matrix, row_class[i], col_class[j]) == \
                 expected_payoff(game, lam, sigma, tau)
 
@@ -295,12 +301,19 @@ def test_class_matrix_reduces_like_full_matrix(source, structure, nature):
     game, lam = _load(source, structure, nature)
     classes = build_matrix(game, lam)
     full = _full_matrix(game, lam)
-    assert np.array_equal(
-        full.num[np.ix_(classes.row_origin, classes.col_origin)], classes.num)
+    wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
+    first_rows = _follow_classes(_follow_matrix(full.rows, wins))
+    first_cols = _follow_classes(_follow_matrix(full.cols, wins))
+    assert np.array_equal(classes.rows.table, full.rows.table[first_rows])
+    assert np.array_equal(classes.cols.table, full.cols.table[first_cols])
+    assert np.array_equal(full.num[np.ix_(first_rows, first_cols)], classes.num)
     got, want = reduce_matrix(classes), reduce_matrix(full)
     assert np.array_equal(got.num, want.num)
-    assert got.row_origin.tolist() == want.row_origin.tolist()
-    assert got.col_origin.tolist() == want.col_origin.tolist()
+    # the origins index different lists; they name the same strategies
+    assert np.array_equal(got.rows.table[got.row_origin],
+                          want.rows.table[want.row_origin])
+    assert np.array_equal(got.cols.table[got.col_origin],
+                          want.cols.table[want.col_origin])
     assert got.log == want.log
 
 
@@ -391,8 +404,10 @@ def test_build_matrix_follow_cell_budget(monkeypatch, sb_game):
 
 def test_build_matrix_single_column_when_no_falsifier_choices(sb_game):
     matrix = build_matrix(sb_game, uniform_nature(sb_game))
-    assert (len(matrix.rows), len(matrix.cols)) == (31, 1)
-    assert matrix.shape == (11, 1)
+    strategies = (len(enumerate_reduced(sb_game, EXIST)),
+                  len(enumerate_reduced(sb_game, UNIV)))
+    assert matrix.members == strategies == (31, 1)
+    assert (len(matrix.rows), len(matrix.cols)) == matrix.shape == (11, 1)
 
 
 def test_reduce_all_zero_matrix(sb_game):

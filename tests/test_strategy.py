@@ -23,7 +23,6 @@ from ifgames import (
     reduced_from_rules,
     uniform_nature,
 )
-from ifgames.strategy import extend_to_pure
 
 
 def test_fig1_reduced_counts(fig1_game):
@@ -180,11 +179,13 @@ def test_reduced_extension_outcome_invariance(fig1_game, sb_game):
             sigma = rows[rng.randrange(len(rows))]
             tau = cols[rng.randrange(len(cols))]
             base = outcome_distribution(game, lam, sigma, tau)
-            filled = extend_to_pure(
-                sigma, lambda info: rng.randrange(len(info.actions)))
-            as_reduced = type(sigma)(game, EXIST, {
-                info.index: filled.actions[info.index] for info in infosets})
-            assert outcome_distribution(game, lam, as_reduced, tau) == base
+            # the unreachable sets get a random action each
+            chosen = dict(sigma.actions)
+            filled = type(sigma)(game, EXIST, {
+                info.index: chosen[info.index] if info.index in chosen
+                else rng.randrange(len(info.actions)) for info in infosets})
+            assert len(filled.actions) == len(infosets)
+            assert outcome_distribution(game, lam, filled, tau) == base
 
 
 def test_mixed_strategy_validation(sb_game):
