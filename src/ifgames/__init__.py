@@ -48,6 +48,7 @@ from .game import (
     winner,
 )
 from .parser import (
+    EventPredicate,
     format_formula,
     parse_event,
     parse_extensive_game,
@@ -60,7 +61,6 @@ from .solver import (
     ClassicalStatus,
     ConditionalValue,
     Equilibrium,
-    EventPredicate,
     PayoffMatrix,
     build_matrix,
     classical_status,

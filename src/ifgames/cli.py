@@ -106,11 +106,11 @@ def cmd_value(args) -> int:
 def cmd_condition(args) -> int:
     game, lam = _load_game(args)
     row_mix, col_mix = _profile_for(args, game, lam)
-    event = parse_event(args.event, game) if args.event else None
+    event = None if args.event is None else parse_event(args.event, game)
     result = conditional_value(game, lam, row_mix, col_mix, event)
     if args.format == "structured":
         payload = {
-            "event": args.event or "true",
+            "event": "true" if args.event is None else args.event,
             "p_event": _frac(result.p_event),
             "p_win_and_event": _frac(result.p_win_and_event),
             "conditional_value": _frac(result.value),
@@ -240,7 +240,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("condition",
                        help="conditional win probability under a profile")
     common(p)
-    p.add_argument("--event", required=True, help="conditioning event")
+    p.add_argument("--event", help="conditioning event (default: every play)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--profile", help="profile file naming the mixes")
     group.add_argument("--solve", action="store_true",

@@ -1,4 +1,5 @@
-"""Concrete syntax: formulas, structures, chance strategies, games, profiles.
+"""Concrete syntax: formulas, structures, chance strategies, games, profiles,
+events.
 
 Formula grammar (ASCII, ``#`` comments):
 
@@ -13,6 +14,10 @@ greedy (extends as far right as possible); a parenthesized quantifier like
 chains of up to three terms are single literals.  Numerals always denote
 universe elements; an alphabetic name is a variable when it is quantified
 or slashed somewhere in the sentence, and a constant symbol otherwise.
+
+Conditioning events (``not``, ``and``, ``or`` over relation atoms and
+equality chains of any length) are compiled by ``parse_event`` as they are
+parsed, into a test of a terminal's assignment.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from .game import (
     SemanticGame,
     build_semantic_game,
 )
-from .solver import EventPredicate
 from .strategy import (
     BehavioralStrategy,
     MixedStrategy,
@@ -757,85 +761,104 @@ def parse_profile(src: str, game: ExtensiveGame):
 
 # ------------------------------------------------------------------ events
 
-def parse_event(src: str, game: ExtensiveGame, structure: Structure | None = None):
-    """Parse a conditioning event over terminal histories.
+class _EventMiss(Exception):
+    """A referenced binding does not exist in this history."""
+
+
+class EventPredicate:
+    """Quantifier-free condition over a terminal history.
+
+    :func:`parse_event` compiles the event into a test of the terminal's
+    assignment; a history in which a referenced binding is missing fails
+    the event.
+    """
+
+    def __init__(self, test, text: str):
+        self._test = test
+        self.text = text
+
+    def holds(self, game: ExtensiveGame, node: int) -> bool:
+        try:
+            return self._test(game.assignment[node])
+        except _EventMiss:
+            return False
+
+    def __repr__(self):
+        return f"EventPredicate({self.text!r})"
+
+
+def parse_event(src: str, game: ExtensiveGame) -> EventPredicate:
+    """Parse and compile a conditioning event over terminal histories.
 
     Atoms are relation applications and equality/inequality chains; terms
     may be plain variables (their final value), history-indexed variables
     ``y#1`` / ``y#last`` (the k-th or last value assigned along the play),
-    elements, or constants.  Boolean structure via ``and``/``or``/``not``.
+    elements, or constants of the game's structure.  Boolean structure via
+    ``and``/``or``/``not``, evaluated left to right: a binding the history
+    lacks fails the event unless an ``and``/``or`` was already decided by
+    its left side.
     """
-    if structure is None and isinstance(game, SemanticGame):
-        structure = game.structure
+    structure = game.structure if isinstance(game, SemanticGame) else None
     variables = set(game.variables())
     ts = _TokenStream(_tokenize(src, hash_is_op=True))
 
     def parse_or():
-        node = parse_and()
-        while ts.peek().text == "or":
-            ts.next()
-            node = ("or", node, parse_and())
-        return node
+        tests = [parse_and()]
+        while ts.accept("or"):
+            tests.append(parse_and())
+        return tests[0] if len(tests) == 1 else lambda s: any(t(s) for t in tests)
 
     def parse_and():
-        node = parse_not()
-        while ts.peek().text == "and":
-            ts.next()
-            node = ("and", node, parse_not())
-        return node
+        tests = [parse_not()]
+        while ts.accept("and"):
+            tests.append(parse_not())
+        return tests[0] if len(tests) == 1 else lambda s: all(t(s) for t in tests)
 
     def parse_not():
-        if ts.peek().text == "not":
-            ts.next()
-            return ("not", parse_not())
-        if ts.peek().text == "(":
-            ts.next()
-            node = parse_or()
+        if ts.accept("not"):
+            test = parse_not()
+            return lambda s: not test(s)
+        if ts.accept("("):
+            test = parse_or()
             ts.expect(")")
-            return node
+            return test
         return parse_atom()
+
+    def reader(name: str, k: int):
+        def value(s: Assignment) -> str:
+            try:
+                return s.values_of(name)[k]
+            except IndexError:
+                raise _EventMiss(name) from None
+        return value
 
     def parse_eterm():
         tok = ts.next()
-        if tok.kind == "num":
-            name = tok.text
-            if ts.peek().text == "#":
-                raise ParseError("only variables take #indices", tok.line, tok.col)
-            if name in variables:
-                return ("var", name, None)
-            _check_element(name, tok)
-            return ("const", _resolve_element(name))
-        if tok.kind != "name":
+        if tok.kind not in ("name", "num"):
             raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
         name = tok.text
         if ts.peek().text == "#":
+            if tok.kind == "num":
+                raise ParseError("only variables take #indices", tok.line, tok.col)
             ts.next()
             idx_tok = ts.next()
             if name not in variables:
                 raise EventError(f"{name} is not a game variable")
             if idx_tok.text == "last":
-                return ("var", name, "last")
+                return reader(name, -1)
             if idx_tok.kind == "num" and int(idx_tok.text) >= 1:
-                return ("var", name, int(idx_tok.text))
+                return reader(name, int(idx_tok.text) - 1)
             raise ParseError("variable index must be a positive number or 'last'",
                              idx_tok.line, idx_tok.col)
         if name in variables:
-            return ("var", name, None)
-        _check_element(name, tok)
-        return ("const", _resolve_element(name))
-
-    def _resolve_element(name: str) -> str:
-        if structure is not None and name in structure.constants:
-            return structure.constants[name]
-        return name
-
-    def _check_element(name: str, tok: _Token):
+            return reader(name, -1)
         # a game with no structure has no elements to name
-        if structure is not None and (name in structure.constants
-                                      or structure.has_element(name)):
-            return
-        raise EventError(f"{name!r} is neither a game variable, a constant, "
-                         f"nor a universe element")
+        if structure is None or not (name in structure.constants
+                                     or structure.has_element(name)):
+            raise EventError(f"{name!r} is neither a game variable, a constant, "
+                             f"nor a universe element")
+        element = structure.constants.get(name, name)
+        return lambda s: element
 
     def parse_atom():
         tok = ts.peek()
@@ -848,20 +871,24 @@ def parse_event(src: str, game: ExtensiveGame, structure: Structure | None = Non
             while ts.accept(","):
                 args.append(parse_eterm())
             ts.expect(")")
-            arity, _ = structure.relations[name]
+            arity, tuples = structure.relations[name]
             if len(args) != arity:
                 raise EventError(f"relation {name} expects {arity} arguments")
-            return ("rel", name, tuple(args))
+            return lambda s: tuple(arg(s) for arg in args) in tuples
         terms = [parse_eterm()]
-        rels = []
+        equal = []
         while ts.peek().text in ("=", "!="):
-            rels.append(ts.next().text)
+            equal.append(ts.next().text == "=")
             terms.append(parse_eterm())
-        if not rels:
+        if not equal:
             ts.error("expected a comparison or relation atom")
-        return ("chain", tuple(terms), tuple(rels))
 
-    expr = parse_or()
+        def chain(s: Assignment) -> bool:
+            values = [term(s) for term in terms]
+            return all((a == b) == eq for a, b, eq in zip(values, values[1:], equal))
+        return chain
+
+    test = parse_or()
     if ts.peek().kind != "eof":
         ts.error(f"trailing input starting at {ts.peek().text!r}")
-    return EventPredicate(expr, src.strip(), structure)
+    return EventPredicate(test, src.strip())

@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,75 +50,14 @@ from .strategy import (
     uniform_nature,
 )
 
+if TYPE_CHECKING:
+    from .parser import EventPredicate
+
 DEFAULT_CELL_BUDGET = 10**8  # payoff-matrix cells
 _PRODUCT_BLOCK_CELLS = 4_000_000  # payoff cells per block of the product
 DEFAULT_DOMINANCE_CAP = 300_000  # matrix cells
 DEFAULT_SIMPLEX_CAP = 4_000  # matrix cells
 _DOMINANCE_OPS_GUARD = 2_000_000_000
-
-
-# ------------------------------------------------------------------ events
-
-class _EventMiss(Exception):
-    """A referenced binding does not exist in this history."""
-
-
-class EventPredicate:
-    """Quantifier-free condition over a terminal history.
-
-    Terms refer to the terminal assignment; history-indexed terms ``y#k``
-    and ``y#last`` refer to the k-th and final value a variable received
-    along the play (useful when a variable is requantified).  A history in
-    which a referenced binding is missing fails the event.
-    """
-
-    def __init__(self, expr, text: str, structure: Structure | None):
-        self.expr = expr
-        self.text = text
-        self.structure = structure
-
-    def holds(self, game: ExtensiveGame, node: int) -> bool:
-        try:
-            return self._eval(self.expr, game, node)
-        except _EventMiss:
-            return False
-
-    def _term(self, term, game, node) -> str:
-        if term[0] == "const":
-            return term[1]
-        _, name, idx = term
-        values = game.assignment[node].values_of(name)
-        if not values:
-            raise _EventMiss(name)
-        if idx is None or idx == "last":
-            return values[-1]
-        if idx > len(values):
-            raise _EventMiss(name)
-        return values[idx - 1]
-
-    def _eval(self, expr, game, node) -> bool:
-        kind = expr[0]
-        if kind == "and":
-            return self._eval(expr[1], game, node) and self._eval(expr[2], game, node)
-        if kind == "or":
-            return self._eval(expr[1], game, node) or self._eval(expr[2], game, node)
-        if kind == "not":
-            return not self._eval(expr[1], game, node)
-        if kind == "rel":
-            _, name, args = expr
-            assert self.structure is not None
-            values = tuple(self._term(a, game, node) for a in args)
-            return values in self.structure.relations[name][1]
-        _, terms, rels = expr
-        values = [self._term(t, game, node) for t in terms]
-        for i, rel in enumerate(rels):
-            ok = (values[i] == values[i + 1]) if rel == "=" else (values[i] != values[i + 1])
-            if not ok:
-                return False
-        return True
-
-    def __repr__(self):
-        return f"EventPredicate({self.text!r})"
 
 
 # ----------------------------------------------------------- payoff matrix

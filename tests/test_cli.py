@@ -188,6 +188,26 @@ def test_condition_solve_profile(capsys):
     assert "conditional value = 2/3" in out  # equilibrium plays Tails
 
 
+def test_condition_without_event_is_the_whole_space(capsys):
+    code, out, err = run(capsys, "condition", corpus_path("monty_hall.game"),
+                         "--solve")
+    assert code == 0, err
+    assert out.splitlines() == ["P(event) = 1", "P(win and event) = 2/3",
+                                "conditional value = 2/3"]
+    code, out, _ = run(capsys, "condition", corpus_path("monty_hall.game"),
+                       "--solve", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["event"] == "true"
+
+
+def test_empty_event_is_a_parse_error(capsys):
+    for command in ("condition", "simulate"):
+        code, out, err = run(capsys, command, corpus_path("monty_hall.game"),
+                             "--solve", "--event", "")
+        assert (code, out) == (1, ""), command
+        assert "expected a term" in err
+
+
 def test_solver_flags_need_solve(capsys):
     sb = (corpus_path("phi_sb.if"), corpus_path("sleeping_beauty.struct"))
     for command in (["condition", *sb, "--event", "Awake(x,t)"],

@@ -13,6 +13,7 @@ from ifgames import (
     Forall,
     GameError,
     Literal,
+    EventError,
     Or,
     ParseError,
     ProfileError,
@@ -20,6 +21,7 @@ from ifgames import (
     Var,
     build_semantic_game,
     format_formula,
+    parse_event,
     parse_extensive_game,
     parse_formula,
     parse_nature_strategy,
@@ -267,3 +269,89 @@ def test_single_terminal_game():
     assert len(game) == 1
     assert game.is_terminal(game.root)
     assert game.winner_of[game.root] == 0
+
+
+# ------------------------------------------------------------------ events
+
+def _holding(game, text):
+    event = parse_event(text, game)
+    return {t for t in game.terminals() if event.holds(game, t)}
+
+
+def test_event_missing_binding_semantics(mh_prime_chance_game):
+    # only plays that reach the second (exists y/{x}) bind y twice
+    game = mh_prime_chance_game
+    terminals = set(game.terminals())
+    values = {t: {v: game.assignment[t].values_of(v) for v in "xyz"}
+              for t in terminals}
+    assert all(len(values[t]["z"]) == 1 for t in terminals)
+    twice = {t for t in terminals if len(values[t]["y"]) == 2}
+    y2_is_1 = {t for t in twice if values[t]["y"][1] == "1"}
+    z_is_1 = {t for t in terminals if values[t]["z"] == ("1",)}
+    assert y2_is_1 and z_is_1 - twice and terminals - twice
+    # events evaluate left to right: a missing binding fails the event
+    # unless an or/and was already decided by its left side
+    assert _holding(game, "y#2 = 1") == y2_is_1
+    assert _holding(game, "z = 1 or y#2 = 1") == z_is_1 | y2_is_1
+    assert _holding(game, "y#2 = 1 or z = 1") == y2_is_1 | (z_is_1 & twice)
+    assert _holding(game, "not y#2 = 1") == twice - y2_is_1
+    assert _holding(game, "z != 1 and y#2 = 1") == y2_is_1 - z_is_1
+    assert _holding(game, "y#last = y") == {t for t in terminals if values[t]["y"]}
+    assert _holding(game, "y#1 = y#last") == terminals - twice | {
+        t for t in twice if values[t]["y"][0] == values[t]["y"][1]}
+
+
+def test_event_chains_have_no_length_cap(mh_prime_chance_game):
+    game = mh_prime_chance_game
+
+    def last(t, v):
+        return game.assignment[t].values_of(v)[-1]
+
+    assert _holding(game, "x != y != z != x") == {
+        t for t in game.terminals()
+        if last(t, "x") != last(t, "y") != last(t, "z") != last(t, "x")}
+    assert _holding(game, "x = y = z = 1 = x") == {
+        t for t in game.terminals()
+        if last(t, "x") == last(t, "y") == last(t, "z") == "1"}
+
+
+def test_event_relations_and_parentheses(sb_game):
+    awake = {t for t in sb_game.terminals()
+             if (sb_game.assignment[t].value("x"), sb_game.assignment[t].value("t"))
+             in sb_game.structure.relations["Awake"][1]}
+    assert awake
+    assert _holding(sb_game, "Awake(x,t)") == awake
+    assert _holding(sb_game, "not Awake(x,t)") == set(sb_game.terminals()) - awake
+    assert _holding(sb_game, "(Awake(x,t))") == awake
+    assert _holding(sb_game, "t#2 = 1 or Awake(x,t)") == set()
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("", ParseError, "expected a term"),
+    ("x", ParseError, "expected a comparison"),
+    ("x = 1 y", ParseError, "trailing input"),
+    ("(x = 1", ParseError, "')'"),
+    ("1#2 = x", ParseError, "only variables take #indices"),
+    ("x#0 = 1", ParseError, "positive number or 'last'"),
+    ("x#first = 1", ParseError, "positive number or 'last'"),
+    ("q#1 = 1", EventError, "q is not a game variable"),
+    ("x = 9", EventError, "'9' is neither a game variable"),
+    ("Asleep(x,t)", EventError, "unknown relation Asleep"),
+    ("Awake(x)", EventError, "relation Awake expects 2 arguments"),
+])
+def test_event_errors(sb_game, text, error, message):
+    with pytest.raises(error) as err:
+        parse_event(text, sb_game)
+    assert message in str(err.value)
+
+
+def test_event_names_no_element_on_a_game_input(fig1_game):
+    for text in ("x = 1", "1 = 1", "R(1)"):
+        with pytest.raises(EventError):
+            parse_event(text, fig1_game)
+
+
+def test_event_predicate_keeps_stripped_text(sb_game):
+    event = parse_event("  Awake(x,t)\n", sb_game)
+    assert event.text == "Awake(x,t)"
+    assert repr(event) == "EventPredicate('Awake(x,t)')"
