@@ -44,7 +44,6 @@ from .game import (
     SemanticGame,
     build_semantic_game,
     export_dot,
-    information_partition,
     winner,
 )
 from .parser import (
@@ -65,7 +64,6 @@ from .solver import (
     build_matrix,
     classical_status,
     conditional_value,
-    expected_payoff,
     mixed_expected_payoff,
     reduce_matrix,
     simulate,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .corpus import run_corpus
@@ -32,14 +31,9 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
-        else str(value.numerator)
-
-
 def _mix_payload(mix):
     return [
-        {"mass": _frac(w), "strategy": list(s.lines())}
+        {"mass": str(w), "strategy": list(s.lines())}
         for s, w in mix.support
     ]
 
@@ -84,20 +78,20 @@ def cmd_value(args) -> int:
     eq = _solve(args, game, lam)
     if args.format == "structured":
         payload = {
-            "value": _frac(eq.value),
+            "value": str(eq.value),
             "rows": _mix_payload(eq.row_strategies()),
             "cols": _mix_payload(eq.col_strategies()),
             "reduction": eq.matrix.log,
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
-    print(f"value = {_frac(eq.value)}")
+    print(f"value = {eq.value}")
     for side, mix in (("I", eq.row_strategies()), ("II", eq.col_strategies())):
         print(f"optimal mix for {side}:")
         for strategy, mass in mix.support:
             lines = strategy.lines()
             body = "; ".join(lines) if lines else "(no decisions)"
-            print(f"  {_frac(mass)}  {body}")
+            print(f"  {mass}  {body}")
     for line in eq.matrix.log:
         print(f"reduction: {line}")
     return 0
@@ -111,15 +105,15 @@ def cmd_condition(args) -> int:
     if args.format == "structured":
         payload = {
             "event": "true" if args.event is None else args.event,
-            "p_event": _frac(result.p_event),
-            "p_win_and_event": _frac(result.p_win_and_event),
-            "conditional_value": _frac(result.value),
+            "p_event": str(result.p_event),
+            "p_win_and_event": str(result.p_win_and_event),
+            "conditional_value": str(result.value),
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
-    print(f"P(event) = {_frac(result.p_event)}")
-    print(f"P(win and event) = {_frac(result.p_win_and_event)}")
-    print(f"conditional value = {_frac(result.value)}")
+    print(f"P(event) = {result.p_event}")
+    print(f"P(win and event) = {result.p_win_and_event}")
+    print(f"conditional value = {result.value}")
     return 0
 
 
@@ -136,8 +130,8 @@ def cmd_corpus(args) -> int:
                 "entry": r.entry,
                 "group": r.group,
                 "check": r.label,
-                "expected": _frac(r.expected),
-                "got": None if r.got is None else _frac(r.got),
+                "expected": str(r.expected),
+                "got": None if r.got is None else str(r.got),
                 "passed": r.passed,
                 "error": r.error,
             }
@@ -148,9 +142,9 @@ def cmd_corpus(args) -> int:
     width = max((len(r.entry) for r in results), default=10) + 2
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        got = "error" if r.got is None else _frac(r.got)
+        got = "error" if r.got is None else str(r.got)
         line = f"{status}  {r.entry:<{width}} {r.label}: " \
-               f"expected {_frac(r.expected)}, got {got}"
+               f"expected {r.expected}, got {got}"
         if r.error:
             line += f"  [{r.error}]"
         print(line)
@@ -180,7 +174,7 @@ def cmd_simulate(args) -> int:
             "plays": report.plays,
             "seed": report.seed,
             "wins": report.wins,
-            "win_frequency": _frac(report.win_frequency),
+            "win_frequency": str(report.win_frequency),
             "events": {
                 name: {"hits": hits, "wins": wins}
                 for name, (hits, wins) in report.event_counts.items()
@@ -189,7 +183,7 @@ def cmd_simulate(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
     print(f"plays = {report.plays}, seed = {report.seed}")
-    print(f"wins = {report.wins}  (frequency {_frac(report.win_frequency)})")
+    print(f"wins = {report.wins}  (frequency {report.win_frequency})")
     for name, (hits, wins) in report.event_counts.items():
         print(f"event {name}: hits = {hits}, wins among hits = {wins}")
     return 0

@@ -298,11 +298,6 @@ def build_semantic_game(m: Structure, phi: Formula,
     return game
 
 
-def information_partition(g: ExtensiveGame, player: int) -> tuple[InfoSet, ...]:
-    """The information partition of one player's decision histories."""
-    return g.information_partition(player)
-
-
 def winner(g: ExtensiveGame, node: int) -> int:
     """Winner of a terminal history (EXIST or UNIV)."""
     if not g.is_terminal(node):

@@ -309,22 +309,12 @@ def _term(ts: _TokenStream) -> Term:
 
 def _atom(ts: _TokenStream) -> Formula:
     tok = ts.peek()
-    terms: list[Term] = []
-    if tok.kind == "name" and ts.peek(1).text == "(" and tok.text not in _QUANT_KEYWORDS:
-        name = ts.next().text
-        ts.next()
-        args: list[Term] = [_term(ts)]
-        while ts.accept(","):
-            args.append(_term(ts))
-        ts.expect(")")
-        if ts.peek().text not in ("=", "!="):
-            return Literal(RelAtom(name, tuple(args)))
-        # it was a function application opening an equality chain
-        terms = [App(name, tuple(args))]
-    elif tok.kind not in ("name", "num"):
+    if tok.kind not in ("name", "num"):
         ts.error(f"expected a formula, found {tok.text or 'end of input'!r}")
-    if not terms:
-        terms = [_term(ts)]
+    terms = [_term(ts)]
+    if isinstance(terms[0], App) and ts.peek().text not in ("=", "!="):
+        # an application that opens no equality chain is a relation atom
+        return Literal(RelAtom(terms[0].func, terms[0].args))
     rels: list[str] = []
     while ts.peek().text in ("=", "!="):
         if len(terms) == 3:

@@ -7,13 +7,13 @@ and so have equal payoffs; :func:`~ifgames.strategy.follow_classes` finds
 them without enumerating the strategies), built by a float64 BLAS product
 when that denominator is at most 2**53 (exact, see ``build_matrix``) and by
 an int64 product otherwise; the cell budgets count the strategies, not the
-classes.  The LP runs a fraction-free integer simplex
-(Bareiss pivoting), Bland's rule, and reductions only merge duplicates or
-drop dominated strategies (which preserves the game value).  Matrices too
-large for a direct tableau are solved by column generation (a double-oracle
-loop whose restricted problems use the same integer simplex and whose
-best-response pricing is exact integer arithmetic), which computes the same
-LP optimum.
+classes.  Reductions only merge duplicates or drop dominated strategies
+(which preserves the game value).  The LP is one column-generation
+(double-oracle) loop: its restricted problems run a fraction-free integer
+simplex (Bareiss pivoting, Bland's rule) and its best-response pricing is
+exact integer arithmetic.  Within ``DEFAULT_SIMPLEX_CAP`` cells the loop
+starts from the whole matrix, so its first restricted LP is the game's LP;
+a larger matrix starts from one row and one column and grows.
 """
 
 from __future__ import annotations
@@ -123,13 +123,6 @@ def _smallest_int_dtype(max_value: int):
         if max_value <= np.iinfo(dtype).max:
             return dtype
     raise GameError("payoff denominators exceed 64-bit integers")
-
-
-def expected_payoff(g: ExtensiveGame, lam: BehavioralStrategy,
-                    sigma: ReducedStrategy, tau: ReducedStrategy) -> Fraction:
-    """The maximizer's expected utility under the profile (λ, σ, τ)."""
-    return mixed_expected_payoff(g, lam, MixedStrategy.pure(sigma),
-                                 MixedStrategy.pure(tau))
 
 
 def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
@@ -439,10 +432,24 @@ def _exact_mix_scores(num: np.ndarray, den: int, mix):
     return acc, den * q
 
 
-def _solve_double_oracle(m: PayoffMatrix) -> Equilibrium:
+def solve_zero_sum(m: PayoffMatrix) -> Equilibrium:
+    """Exact equilibrium of the matrix game (rows maximize).
+
+    A column-generation (double-oracle) loop: solve the restricted matrix
+    on the integer tableau, add each side's exact best response that beats
+    the restricted value, and stop when neither does.  A matrix of at most
+    ``DEFAULT_SIMPLEX_CAP`` cells starts with every row and column, so its
+    first restricted LP is the whole matrix; a larger one starts from its
+    first row and column.  The result always passes
+    :func:`verify_equilibrium`; a failure raises :class:`GameError`.
+    """
     num = m.num
-    rset: list[int] = [0]
-    cset: list[int] = [0]
+    n_rows, n_cols = m.shape
+    if n_rows == 0 or n_cols == 0:
+        raise GameError("empty payoff matrix")
+    whole = n_rows * n_cols <= DEFAULT_SIMPLEX_CAP
+    rset = list(range(n_rows)) if whole else [0]
+    cset = list(range(n_cols)) if whole else [0]
     while True:
         sub = num[np.ix_(rset, cset)].tolist()
         value, row_local, col_local = _solve_int_matrix(sub, m.den)
@@ -466,25 +473,8 @@ def _solve_double_oracle(m: PayoffMatrix) -> Equilibrium:
             rset.append(i_best)
             improved = True
         if not improved:
-            return Equilibrium(value, row_mix, col_mix, m)
-
-
-def solve_zero_sum(m: PayoffMatrix) -> Equilibrium:
-    """Exact equilibrium of the matrix game (rows maximize).
-
-    Matrices of at most ``DEFAULT_SIMPLEX_CAP`` cells go straight to the
-    integer tableau; larger ones run the column-generation loop, whose
-    restricted solves use the same tableau.  The result always passes
-    :func:`verify_equilibrium`; a failure raises :class:`GameError`.
-    """
-    n_rows, n_cols = m.shape
-    if n_rows == 0 or n_cols == 0:
-        raise GameError("empty payoff matrix")
-    if n_rows * n_cols <= DEFAULT_SIMPLEX_CAP:
-        value, row_mix, col_mix = _solve_int_matrix(m.num.tolist(), m.den)
-        eq = Equilibrium(value, row_mix, col_mix, m)
-    else:
-        eq = _solve_double_oracle(m)
+            break
+    eq = Equilibrium(value, row_mix, col_mix, m)
     if not verify_equilibrium(m, eq):
         raise GameError("solver produced a non-equilibrium")
     return eq

@@ -52,6 +52,8 @@ def player_plan(g: ExtensiveGame, player: int) -> PlayerPlan:
         setattr(g, "_player_plans", cache)
     if player in cache:
         return cache[player]
+    if player not in (EXIST, UNIV):
+        raise GameError("reduced strategies exist for the two principal players only")
     infosets = g.information_partition(player)
     infoset = g.infoset
     # node ids are assigned parent-first, so one forward pass fills the table
@@ -175,8 +177,6 @@ def enumerate_reduced(g: ExtensiveGame, player: int,
     Raises :class:`BudgetError` as soon as the running count passes
     ``budget`` (the count reached is reported).
     """
-    if player not in (EXIST, UNIV):
-        raise GameError("reduced strategies exist for the two principal players only")
     plan = player_plan(g, player)
     k_total = len(plan.infosets)
     dtype = _action_dtype(plan)
@@ -226,8 +226,6 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
     states are the classes; walking back from them through the sets gives
     their first members' rows.
     """
-    if player not in (EXIST, UNIV):
-        raise GameError("reduced strategies exist for the two principal players only")
     plan = player_plan(g, player)
     k_total = len(plan.infosets)
     # per item, the last set that reads it (nodes are read at the end); bits

@@ -13,7 +13,6 @@ from ifgames import (
     Structure,
     build_semantic_game,
     export_dot,
-    information_partition,
     parse_formula,
     winner,
 )
@@ -57,11 +56,11 @@ def test_winner_rejects_nonterminal(mp_game):
 
 
 def test_matching_pennies_partition(mp_game):
-    exist = information_partition(mp_game, EXIST)
+    exist = mp_game.information_partition(EXIST)
     assert len(exist) == 1
     assert len(exist[0].members) == 2
     assert exist[0].actions == ("1", "2")
-    univ = information_partition(mp_game, UNIV)
+    univ = mp_game.information_partition(UNIV)
     assert len(univ) == 1 and univ[0].members == (0,)
 
 
@@ -79,7 +78,7 @@ def test_sb_game_shape(sb_game):
 
 
 def test_sb_slashed_disjunction_one_infoset(sb_game):
-    exist = information_partition(sb_game, EXIST)
+    exist = sb_game.information_partition(EXIST)
     slashed = [i for i in exist if len(i.members) == 4]
     assert len(slashed) == 1
     assert slashed[0].actions == ("L", "R")
@@ -137,7 +136,7 @@ def _indistinguishable(game, a, b, slash):
 def test_partition_matches_pairwise_relation(sb_game, mh_prime_game):
     for game in (sb_game, mh_prime_game):
         for player in (EXIST, UNIV):
-            partition = information_partition(game, player)
+            partition = game.information_partition(player)
             label_of = {}
             for info in partition:
                 for m in info.members:
@@ -157,13 +156,13 @@ def test_partition_matches_pairwise_relation(sb_game, mh_prime_game):
 def test_infoset_members_share_actions(mh_game, sb_game, fig1_game):
     for game in (mh_game, sb_game, fig1_game):
         for player in (EXIST, UNIV, NATURE):
-            for info in information_partition(game, player):
+            for info in game.information_partition(player):
                 assert len({game.actions(m) for m in info.members}) == 1
 
 
 def test_nature_infosets_singletons(sb_game, mh_chance_game):
     for game in (sb_game, mh_chance_game):
-        for info in information_partition(game, NATURE):
+        for info in game.information_partition(NATURE):
             assert len(info.members) == 1
 
 
@@ -171,7 +170,7 @@ def test_slash_free_same_infoset_same_assignment(sb_structure):
     phi = parse_formula("forall x exists t Awake(x,t)")
     game = build_semantic_game(sb_structure, phi)
     for player in (EXIST, UNIV):
-        for info in information_partition(game, player):
+        for info in game.information_partition(player):
             dicts = {tuple(sorted(game.assignment[m].as_dict().items()))
                      for m in info.members}
             assert len(dicts) == 1

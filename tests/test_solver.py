@@ -26,9 +26,7 @@ from ifgames import (
     classical_status,
     conditional_value,
     enumerate_reduced,
-    expected_payoff,
     follows,
-    information_partition,
     mixed_expected_payoff,
     negate,
     parse_event,
@@ -56,7 +54,6 @@ from ifgames.solver import (
     _chance_reach,
     _exact_mix_scores,
     _simplex_max,
-    _solve_double_oracle,
     _smallest_int_dtype,
     _solve_int_matrix,
 )
@@ -84,7 +81,7 @@ def cell(m, i, j):
 def fig1_row_kinds(game):
     """Map each reduced contestant strategy index to (guess, stick|switch|mixed)."""
     rows = enumerate_reduced(game, EXIST)
-    infos = information_partition(game, EXIST)
+    infos = game.information_partition(EXIST)
     out = {}
     for i, sigma in enumerate(rows):
         acts = dict(sigma.actions)
@@ -99,7 +96,7 @@ def fig1_row_kinds(game):
 def fig1_col_kinds(game):
     """Map each reduced host strategy index to (prize, low|high)."""
     cols = enumerate_reduced(game, UNIV)
-    infos = information_partition(game, UNIV)
+    infos = game.information_partition(UNIV)
     out = {}
     for j, tau in enumerate(cols):
         acts = dict(tau.actions)
@@ -128,8 +125,9 @@ def test_expected_payoff_fig3_cells(fig1_game):
     order_r, order_c = fig1_named_order(fig1_game)
     sigma1, sigma1p = rows[order_r[0]], rows[order_r[3]]
     tau1 = cols[order_c[0]]
-    assert expected_payoff(fig1_game, lam, sigma1, tau1) == 1
-    assert expected_payoff(fig1_game, lam, sigma1p, tau1) == 0
+    pure = MixedStrategy.pure
+    assert mixed_expected_payoff(fig1_game, lam, pure(sigma1), pure(tau1)) == 1
+    assert mixed_expected_payoff(fig1_game, lam, pure(sigma1p), pure(tau1)) == 0
 
 
 def test_expected_payoff_sb_always_tails(sb_game):
@@ -139,7 +137,8 @@ def test_expected_payoff_sb_always_tails(sb_game):
         lambda info: "R" if info.label == "@/0/0/1[]"
         else ("L" if "t=2,x=1" in info.label else "R"))
     tau = enumerate_reduced(sb_game, UNIV)[0]
-    assert expected_payoff(sb_game, lam, tails, tau) == F(3, 4)
+    assert mixed_expected_payoff(sb_game, lam, MixedStrategy.pure(tails),
+                                 MixedStrategy.pure(tau)) == F(3, 4)
 
 
 def test_build_matrix_fig1_matches_fig3(fig1_solution, fig1_game):
@@ -282,7 +281,8 @@ def test_build_matrix_cells_equal_expected_payoff(source, structure, nature):
     for i, sigma in enumerate(rows):
         for j, tau in enumerate(cols):
             assert cell(matrix, row_class[i], col_class[j]) == \
-                expected_payoff(game, lam, sigma, tau)
+                mixed_expected_payoff(game, lam, MixedStrategy.pure(sigma),
+                                      MixedStrategy.pure(tau))
 
 
 @pytest.mark.parametrize("source, structure, nature", [
@@ -623,7 +623,7 @@ def test_solve_int_matrix_direct():
     assert dict(rows) == {0: F(2, 3), 1: F(1, 3)}
 
 
-def test_direct_and_column_generation_agree():
+def test_direct_and_column_generation_agree(monkeypatch):
     import random as _random
     import numpy as _np
 
@@ -637,7 +637,9 @@ def test_direct_and_column_generation_agree():
         matrix = PayoffMatrix(None, None, num, den)
         value, row_mix, col_mix = _solve_int_matrix(num.tolist(), den)
         direct = Equilibrium(value, tuple(row_mix), tuple(col_mix), matrix)
-        oracle = _solve_double_oracle(matrix)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "DEFAULT_SIMPLEX_CAP", 0)
+            oracle = solve_zero_sum(matrix)
         assert direct.value == oracle.value, (trial, num, den)
         assert verify_equilibrium(matrix, direct)
         assert verify_equilibrium(matrix, oracle)
@@ -973,7 +975,7 @@ def test_simulate_deterministic_game(fig1_game):
     cols = enumerate_reduced(fig1_game, UNIV)
     sigma = MixedStrategy.pure(rows[0])
     tau = MixedStrategy.pure(cols[0])
-    exact = expected_payoff(fig1_game, lam, rows[0], cols[0])
+    exact = mixed_expected_payoff(fig1_game, lam, sigma, tau)
     report = simulate(fig1_game, lam, sigma, tau, plays=50, seed=9)
     assert report.win_frequency in (F(0), F(1))
     assert report.win_frequency == exact
@@ -1169,7 +1171,7 @@ def _sb_partial_mix(game):
     x = 2: undefined on the sets that a play reaches when the coin shows
     tails."""
     tails = _sb_mix(game, F(0)).support[0][0]
-    infosets = information_partition(game, EXIST)
+    infosets = game.information_partition(EXIST)
     partial = ReducedStrategy(game, EXIST, tuple(
         (k, act) for k, act in tails.actions if "x=2" not in infosets[k].label))
     return MixedStrategy(EXIST, [(tails, F(1, 2)), (partial, F(1, 2))])

@@ -16,7 +16,6 @@ from ifgames import (
     count_pure_strategies,
     enumerate_reduced,
     follows,
-    information_partition,
     outcome_distribution,
     parse_formula,
     parse_nature_strategy,
@@ -76,7 +75,7 @@ def test_follows_empty_strategy(sb_game):
 def test_follows_detects_deviation(mh_game):
     rows = enumerate_reduced(mh_game, EXIST)
     sigma = rows[0]  # first strategy: initial y := 1 everywhere reachable
-    infos = information_partition(mh_game, EXIST)
+    infos = mh_game.information_partition(EXIST)
     assert dict(sigma.actions)[0] == 0
     y2 = [n for n in mh_game.children[mh_game.children[mh_game.root][0]]
           if mh_game.move[n] == "2"]
@@ -101,7 +100,7 @@ def test_follows_monotone_on_prefixes(fig1_game):
 def test_fig1_stick_history_follow(fig1_game):
     # prize 1, guess 1, open 2, stick at 1: the all-stick strategy follows it
     rows = enumerate_reduced(fig1_game, EXIST)
-    infos = information_partition(fig1_game, EXIST)
+    infos = fig1_game.information_partition(EXIST)
     sigma1 = reduced_from_rules(
         fig1_game, EXIST,
         lambda info: "1" if info.label == "@a[]" else
@@ -174,7 +173,7 @@ def test_reduced_extension_outcome_invariance(fig1_game, sb_game):
         lam = uniform_nature(game)
         rows = enumerate_reduced(game, EXIST)
         cols = enumerate_reduced(game, UNIV)
-        infosets = information_partition(game, EXIST)
+        infosets = game.information_partition(EXIST)
         for _ in range(10):
             sigma = rows[rng.randrange(len(rows))]
             tau = cols[rng.randrange(len(cols))]
