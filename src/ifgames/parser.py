@@ -436,12 +436,16 @@ def parse_structure(src: str) -> Structure:
             if not m:
                 raise ParseError("malformed const line (want const name = element)",
                                  lineno, 1)
+            if m.group(1) in constants:
+                raise ParseError(f"constant {m.group(1)} declared twice", lineno, 1)
             constants[m.group(1)] = m.group(2)
         elif head == "func":
             m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)/([0-9]+)\s*:\s*(.*)$", rest)
             if not m:
                 raise ParseError("malformed func line", lineno, 1)
             name, arity = m.group(1), int(m.group(2))
+            if name in functions:
+                raise ParseError(f"function {name} declared twice", lineno, 1)
             table: dict[tuple[str, ...], str] = {}
             for entry in m.group(3).split(";"):
                 entry = entry.strip()
@@ -451,6 +455,9 @@ def parse_structure(src: str) -> Structure:
                 if not em:
                     raise ParseError("malformed func entry (want (a,b) -> c)", lineno, 1)
                 key = tuple(x.strip() for x in em.group(1).split(","))
+                if key in table:
+                    raise ParseError(
+                        f"function {name} maps ({','.join(key)}) twice", lineno, 1)
                 table[key] = em.group(2)
             functions[name] = (arity, table)
         else:
@@ -519,21 +526,33 @@ def parse_nature_strategy(src: str, game: ExtensiveGame):
     """Read a ``.nat`` file against a built game.
 
     Each rule fixes the distribution of one chance variable (or, keyed by
-    ``@occurrence``, one chance-or point), optionally guarded by values of
-    variables assigned earlier in the history.  Decision points no rule
-    covers default to the uniform distribution.
+    ``@occurrence``, one chance-or point; in a ``.game`` file, one chance
+    node's ``info=`` label), optionally guarded by values of variables
+    assigned earlier in the history.  A rule whose key names no chance
+    point of the game raises :class:`NatureStrategyError`; a guard that
+    matches no history is allowed.  Decision points no rule covers default
+    to the uniform distribution.
     """
     rules = _parse_nature_rules(src)
-    dists = dict(uniform_nature(game).dists)
+    keys: dict[int, str] = {}
     for node in game.chance_nodes():
-        actions = game.actions(node)
         sub = game.subformula_at(node) if isinstance(game, SemanticGame) else None
         if isinstance(sub, ChanceQ):
-            key = sub.var
+            keys[node] = sub.var
         elif game.occ[node] is not None:
-            key = "@" + occurrence_label(game.occ[node])
+            keys[node] = "@" + occurrence_label(game.occ[node])
         else:
-            key = game.info_label[node] or ""
+            keys[node] = game.info_label[node] or ""
+    known = set(keys.values())
+    for rule in rules:
+        if rule.key not in known:
+            raise NatureStrategyError(
+                f"rule at line {rule.lineno} is keyed by {rule.key!r}, which "
+                f"names no chance point of the game"
+            )
+    dists = dict(uniform_nature(game).dists)
+    for node, key in keys.items():
+        actions = game.actions(node)
         assignment = game.assignment[node].as_dict()
         chosen: _NatureRule | None = None
         for rule in rules:

@@ -51,6 +51,45 @@ def test_value_with_nature_file(capsys):
     assert "value = 2/9" in out
 
 
+def test_nature_rule_naming_no_chance_point(capsys, tmp_path):
+    # a misspelt key used to leave the coin uniform (value 1/4, exit 0)
+    typo = tmp_path / "typo.nat"
+    typo.write_text("zz : 0 -> 1/3, 1 -> 2/3\n")
+    code, out, err = run(capsys, "value",
+                         corpus_path("stochastic_matching_pennies.if"),
+                         corpus_path("binary.struct"), "--nature", str(typo))
+    assert (code, out) == (1, "")
+    assert err == ("error: rule at line 1 is keyed by 'zz', which names no "
+                   "chance point of the game\n")
+
+
+def test_nature_occurrence_key(capsys, tmp_path):
+    sentence = tmp_path / "coin.if"
+    sentence.write_text("forall x ((x = x) >< (x != x))\n")
+    nature = tmp_path / "coin.nat"
+    nature.write_text("@/0 : L -> 1/3, R -> 2/3\n")
+    argv = ["value", str(sentence), corpus_path("binary.struct"),
+            "--nature", str(nature)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("value = 1/3\n")
+    # a key naming no occurrence used to leave the coin uniform (value 1/2)
+    nature.write_text("@/1 : L -> 1/3, R -> 2/3\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "keyed by '@/1'" in err
+
+
+def test_structure_declared_twice(capsys, tmp_path):
+    # the last definition used to win silently (value 0, exit 0)
+    sentence = tmp_path / "c.if"
+    sentence.write_text("c = 1\n")
+    structure = tmp_path / "c.struct"
+    structure.write_text("universe 1 2\nconst c = 1\nconst c = 2\n")
+    code, out, err = run(capsys, "value", str(sentence), str(structure))
+    assert (code, out, err) == (1, "", "error: 3:1: constant c declared twice\n")
+
+
 CHANCE_GAME = """\
 player=chance info=c
   action=a p=1/4 player=I info=i
@@ -254,6 +293,17 @@ def test_corpus_filter(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
     assert all("sleeping" in l for l in lines)
+
+
+def test_corpus_structured_matches_text(capsys):
+    code, out, _ = run(capsys, "corpus")
+    assert code == 0
+    summary = out.splitlines()[-1]
+    code, out, _ = run(capsys, "corpus", "--format", "structured")
+    assert code == 0
+    payload = json.loads(out)
+    assert all(entry["passed"] and entry["error"] is None for entry in payload)
+    assert summary == f"{len(payload)}/{len(payload)} corpus checks passed"
 
 
 def test_corpus_filter_matching_nothing(capsys):

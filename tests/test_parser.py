@@ -128,6 +128,16 @@ def test_slashed_name_stays_free():
         build_semantic_game(parse_structure("universe 0 1\n"), phi)
 
 
+def test_nested_function_terms_round_trip():
+    phi = parse_formula("forall x R(f(g(x)))")
+    assert phi == Forall("x", frozenset(), Literal(RelAtom(
+        "R", (App("f", (App("g", (Var("x"),)),)),))))
+    assert format_formula(phi) == "forall x (R(f(g(x))))"
+    assert parse_formula(format_formula(phi)) == phi
+    chain = parse_formula("forall x f(g(x), x) = x")
+    assert parse_formula(format_formula(chain)) == chain
+
+
 def test_round_trip_random_sentences():
     for seed in range(300):
         phi = parse_formula(seeded_sentence(seed)[0])
@@ -158,6 +168,41 @@ def test_parse_structure_errors():
         parse_structure("universe 1 2\nrel R/2: (1)")
     with pytest.raises(ParseError):
         parse_structure("rel R/1: (1)")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("universe 1\nuniverse 2", "2:1: universe declared twice"),
+    ("universe 1 1", "1:1: duplicate universe element"),
+    ("universe 1\nrel R: (1)",
+     "2:1: malformed rel line (want rel Name/k: (a,b) ...)"),
+    ("universe 1\nrel R/1: (1)\nrel R/1: (1)", "3:1: relation R declared twice"),
+    ("universe 1\nrel R/1: 1", "2:1: expected a tuple, found '1'"),
+    ("universe 1 2\nrel R/2: (1)", "2:1: relation R/2 given a 1-tuple"),
+    ("universe 1\nconst c 1",
+     "2:1: malformed const line (want const name = element)"),
+    ("universe 1 2\nconst c = 1\nconst c = 2", "3:1: constant c declared twice"),
+    ("universe 1\nfunc f: (1) -> 1", "2:1: malformed func line"),
+    ("universe 1\nfunc f/1: (1) -> 1\nfunc f/1: (1) -> 1",
+     "3:1: function f declared twice"),
+    ("universe 1\nfunc f/1: (1) 1",
+     "2:1: malformed func entry (want (a,b) -> c)"),
+    ("universe 1 2\nfunc f/1: (1) -> 1; (1) -> 2; (2) -> 2",
+     "2:1: function f maps (1) twice"),
+    ("universe 1\nfoo bar", "2:1: unknown declaration 'foo'"),
+    ("rel R/1: (1)", "1:1: structure has no universe line"),
+    ("", "1:1: structure has no universe line"),
+    # the structure's own checks carry no position
+    ("universe", "empty universe"),
+    ("universe 1 2 3\nrel R/2: (1,4)", "relation R mentions unknown element '4'"),
+    ("universe 1\nconst c = 2", "constant c names unknown element '2'"),
+    ("universe 1\nfunc f/2: (1) -> 1", "function f/2 keyed by bad tuple"),
+    ("universe 1\nfunc f/1: (2) -> 1", "function f mentions unknown element"),
+    ("universe 1 2\nfunc f/1: (1) -> 1", "function f/1 is not total"),
+])
+def test_structure_diagnostics(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert str(err.value) == message
 
 
 def test_parse_structure_constants_functions():
@@ -201,6 +246,86 @@ def test_nature_rule_errors(sb_game, smp_game):
     with pytest.raises(NatureStrategyError):
         # t guarded on a variable assigned later in the history
         parse_nature_strategy("x | t=1 : 1 -> 1, 2 -> 0", sb_game)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("z 0 -> 1", ParseError,
+     "1:1: malformed rule (want var [| guard] : v -> p, ...)"),
+    ("z | x : 0 -> 1", ParseError, "1:1: malformed guard 'x'"),
+    ("z : 0 1", ParseError, "1:1: malformed mass entry '0 1'"),
+    ("z : 0 -> 1/2, 0 -> 1/2", ParseError, "1:1: value 0 listed twice"),
+    ("z : 0 -> x", ParseError, "1:1: bad probability 'x'"),
+    ("z : 0 -> 1/0", ParseError, "1:1: bad probability '1/0'"),
+    ("z : 0 -> -1, 1 -> 2", ParseError, "1:1: negative probability -1"),
+    ("zz : 0 -> 1/3, 1 -> 2/3", NatureStrategyError,
+     "rule at line 1 is keyed by 'zz', which names no chance point of the game"),
+    ("# comment\n\nz : 0 -> 1 ; y : 0 -> 1", NatureStrategyError,
+     "rule at line 3 is keyed by 'y', which names no chance point of the game"),
+    ("z | q=1 : 0 -> 1", NatureStrategyError,
+     "rule at line 1 tests q, which is not yet assigned at that decision point"),
+    ("z : 2 -> 1", NatureStrategyError,
+     "rule at line 1 mentions '2', not an available action at that decision "
+     "point"),
+    ("z : 0 -> 1/3, 1 -> 1/3", NatureStrategyError,
+     "rule at line 1: probabilities do not sum to 1"),
+])
+def test_nature_rule_diagnostics(smp_game, text, error, message):
+    with pytest.raises(error) as err:
+        parse_nature_strategy(text, smp_game)
+    assert str(err.value) == message
+
+
+def test_nature_guard_matching_no_history_is_allowed(smp_game):
+    lam = parse_nature_strategy("z | x=5 : 0 -> 1", smp_game)
+    uniform = uniform_nature(smp_game)
+    for node in smp_game.chance_nodes():
+        assert lam.distribution(node) == uniform.distribution(node)
+
+
+def test_nature_occurrence_key_on_chance_or(binary):
+    game = build_semantic_game(binary,
+                               parse_formula("forall x ((x = x) >< (x != x))"))
+    lam = parse_nature_strategy("@/0 : L -> 1/3, R -> 2/3", game)
+    for node in game.chance_nodes():
+        assert lam.distribution(node) == (Fraction(1, 3), Fraction(2, 3))
+    with pytest.raises(NatureStrategyError, match="keyed by '@/1'"):
+        parse_nature_strategy("@/1 : L -> 1/3, R -> 2/3", game)
+
+
+TWO_LEVEL_GAME = """\
+player=I info=a
+  action=l player=II info=b
+    action=x win=I
+    action=y win=II
+  action=r player=I info=c
+    action=u win=I
+    action=v win=II
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("junk row 1 { @a[] -> l }", "unexpected text 'junk'"),
+    ("row 1 { @a[] -> l } junk", "unexpected text 'junk'"),
+    ("row 1 { @a[] l }", "malformed strategy line '@a[] l'"),
+    ("row 1 { @z[] -> l }", "unknown information set '@z[]'"),
+    ("row 1 { @a[] -> q }", "unknown action 'q' at @a[]"),
+    ("row 1 { @a[] -> l\n @a[] -> l }", "information set @a[] listed twice"),
+    ("row 1 { @a[] -> r }", "strategy line missing for reachable set @c[]"),
+    ("row 1 { @a[] -> l\n @c[] -> u }",
+     "lines for unreachable information sets ['@c[]']"),
+    ("col 1 { @b[] -> x }",
+     "profile gives no row strategies but that player has decision points"),
+    ("row 1 { @a[] -> l }",
+     "profile gives no col strategies but that player has decision points"),
+    ("row 1 { @a[] -> l }\ncol 1 { @a[] -> l }", "unknown information set '@a[]'"),
+    ("row 1/2 { @a[] -> l }\ncol 1 { @b[] -> x }", "row masses sum to 1/2, not 1"),
+])
+def test_profile_diagnostics(text, message):
+    game = parse_extensive_game(TWO_LEVEL_GAME)
+    parse_profile("row 1 { @a[] -> l }\ncol 1 { @b[] -> x }", game)
+    with pytest.raises(ProfileError) as err:
+        parse_profile(text, game)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("mass", ["abc", "1/0"])
@@ -262,6 +387,39 @@ def test_game_chance_infosets_must_be_singletons():
     with pytest.raises(ParseError) as err:
         parse_extensive_game(bad)
     assert "singleton" in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    (" win=I", "1:1: indentation must be a multiple of two spaces"),
+    ("player=I info=r garbage", "1:1: malformed field 'garbage'"),
+    ("win=I win=II", "1:1: field win repeated"),
+    ("win=I\nwin=II", "2:1: multiple root nodes"),
+    ("action=a win=I", "1:1: root cannot carry an action"),
+    ("player=I info=r\n    action=a win=I",
+     "2:1: node has no parent at the previous depth"),
+    ("win=I\n  action=a win=II", "2:1: unreachable node declared under a terminal"),
+    ("player=I info=r\n  win=I", "2:1: non-root node needs action="),
+    ("win=III", "1:1: win must be I or II"),
+    ("win=I player=I", "1:1: terminal lines carry only action/win/p"),
+    ("info=r", "1:1: internal node needs player="),
+    ("player=III info=r", "1:1: player must be I, II or chance"),
+    ("player=I", "1:1: internal node needs info="),
+    ("player=chance info=c\n  action=h win=I", "2:1: children of chance nodes need p="),
+    ("win=I colour=red", "1:1: unknown fields ['colour']"),
+    ("", "1:1: empty game file"),
+    ("# a comment only", "1:1: empty game file"),
+    ("player=chance info=c\n  action=h p=x win=I", "2:1: bad probability 'x'"),
+    ("player=chance info=c\n  action=h p=-1 win=I\n  action=t p=2 win=II",
+     "2:1: negative probability -1"),
+    # the game's own checks carry no position
+    ("player=I info=r", "nonterminal history 0 has no actions"),
+    ("player=chance info=c\n  action=h p=1/2 win=I\n  action=t p=1/3 win=II",
+     "chance probabilities at node 0 do not sum to 1"),
+])
+def test_game_diagnostics(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_extensive_game(text)
+    assert str(err.value) == message
 
 
 def test_single_terminal_game():

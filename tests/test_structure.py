@@ -133,3 +133,15 @@ def test_suitable_arity_mismatch(sb_structure):
     phi = parse_formula("forall x Awake(x)")
     diag = suitable(sb_structure, phi)
     assert isinstance(diag, str) and "arity" in diag
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    ("forall x R(f(f(x)))", True),
+    ("forall x R(f(g(x)))", "function g uninterpreted"),
+    ("forall x R(f(x, x))", "function f arity mismatch"),
+    ("forall x f(f(c)) = x", "constant c uninterpreted"),
+])
+def test_suitable_nested_function_terms(text, diagnostic):
+    m = Structure(("1", "2"), relations={"R": (1, frozenset({("1",)}))},
+                  functions={"f": (1, {("1",): "2", ("2",): "1"})})
+    assert suitable(m, parse_formula(text)) == diagnostic
