@@ -55,8 +55,7 @@ class InfoSet:
 class ExtensiveGame:
     """Win-lose extensive game with imperfect information and chance moves."""
 
-    def __init__(self, name: str = "game"):
-        self.name = name
+    def __init__(self):
         self.parent: list[int] = []
         self.children: list[list[int]] = []
         # position of each node among its parent's children (-1 at the root)
@@ -230,8 +229,8 @@ class ExtensiveGame:
 class SemanticGame(ExtensiveGame):
     """The semantic evaluation game of a sentence on a suitable structure."""
 
-    def __init__(self, structure: Structure, phi: Formula, name: str = "semantic game"):
-        super().__init__(name)
+    def __init__(self, structure: Structure, phi: Formula):
+        super().__init__()
         self.structure = structure
         self.formula = phi
         self.occ_list = occurrences(phi)

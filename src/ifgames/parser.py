@@ -586,14 +586,14 @@ def parse_nature_strategy(src: str, game: ExtensiveGame):
 
 # ------------------------------------------------------------- game files
 
-def parse_extensive_game(src: str, name: str = "game") -> ExtensiveGame:
+def parse_extensive_game(src: str) -> ExtensiveGame:
     """Read a ``.game`` file: one node per line, two-space indentation.
 
     Internal nodes carry ``player=`` and ``info=``; non-root nodes carry the
     ``action=`` that leads to them; terminals carry ``win=``; children of
     chance nodes carry ``p=``.
     """
-    game = ExtensiveGame(name)
+    game = ExtensiveGame()
     player_codes = {"I": EXIST, "II": UNIV, "chance": NATURE}
     # stack of (depth, node id); node ids per depth
     stack: list[tuple[int, int]] = []

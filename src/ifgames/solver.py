@@ -45,6 +45,7 @@ from .strategy import (
     MixedStrategy,
     ReducedStrategy,
     StrategyList,
+    _smallest_int_dtype,
     follow_classes,
     outcome_distribution,
     uniform_nature,
@@ -116,13 +117,6 @@ def _chance_reach(g: ExtensiveGame, lam: BehavioralStrategy) -> list[Fraction]:
         else:
             reach.append(reach[at])
     return reach
-
-
-def _smallest_int_dtype(max_value: int):
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        if max_value <= np.iinfo(dtype).max:
-            return dtype
-    raise GameError("payoff denominators exceed 64-bit integers")
 
 
 def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
@@ -701,8 +695,9 @@ class _Sampler:
             for index, act in strategy.actions:
                 actions[k, index] = act
         self.actions = actions.ravel()
-        self.row_skip, row_bounds = _thresholds(tuple(w for _, w in row_mix))
-        self.col_skip, col_bounds = _thresholds(tuple(w for _, w in col_mix))
+        # a mix holds no zero mass, so its first strategy is never skipped
+        _, row_bounds = _thresholds(tuple(w for _, w in row_mix))
+        _, col_bounds = _thresholds(tuple(w for _, w in col_mix))
         self.row_bounds = np.array(row_bounds, dtype=np.uint64)
         self.col_bounds = np.array(col_bounds, dtype=np.uint64)
         self.n_rows = len(row_mix.support)
@@ -719,11 +714,9 @@ class _Sampler:
         Every step gathers from 1-d arrays, which numpy does several times
         faster than from rows of 2-d ones.
         """
-        row = self.columns * (
-            self.row_skip + np.searchsorted(self.row_bounds, words[:starts]))
+        row = self.columns * np.searchsorted(self.row_bounds, words[:starts])
         col = self.columns * (
-            self.n_rows + self.col_skip
-            + np.searchsorted(self.col_bounds, words[1:starts + 1]))
+            self.n_rows + np.searchsorted(self.col_bounds, words[1:starts + 1]))
         node = np.zeros(starts, dtype=np.intp)
         pos = np.arange(2, starts + 2)
         for _ in range(self.levels):

@@ -97,10 +97,7 @@ class ReducedStrategy:
                  actions: dict[int, int] | tuple[tuple[int, int], ...]):
         self.game = game
         self.player = player
-        if isinstance(actions, dict):
-            self.actions = tuple(sorted(actions.items()))
-        else:
-            self.actions = tuple(sorted(actions))
+        self.actions = tuple(sorted(dict(actions).items()))
 
     def action_at(self, infoset_index: int) -> int | None:
         for idx, act in self.actions:
@@ -143,18 +140,21 @@ class StrategyList(Sequence):
     def __len__(self) -> int:
         return len(self.table)
 
-    def __getitem__(self, i) -> ReducedStrategy:
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> ReducedStrategy:
         row = self.table[range(len(self))[i]]
         actions = {k: int(a) for k, a in enumerate(row) if a >= 0}
         return ReducedStrategy(self.game, self.player, actions)
 
 
-def _action_dtype(plan: PlayerPlan):
-    if len(plan.action_counts) == 0 or plan.action_counts.max() < 127:
-        return np.int8
-    return np.int16
+def _smallest_int_dtype(max_value: int):
+    """The narrowest signed integer type that holds ``0..max_value``: the
+    one width rule for the integer tables of strategies and payoffs.  Action
+    counts and walk positions stay below 2**63 (see :func:`follow_classes`),
+    so only a payoff denominator can be too wide."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if max_value <= np.iinfo(dtype).max:
+            return dtype
+    raise GameError("payoff denominators exceed 64-bit integers")
 
 
 def _reachable_rows(plan: PlayerPlan, k: int, table: np.ndarray) -> np.ndarray:
@@ -179,7 +179,7 @@ def enumerate_reduced(g: ExtensiveGame, player: int,
     """
     plan = player_plan(g, player)
     k_total = len(plan.infosets)
-    dtype = _action_dtype(plan)
+    dtype = _smallest_int_dtype(int(plan.action_counts.max(initial=0)))
     table = np.full((1, k_total), -1, dtype=dtype)
     for k in range(k_total):
         reach = _reachable_rows(plan, k, table)
@@ -241,7 +241,7 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
     bit = {constraints: i for i, constraints in enumerate(items)}
     words = [sum(1 for c in items if last[c] > k) // 64 + 1
              for k in range(k_total)]
-    widest = int(plan.action_counts.max()) if k_total else 0
+    widest = int(plan.action_counts.max(initial=0))
     reach = np.zeros((k_total, len(bit)), dtype=bool)
     # keep[k, a]: the items that action a at set k allows and that later sets
     # or the nodes still read; row ``widest`` is for states that pass through
@@ -267,8 +267,8 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
     # a count grows at most ``widest``-fold per set, so int64 counts stay
     # exact below this limit; positions stay below it too
     limit = min(budget, (2**63 - 1) // max(widest, 1))
-    position = np.int32 if limit < 2**31 else np.int64
-    dtype = _action_dtype(plan)
+    position = _smallest_int_dtype(limit)
+    dtype = _smallest_int_dtype(widest)
     steps = []
     for k in range(k_total):
         live = np.zeros(states.shape[1], dtype=bool)

@@ -78,7 +78,7 @@ def phi_sb_prime():
 
 @pytest.fixture(scope="session")
 def fig1_game():
-    return parse_extensive_game(corpus_text("monty_hall.game"), "monty-hall")
+    return parse_extensive_game(corpus_text("monty_hall.game"))
 
 
 @pytest.fixture(scope="session")

@@ -205,3 +205,15 @@ def test_counts_beyond_int64_stop_at_the_exact_limit():
     limit = (2**63 - 1) // 64
     assert (info.value.limit, info.value.reached) == (limit, 64**10)
     assert follow_classes(game, UNIV, _wins(game), budget=10**30)[2] == 64
+
+
+@pytest.mark.parametrize("n", [129, 32_769])
+def test_wide_set_keeps_its_last_action(n):
+    # one verifier set of n actions; only the last one wins, and a table
+    # too narrow for n - 1 would lose it
+    universe = " ".join(str(i) for i in range(1, n + 1))
+    game, _ = load_game(f"exists y (y = {n})", f"universe {universe}\n", None)
+    rows, follow, count = follow_classes(game, EXIST, _wins(game))
+    assert count == n
+    assert rows.table[follow[:, 0], 0].tolist() == [n - 1]
+    assert enumerate_reduced(game, EXIST).table[n - 1].tolist() == [n - 1]

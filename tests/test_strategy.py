@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ifgames import (
@@ -22,6 +23,7 @@ from ifgames import (
     reduced_from_rules,
     uniform_nature,
 )
+from ifgames.strategy import _smallest_int_dtype
 
 
 def test_fig1_reduced_counts(fig1_game):
@@ -206,3 +208,18 @@ def test_strategy_lines_round_trip_identity(fig1_game):
         seen.add(lines)
         for line in lines:
             assert " -> " in line and line.startswith("@")
+
+
+@pytest.mark.parametrize("max_value, dtype", [
+    (127, np.int8), (128, np.int16),
+    (32_767, np.int16), (32_768, np.int32),
+    (2**31 - 1, np.int32), (2**31, np.int64),
+    (2**63 - 1, np.int64),
+])
+def test_smallest_int_dtype(max_value, dtype):
+    assert _smallest_int_dtype(max_value) is dtype
+
+
+def test_smallest_int_dtype_beyond_int64():
+    with pytest.raises(GameError):
+        _smallest_int_dtype(2**63)
