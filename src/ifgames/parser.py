@@ -451,10 +451,10 @@ def parse_structure(src: str) -> Structure:
                 entry = entry.strip()
                 if not entry:
                     continue
-                em = re.match(r"\(([^)]*)\)\s*->\s*(\S+)$", entry)
+                em = re.match(r"(\([^)]*\))\s*->\s*(\S+)$", entry)
                 if not em:
                     raise ParseError("malformed func entry (want (a,b) -> c)", lineno, 1)
-                key = tuple(x.strip() for x in em.group(1).split(","))
+                [key] = _parse_tuples(em.group(1), lineno)
                 if key in table:
                     raise ParseError(
                         f"function {name} maps ({','.join(key)}) twice", lineno, 1)

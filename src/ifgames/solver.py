@@ -656,12 +656,19 @@ class _Sampler:
     mix's strategies first, then the column mix's) at information set
     ``c``.  Where the strategy is undefined it holds ``stride - 1``, a
     padding entry, so the play stays at that decision node.
+
+    The children and bounds grow as nodes times the widest node; more than
+    ``DEFAULT_CELL_BUDGET`` cells of them raise :class:`BudgetError` before
+    any is allocated.
     """
 
     def __init__(self, g: ExtensiveGame, lam: BehavioralStrategy,
                  row_mix: MixedStrategy, col_mix: MixedStrategy):
         n = len(g)
         arity = max(len(kids) for kids in g.children)
+        cells = n * (arity + 1 + max(arity - 1, 0))  # children and bounds
+        if cells > DEFAULT_CELL_BUDGET:
+            raise BudgetError("sampler cell", DEFAULT_CELL_BUDGET, cells)
         self.stride = arity + 1
         self.owner = np.array(g.owner, dtype=np.int8)
         self.is_univ = self.owner == UNIV

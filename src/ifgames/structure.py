@@ -62,9 +62,10 @@ class Structure:
                     raise StructureError(f"function {name} mentions unknown element")
             if len(table) != len(self.universe) ** arity:
                 raise StructureError(f"function {name}/{arity} is not total")
+        self._elements = frozenset(seen)
 
     def has_element(self, name: str) -> bool:
-        return name in set(self.universe)
+        return name in self._elements
 
 
 class Assignment:

@@ -151,6 +151,45 @@ def test_follow_cell_budget_exit_code_two(capsys, monkeypatch):
     assert "follow cell budget exceeded: limit 31, reached 155" in err
 
 
+def test_sampler_cell_budget_exit_code_two(capsys, monkeypatch):
+    # 23 nodes, at most 2 children: 23 x 3 padded children plus 23 x 1 bounds
+    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 91)
+    code, out, err = run(capsys, "simulate", corpus_path("phi_sb.if"),
+                         corpus_path("sleeping_beauty.struct"),
+                         "--profile", corpus_path("sb_tails.profile"))
+    assert (code, out) == (2, "")
+    assert "sampler cell budget exceeded: limit 91, reached 92" in err
+
+
+def _wide_set(tmp_path, n):
+    """``exists y (y = n)`` on the universe 1..n: one verifier set of n
+    actions, of which the last wins."""
+    formula, universe = tmp_path / "last.if", tmp_path / "wide.struct"
+    formula.write_text(f"exists y (y = {n})\n")
+    universe.write_text("universe " + " ".join(map(str, range(1, n + 1))) + "\n")
+    return str(formula), str(universe)
+
+
+def test_set_wider_than_int16(capsys, tmp_path):
+    wide = _wide_set(tmp_path, 32_769)
+    code, out, _ = run(capsys, "value", *wide)
+    assert code == 0
+    assert "value = 1" in out.splitlines()
+    assert "  1  @/[] -> 32769" in out.splitlines()
+    code, out, _ = run(capsys, "condition", *wide, "--solve")
+    assert code == 0
+    assert "conditional value = 1" in out.splitlines()
+
+
+def test_sampler_cell_budget_on_a_wide_set(capsys, tmp_path):
+    # 40,001 nodes padded to 40,001 children and 39,999 bounds each: the
+    # arrays would take 23.8 GiB, so the budget stops them first
+    code, out, err = run(capsys, "simulate", *_wide_set(tmp_path, 40_000),
+                         "--solve", "--plays", "1")
+    assert (code, out) == (2, "")
+    assert "sampler cell budget exceeded: limit 100000000, reached 3200080000" in err
+
+
 def test_nonpositive_cap_exit_code_one(capsys):
     code, _, err = run(capsys, "value", corpus_path("phi_mh.if"),
                        corpus_path("doors3.struct"), "--budget", "0")

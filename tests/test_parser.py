@@ -212,6 +212,13 @@ def test_parse_structure_constants_functions():
     assert m.functions["swap"] == (1, {("a",): "b", ("b",): "a"})
 
 
+def test_parse_structure_nullary_function():
+    # ``()`` is the empty tuple in function tables, as in relations
+    m = parse_structure("universe 1 2\nrel P/0: ()\nfunc c/0: () -> 1")
+    assert m.relations["P"] == (0, frozenset({()}))
+    assert m.functions["c"] == (0, {(): "1"})
+
+
 def test_nature_biased_coin(smp_game):
     lam = parse_nature_strategy("z : 0 -> 1/3, 1 -> 2/3", smp_game)
     for node in smp_game.chance_nodes():
