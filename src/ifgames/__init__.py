@@ -86,6 +86,6 @@ from .strategy import (
     reduced_from_rules,
     uniform_nature,
 )
-from .structure import Assignment, Structure, eval_literal, suitable
+from .structure import Assignment, Structure, compile_literal
 
 __version__ = "0.1.0"

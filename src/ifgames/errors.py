@@ -19,11 +19,16 @@ class ParseError(IfGameError):
 
 
 class StructureError(IfGameError):
-    """Ill-formed finite structure (duplicate elements, bad tuples, arity)."""
+    """Ill-formed finite structure (duplicate elements, bad tuples, arity),
+    or one that leaves a symbol of a compiled literal uninterpreted."""
 
 
 class EvaluationError(IfGameError):
-    """Unbound variable or uninterpreted symbol during literal evaluation."""
+    """A compiled literal read a variable its assignment leaves unbound.
+
+    A symbol the structure does not interpret is found when the literal is
+    compiled, as a :class:`StructureError`; a game's literals are all
+    compiled before it is built."""
 
 
 class GameError(IfGameError):

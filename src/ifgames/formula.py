@@ -27,7 +27,7 @@ class Var:
 
 @dataclass(frozen=True)
 class Const:
-    """Constant symbol: a declared constant or a universe-element name."""
+    """Bare name: a declared constant, a 0-ary function or a universe element."""
 
     name: str
 
@@ -77,12 +77,6 @@ class ChainAtom:
             raise ValueError("chain literal needs two or three terms")
         if len(self.rels) != len(self.terms) - 1:
             raise ValueError("chain relation count must be term count - 1")
-
-    def constraints(self) -> tuple[tuple[Term, str, Term], ...]:
-        return tuple(
-            (self.terms[i], self.rels[i], self.terms[i + 1])
-            for i in range(len(self.rels))
-        )
 
 
 Atom = Union[RelAtom, ChainAtom]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, GameError
+from .errors import BudgetError, GameError, StructureError
 from .formula import (
     And,
     ChanceOr,
@@ -27,7 +27,7 @@ from .formula import (
     occurrence_label,
     occurrences,
 )
-from .structure import Assignment, Structure, eval_literal, suitable
+from .structure import Assignment, Structure, compile_literal
 
 EXIST, UNIV, NATURE = 0, 1, 2
 TERMINAL = -1
@@ -258,24 +258,28 @@ def build_semantic_game(m: Structure, phi: Formula,
 
     Quantifier and chance-quantifier nodes branch once per universe element;
     connective nodes branch to their two child occurrences; play ends at
-    literals, where the winner is decided by literal evaluation under the
-    induced assignment.
+    literals, where the winner is decided by the literal's compiled truth
+    test under the induced assignment.  Every literal occurrence is compiled,
+    in preorder, before any node is built, so an unsuitable structure is
+    reported before the node cap can fire.
     """
     fv = free_variables(phi)
     if fv:
         raise GameError(f"not a sentence: free variables {sorted(fv)}")
-    diag = suitable(m, phi)
-    if diag is not True:
-        raise GameError(f"structure not suitable: {diag}")
-
     game = SemanticGame(m, phi)
+    try:
+        tests = {path: compile_literal(m, sub) for path, sub in game.occ_list
+                 if isinstance(sub, Literal)}
+    except StructureError as exc:
+        raise GameError(f"structure not suitable: {exc}") from exc
+
     stack: list[tuple[OccurrenceId, Formula, int, str, Assignment]] = [
         ((), phi, -1, "", Assignment.empty())
     ]
     while stack:
         path, sub, parent, move, s = stack.pop()
         if isinstance(sub, Literal):
-            winner = EXIST if eval_literal(m, s, sub) else UNIV
+            winner = EXIST if tests[path](s) else UNIV
             game.add_node(parent, move, TERMINAL, s, path, winner=winner)
             continue
         if isinstance(sub, (Or, And, ChanceOr)):

@@ -13,7 +13,10 @@ greedy (extends as far right as possible); a parenthesized quantifier like
 ``(exists y/{x})`` acts as a prefix to the formula after it.  Equality
 chains of up to three terms are single literals.  Numerals always denote
 universe elements; an alphabetic name is a variable when it is quantified
-or slashed somewhere in the sentence, and a constant symbol otherwise.
+or slashed somewhere in the sentence, and a constant symbol otherwise,
+which the structure reads as a constant, a 0-ary function or an element
+(``Structure.element``).  An application takes at least one argument, so
+``c()`` is not a term.
 
 Conditioning events (``not``, ``and``, ``or`` over relation atoms and
 equality chains of any length) are compiled by ``parse_event`` as they are
@@ -71,7 +74,7 @@ from .strategy import (
     player_plan,
     uniform_nature,
 )
-from .structure import Assignment, Structure
+from .structure import Assignment, Structure, chain_test, relation_test
 
 _QUANT_KEYWORDS = ("forall", "exists", "chance")
 
@@ -436,9 +439,13 @@ def parse_structure(src: str) -> Structure:
             if not m:
                 raise ParseError("malformed const line (want const name = element)",
                                  lineno, 1)
-            if m.group(1) in constants:
-                raise ParseError(f"constant {m.group(1)} declared twice", lineno, 1)
-            constants[m.group(1)] = m.group(2)
+            name = m.group(1)
+            if name in constants:
+                raise ParseError(f"constant {name} declared twice", lineno, 1)
+            if name in functions and functions[name][0] == 0:
+                raise ParseError(
+                    f"{name} is both a constant and a 0-ary function", lineno, 1)
+            constants[name] = m.group(2)
         elif head == "func":
             m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)/([0-9]+)\s*:\s*(.*)$", rest)
             if not m:
@@ -446,6 +453,9 @@ def parse_structure(src: str) -> Structure:
             name, arity = m.group(1), int(m.group(2))
             if name in functions:
                 raise ParseError(f"function {name} declared twice", lineno, 1)
+            if arity == 0 and name in constants:
+                raise ParseError(
+                    f"{name} is both a constant and a 0-ary function", lineno, 1)
             table: dict[tuple[str, ...], str] = {}
             for entry in m.group(3).split(";"):
                 entry = entry.strip()
@@ -802,7 +812,8 @@ def parse_event(src: str, game: ExtensiveGame) -> EventPredicate:
     Atoms are relation applications and equality/inequality chains; terms
     may be plain variables (their final value), history-indexed variables
     ``y#1`` / ``y#last`` (the k-th or last value assigned along the play),
-    elements, or constants of the game's structure.  Boolean structure via
+    or bare names that the game's structure resolves as a sentence's are
+    (``Structure.element``).  Boolean structure via
     ``and``/``or``/``not``, evaluated left to right: a binding the history
     lacks fails the event unless an ``and``/``or`` was already decided by
     its left side.
@@ -862,11 +873,10 @@ def parse_event(src: str, game: ExtensiveGame) -> EventPredicate:
         if name in variables:
             return reader(name, -1)
         # a game with no structure has no elements to name
-        if structure is None or not (name in structure.constants
-                                     or structure.has_element(name)):
+        element = None if structure is None else structure.element(name)
+        if element is None:
             raise EventError(f"{name!r} is neither a game variable, a constant, "
                              f"nor a universe element")
-        element = structure.constants.get(name, name)
         return lambda s: element
 
     def parse_atom():
@@ -883,7 +893,7 @@ def parse_event(src: str, game: ExtensiveGame) -> EventPredicate:
             arity, tuples = structure.relations[name]
             if len(args) != arity:
                 raise EventError(f"relation {name} expects {arity} arguments")
-            return lambda s: tuple(arg(s) for arg in args) in tuples
+            return relation_test(tuples, args)
         terms = [parse_eterm()]
         equal = []
         while ts.peek().text in ("=", "!="):
@@ -891,11 +901,7 @@ def parse_event(src: str, game: ExtensiveGame) -> EventPredicate:
             terms.append(parse_eterm())
         if not equal:
             ts.error("expected a comparison or relation atom")
-
-        def chain(s: Assignment) -> bool:
-            values = [term(s) for term in terms]
-            return all((a == b) == eq for a, b, eq in zip(values, values[1:], equal))
-        return chain
+        return chain_test(terms, equal)
 
     test = parse_or()
     if ts.peek().kind != "eof":

@@ -1,26 +1,26 @@
-"""Finite first-order structures and literal evaluation.
+"""Finite first-order structures, assignments, and the literal compiler.
 
 A structure interprets relation, constant and function symbols over a finite
 universe of named elements.  Universe elements are plain strings; numerals
 like ``1`` are element names, not integers.  Equality is built in and never a
-declared relation.
+declared relation.  A bare name denotes a constant's or a 0-ary function's
+value, else the element of that name (:meth:`Structure.element`).
+
+:func:`compile_literal` resolves a literal's symbols in a structure once and
+returns its Tarskian truth test of an :class:`Assignment`; the conditioning
+events of ``parser.parse_event`` are built from the same two tests.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import EvaluationError, StructureError
-from .formula import (
-    App,
-    Const,
-    Formula,
-    Literal,
-    RelAtom,
-    Term,
-    Var,
-    children,
-)
+from .formula import EQ, Const, Literal, RelAtom, Term, Var
+
+Value = Callable[["Assignment"], str]
+Test = Callable[["Assignment"], bool]
 
 
 @dataclass
@@ -33,11 +33,12 @@ class Structure:
     functions: dict[str, tuple[int, dict[tuple[str, ...], str]]] = field(default_factory=dict)
 
     def __post_init__(self):
-        seen: set[str] = set()
+        # every name a bare term may denote, mapped to the element it denotes
+        names: dict[str, str] = {}
         for el in self.universe:
-            if el in seen:
+            if el in names:
                 raise StructureError(f"duplicate universe element {el!r}")
-            seen.add(el)
+            names[el] = el
         if not self.universe:
             raise StructureError("empty universe")
         for name, (arity, tuples) in self.relations.items():
@@ -47,25 +48,31 @@ class Structure:
                         f"relation {name}/{arity} holds a tuple of length {len(tup)}"
                     )
                 for el in tup:
-                    if el not in seen:
+                    if el not in names:
                         raise StructureError(
                             f"relation {name} mentions unknown element {el!r}"
                         )
         for name, el in self.constants.items():
-            if el not in seen:
+            if el not in names:
                 raise StructureError(f"constant {name} names unknown element {el!r}")
         for name, (arity, table) in self.functions.items():
             for tup, val in table.items():
                 if len(tup) != arity:
                     raise StructureError(f"function {name}/{arity} keyed by bad tuple")
-                if any(el not in seen for el in tup) or val not in seen:
+                if any(el not in names for el in tup) or val not in names:
                     raise StructureError(f"function {name} mentions unknown element")
             if len(table) != len(self.universe) ** arity:
                 raise StructureError(f"function {name}/{arity} is not total")
-        self._elements = frozenset(seen)
+        names.update((name, table[()]) for name, (arity, table)
+                     in self.functions.items() if arity == 0)
+        names.update(self.constants)
+        self._names = names
 
-    def has_element(self, name: str) -> bool:
-        return name in self._elements
+    def element(self, name: str) -> str | None:
+        """The element a bare name denotes: a constant's or a 0-ary
+        function's value, else the universe element of that name, else
+        ``None``."""
+        return self._names.get(name)
 
 
 class Assignment:
@@ -132,98 +139,63 @@ class Assignment:
 _EMPTY_ASSIGNMENT = Assignment()
 
 
-def eval_term(m: Structure, s: Assignment, term: Term) -> str:
-    if isinstance(term, Var):
-        val = s.value(term.name)
-        if val is None:
-            raise EvaluationError(f"unbound variable {term.name}")
-        return val
-    if isinstance(term, Const):
-        if term.name in m.constants:
-            return m.constants[term.name]
-        if m.has_element(term.name):
-            return term.name
-        raise EvaluationError(f"unknown constant symbol {term.name}")
-    if isinstance(term, App):
-        if term.func not in m.functions:
-            raise EvaluationError(f"unknown function symbol {term.func}")
-        arity, table = m.functions[term.func]
-        if len(term.args) != arity:
-            raise EvaluationError(f"function {term.func} expects {arity} arguments")
-        key = tuple(eval_term(m, s, a) for a in term.args)
-        return table[key]
-    raise TypeError(f"not a term: {term!r}")
 
 
-def eval_literal(m: Structure, s: Assignment, lit: Literal) -> bool:
-    """Tarskian truth of a literal under assignment ``s``.
+def relation_test(tuples: frozenset[tuple[str, ...]], args: Sequence[Value]) -> Test:
+    """The test that the argument values form a tuple of a relation."""
+    return lambda s: tuple(arg(s) for arg in args) in tuples
 
-    A chain evaluates as the conjunction of its consecutive constraints;
-    negative polarity flips the result.
+
+def chain_test(terms: Sequence[Value], equal: Sequence[bool]) -> Test:
+    """The test that consecutive terms are equal where ``equal`` says so and
+    unequal elsewhere.  Every term is read before any pair is compared."""
+    def test(s: Assignment) -> bool:
+        values = [term(s) for term in terms]
+        return all((a == b) == eq for a, b, eq in zip(values, values[1:], equal))
+    return test
+
+
+def compile_literal(m: Structure, lit: Literal) -> Test:
+    """The Tarskian truth test of ``lit`` under an assignment.
+
+    Every symbol is resolved in ``m`` once, reading the atom left to right;
+    the first one that ``m`` leaves uninterpreted, or interprets at another
+    arity, raises :class:`StructureError` naming it.  The test raises
+    :class:`EvaluationError` on a variable the assignment leaves unbound.
     """
     atom = lit.atom
     if isinstance(atom, RelAtom):
         if atom.name not in m.relations:
-            raise EvaluationError(f"unknown relation symbol {atom.name}")
+            raise StructureError(f"relation {atom.name} uninterpreted")
         arity, tuples = m.relations[atom.name]
         if len(atom.args) != arity:
-            raise EvaluationError(f"relation {atom.name} expects {arity} arguments")
-        value = tuple(eval_term(m, s, a) for a in atom.args) in tuples
+            raise StructureError(f"relation {atom.name} arity mismatch")
+        test = relation_test(tuples, [_compile_term(m, a) for a in atom.args])
     else:
-        value = True
-        for left, rel, right in atom.constraints():
-            lv = eval_term(m, s, left)
-            rv = eval_term(m, s, right)
-            ok = (lv == rv) if rel == "=" else (lv != rv)
-            if not ok:
-                value = False
-                break
-    return value if lit.positive else not value
+        test = chain_test([_compile_term(m, t) for t in atom.terms],
+                          [rel == EQ for rel in atom.rels])
+    return test if lit.positive else lambda s: not test(s)
 
 
-def _term_problem(m: Structure, term: Term) -> str | None:
+def _compile_term(m: Structure, term: Term) -> Value:
+    if isinstance(term, Var):
+        name = term.name
+
+        def value(s: Assignment) -> str:
+            val = s.value(name)
+            if val is None:
+                raise EvaluationError(f"unbound variable {name}")
+            return val
+        return value
     if isinstance(term, Const):
-        if term.name not in m.constants and not m.has_element(term.name):
-            return f"constant {term.name} uninterpreted"
-        return None
-    if isinstance(term, App):
-        if term.func not in m.functions:
-            return f"function {term.func} uninterpreted"
-        arity, _ = m.functions[term.func]
-        if len(term.args) != arity:
-            return f"function {term.func} arity mismatch"
-        for arg in term.args:
-            problem = _term_problem(m, arg)
-            if problem:
-                return problem
-    return None
-
-
-def suitable(m: Structure, phi: Formula):
-    """True iff ``m`` interprets every symbol of ``phi`` at matching arity.
-
-    Returns ``True`` or a diagnostic string naming the first missing or
-    mismatched symbol.
-    """
-    if isinstance(phi, Literal):
-        atom = phi.atom
-        terms: tuple[Term, ...]
-        if isinstance(atom, RelAtom):
-            if atom.name not in m.relations:
-                return f"relation {atom.name} uninterpreted"
-            arity, _ = m.relations[atom.name]
-            if arity != len(atom.args):
-                return f"relation {atom.name} arity mismatch"
-            terms = atom.args
-        else:
-            terms = atom.terms
-        for term in terms:
-            problem = _term_problem(m, term)
-            if problem:
-                return problem
-        return True
-    for child in children(phi):
-        result = suitable(m, child)
-        if result is not True:
-            return result
-    return True
+        element = m.element(term.name)
+        if element is None:
+            raise StructureError(f"constant {term.name} uninterpreted")
+        return lambda s: element
+    if term.func not in m.functions:
+        raise StructureError(f"function {term.func} uninterpreted")
+    arity, table = m.functions[term.func]
+    if len(term.args) != arity:
+        raise StructureError(f"function {term.func} arity mismatch")
+    args = [_compile_term(m, a) for a in term.args]
+    return lambda s: table[tuple(arg(s) for arg in args)]

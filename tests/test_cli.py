@@ -90,6 +90,35 @@ def test_structure_declared_twice(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: 3:1: constant c declared twice\n")
 
 
+def test_nullary_function_names_its_value(capsys, tmp_path):
+    # a bare c used to read only the constants and the universe, so this
+    # exited 1 with "structure not suitable: constant c uninterpreted"
+    sentence = tmp_path / "c.if"
+    sentence.write_text("exists y (y = c)\n")
+    structure = tmp_path / "c.struct"
+    structure.write_text("universe 1 2\nfunc c/0: () -> 1\n")
+    code, out, _ = run(capsys, "value", str(sentence), str(structure))
+    assert code == 0
+    assert "value = 1" in out.splitlines()
+    assert "  1  @/[] -> 1" in out.splitlines()
+    code, out, _ = run(capsys, "condition", str(sentence), str(structure),
+                       "--solve", "--event", "y = c")
+    assert code == 0
+    assert "conditional value = 1" in out.splitlines()
+    # an application takes at least one argument
+    sentence.write_text("exists y (y = c())\n")
+    code, out, err = run(capsys, "value", str(sentence), str(structure))
+    assert (code, out, err) == (1, "", "error: 1:17: expected a term, found ')'\n")
+
+
+def test_suitability_is_checked_before_the_node_cap(capsys):
+    # an unsuitable structure is a diagnostic (exit 1), not a budget (exit 2)
+    code, out, err = run(capsys, "value", corpus_path("phi_sb.if"),
+                         corpus_path("doors3.struct"), "--node-cap", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: structure not suitable: relation Awake uninterpreted\n"
+
+
 CHANCE_GAME = """\
 player=chance info=c
   action=a p=1/4 player=I info=i

@@ -31,6 +31,11 @@ def test_rejects_open_formulas_and_unsuitable_structures(sb_structure):
     with pytest.raises(GameError):
         build_semantic_game(Structure(("1", "2")),
                             parse_formula("forall x R(x)"))
+    # the first symbol in preorder is the one named
+    with pytest.raises(GameError) as err:
+        build_semantic_game(Structure(("1", "2")),
+                            parse_formula("forall x (R(x) \\/ S(x))"))
+    assert str(err.value) == "structure not suitable: relation R uninterpreted"
 
 
 def test_node_cap(doors3, phi_mh):

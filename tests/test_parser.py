@@ -188,6 +188,10 @@ def test_parse_structure_errors():
      "2:1: malformed func entry (want (a,b) -> c)"),
     ("universe 1 2\nfunc f/1: (1) -> 1; (1) -> 2; (2) -> 2",
      "2:1: function f maps (1) twice"),
+    ("universe 1 2\nconst c = 2\nfunc c/0: () -> 1",
+     "3:1: c is both a constant and a 0-ary function"),
+    ("universe 1 2\nfunc c/0: () -> 1\nconst c = 2",
+     "3:1: c is both a constant and a 0-ary function"),
     ("universe 1\nfoo bar", "2:1: unknown declaration 'foo'"),
     ("rel R/1: (1)", "1:1: structure has no universe line"),
     ("", "1:1: structure has no universe line"),
