@@ -125,20 +125,27 @@ class ExtensiveGame:
         return list(reversed(out))
 
     def variables(self) -> tuple[str, ...]:
-        """Variables assigned by quantifier moves anywhere in the game."""
-        seen: list[str] = []
-        for node in range(len(self)):
-            for var, _ in self.assignment[node].bindings():
-                if var not in seen:
-                    seen.append(var)
-        return tuple(seen)
+        """Variables assigned by quantifier moves anywhere in the game, in
+        the order of the nodes that first bind them.  A node's last binding
+        was made by the node or by an ancestor, which comes before it, so
+        the last bindings alone give every name in that order."""
+        names = dict.fromkeys(s.var for s in self.assignment)
+        names.pop(None, None)
+        return tuple(names)
 
     # -------------------------------------------------------- information
 
     def information_partition(self, player: int) -> tuple[InfoSet, ...]:
         if not self._partitions:
             self._infoset = [-1] * len(self)
-            self._partitions = {p: self._compute_partition(p)
+            # one scan groups the nonterminals by owner and class label
+            groups: dict[int, dict[str, list[int]]] = {
+                p: {} for p in (EXIST, UNIV, NATURE)}
+            for node in range(len(self)):
+                if not self.is_terminal(node):
+                    groups[self.owner[node]].setdefault(
+                        self._class_label(node), []).append(node)
+            self._partitions = {p: self._compute_partition(p, groups[p])
                                 for p in (EXIST, UNIV, NATURE)}
         return self._partitions[player]
 
@@ -149,32 +156,27 @@ class ExtensiveGame:
         self.information_partition(EXIST)
         return self._infoset
 
-    def _compute_partition(self, player: int) -> tuple[InfoSet, ...]:
-        nodes = self.nonterminals(player)
-        groups: dict[str, list[int]] = {}
-        for node in nodes:
-            groups.setdefault(self._class_label(node), []).append(node)
+    def _compute_partition(self, player: int,
+                           groups: dict[str, list[int]]) -> tuple[InfoSet, ...]:
+        # groups: the player's nodes by class label, each in node order;
         # canonical order: occurrence preorder first, then first member history
         def sort_key(kv):
-            members = kv[1]
-            first = min(members)
+            first = kv[1][0]
             return (self._occ_sort_index(first), first)
 
         infosets: list[InfoSet] = []
         for label, members in sorted(groups.items(), key=sort_key):
-            members.sort()
             action_sets = {self.actions(m) for m in members}
             if len(action_sets) != 1:
                 raise GameError(
                     f"information set {label} members have differing action sets"
                 )
+            member_set = set(members)
             for m in members:
-                for anc in self.ancestors(m):
-                    if anc in members:
-                        raise GameError(
-                            f"information set {label} contains a history and its prefix"
-                        )
-            for m in members:
+                if not member_set.isdisjoint(self.ancestors(m)):
+                    raise GameError(
+                        f"information set {label} contains a history and its prefix"
+                    )
                 self._infoset[m] = len(infosets)
             infosets.append(InfoSet(player, label, tuple(members),
                                     next(iter(action_sets)), len(infosets)))

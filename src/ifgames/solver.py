@@ -500,10 +500,19 @@ def solve(game: ExtensiveGame, lam: BehavioralStrategy,
 
     The witness mixes refer to the reduced matrix (``eq.matrix``, whose
     ``log`` records the reduction) and lift to reduced strategies through
-    its provenance.
+    its provenance.  Lifted to the rows and columns of the matrix as built,
+    they must still certify the value there, or :class:`GameError` is
+    raised: the reduction is checked, not trusted.
     """
     matrix = build_matrix(game, lam, budget)
-    return solve_zero_sum(reduce_matrix(matrix, use_weak_dominance))
+    eq = solve_zero_sum(reduce_matrix(matrix, use_weak_dominance))
+    rows, cols = eq.matrix.row_origin, eq.matrix.col_origin
+    lifted = Equilibrium(eq.value,
+                         tuple((int(rows[i]), w) for i, w in eq.row_mix),
+                         tuple((int(cols[j]), w) for j, w in eq.col_mix), matrix)
+    if not verify_equilibrium(matrix, lifted):
+        raise GameError("the witness fails on the unreduced payoff matrix")
+    return eq
 
 
 def truth_value(m: Structure, phi: Formula, lam: BehavioralStrategy | None = None,
@@ -641,66 +650,65 @@ def _draw_words(rng: random.Random, k: int) -> np.ndarray:
 class _Sampler:
     """A game and a profile compiled into flat arrays for :func:`simulate`.
 
-    Per node ``n``:
+    Each node owns a run of entries in one flat list: the node itself,
+    then its children (a chance node's leading children of mass zero
+    dropped, see :func:`_thresholds`).  ``kids[e]`` is the node of entry
+    ``e``; ``bounds[e]`` is, at a chance node's child, the bound that a
+    draw must exceed to pass on to the next child, and ``_NEVER``, which
+    no draw exceeds, elsewhere.  ``first[n]`` is node ``n``'s own entry,
+    or a chance node's first child's; ``column[n]`` is the index of its
+    information set in the strategy table, or the table's last column,
+    which holds 0, at chance nodes and terminals.
 
-    - ``children[n * stride + i]``: its ``i``-th child, padded with ``n``
-      itself, so that a terminal stays where it is.  The leading children
-      of a chance node that have mass zero are dropped (see
-      :func:`_thresholds`).
-    - ``bounds[i][n]``: bound ``i`` of a chance node, ``_NEVER`` elsewhere.
-    - ``column[n]``: the index of its information set in the strategy
-      table, or the table's last column, which holds 0, at chance nodes
-      and terminals.
+    ``actions[k * columns + c]`` is 1 plus the action of strategy ``k``
+    (the row mix's strategies first, then the column mix's) at information
+    set ``c``, or 0, the node's own entry, where the strategy is undefined,
+    so that the play stays at that decision node.
 
-    ``actions[k * columns + c]`` is the action of strategy ``k`` (the row
-    mix's strategies first, then the column mix's) at information set
-    ``c``.  Where the strategy is undefined it holds ``stride - 1``, a
-    padding entry, so the play stays at that decision node.
-
-    The children and bounds grow as nodes times the widest node; more than
-    ``DEFAULT_CELL_BUDGET`` cells of them raise :class:`BudgetError` before
-    any is allocated.
+    The flat list grows with the nodes, which the node cap bounds; more
+    than ``DEFAULT_CELL_BUDGET`` cells of the action table raise
+    :class:`BudgetError` before it is allocated.
     """
 
     def __init__(self, g: ExtensiveGame, lam: BehavioralStrategy,
                  row_mix: MixedStrategy, col_mix: MixedStrategy):
-        n = len(g)
-        arity = max(len(kids) for kids in g.children)
-        cells = n * (arity + 1 + max(arity - 1, 0))  # children and bounds
+        strategies = row_mix.support + col_mix.support
+        self.columns = 1 + max(len(g.information_partition(EXIST)),
+                               len(g.information_partition(UNIV)))
+        cells = len(strategies) * self.columns
         if cells > DEFAULT_CELL_BUDGET:
             raise BudgetError("sampler cell", DEFAULT_CELL_BUDGET, cells)
-        self.stride = arity + 1
         self.owner = np.array(g.owner, dtype=np.int8)
         self.is_univ = self.owner == UNIV
         self.is_chance = self.owner == NATURE
-        children = np.repeat(np.arange(n)[:, None], self.stride, axis=1)
-        self.bounds = np.full((max(arity - 1, 0), n), _NEVER, dtype=np.uint64)
-        depth, chance_moves = [0] * n, [0] * n
-        for node in range(n):
-            kids = g.children[node]
-            if g.owner[node] == NATURE:
-                skip, bounds = _thresholds(lam.distribution(node))
-                kids = kids[skip:]
-                self.bounds[:len(bounds), node] = bounds
-            children[node, :len(kids)] = kids
-            for kid in kids:
+        first, kids, bounds = [], [], []
+        depth, chance_moves = [0] * len(g), [0] * len(g)
+        self.chance_steps = 0  # the bounds of the widest chance node
+        for node in range(len(g)):
+            chance, children, cuts = g.owner[node] == NATURE, g.children[node], []
+            if chance:
+                skip, cuts = _thresholds(lam.distribution(node))
+                children = children[skip:]
+                self.chance_steps = max(self.chance_steps, len(cuts))
+            first.append(len(kids) + chance)
+            kids += [node, *children]
+            bounds += [_NEVER, *cuts] + [_NEVER] * (len(children) - len(cuts))
+            for kid in children:
                 depth[kid] = depth[node] + 1
-                chance_moves[kid] = chance_moves[node] + (g.owner[node] == NATURE)
-        self.children = children.ravel()
+                chance_moves[kid] = chance_moves[node] + chance
+        self.first = np.array(first, dtype=np.intp)
+        self.kids = np.array(kids, dtype=np.intp)
+        self.bounds = np.array(bounds, dtype=np.uint64)
         self.levels = max(depth)
         # a play reads its row pick, its column pick and one word per
         # chance move
         self.words_per_play = 2 + max(chance_moves)
-        self.columns = 1 + max(len(g.information_partition(EXIST)),
-                               len(g.information_partition(UNIV)))
         self.column = np.where(self.is_univ | (self.owner == EXIST),
                                np.array(g.infoset), self.columns - 1)
-        strategies = row_mix.support + col_mix.support
-        actions = np.full((len(strategies), self.columns), arity, dtype=np.intp)
-        actions[:, -1] = 0
+        actions = np.zeros((len(strategies), self.columns), dtype=np.intp)
         for k, (strategy, _) in enumerate(strategies):
             for index, act in strategy.actions:
-                actions[k, index] = act
+                actions[k, index] = act + 1
         self.actions = actions.ravel()
         # a mix holds no zero mass, so its first strategy is never skipped
         _, row_bounds = _thresholds(tuple(w for _, w in row_mix))
@@ -719,7 +727,8 @@ class _Sampler:
         of words it read; ``words`` must hold ``starts + words_per_play``
         words.
         Every step gathers from 1-d arrays, which numpy does several times
-        faster than from rows of 2-d ones.
+        faster than from rows of 2-d ones.  A chance step passes each child
+        whose bound the draw exceeds; the bounds rise along the children.
         """
         row = self.columns * np.searchsorted(self.row_bounds, words[:starts])
         col = self.columns * (
@@ -728,12 +737,12 @@ class _Sampler:
         pos = np.arange(2, starts + 2)
         for _ in range(self.levels):
             draw = words[pos]
-            act = self.actions[np.where(self.is_univ[node], col, row)
-                               + self.column[node]]
-            for bounds in self.bounds:
-                act += draw > bounds[node]
+            at = self.first[node] + self.actions[
+                np.where(self.is_univ[node], col, row) + self.column[node]]
+            for _ in range(self.chance_steps):
+                at += draw > self.bounds[at]
             pos += self.is_chance[node]
-            node = self.children[node * self.stride + act]
+            node = self.kids[at]
         return node, pos - np.arange(starts)
 
 

@@ -100,6 +100,11 @@ class Assignment:
     def extend(self, var: str, value: str) -> "Assignment":
         return Assignment(self, var, value)
 
+    @property
+    def var(self) -> str | None:
+        """The variable of the last binding (None when there is none)."""
+        return self._var
+
     def as_dict(self) -> dict[str, str]:
         if self._map is None:
             if self._parent is None:

@@ -181,13 +181,13 @@ def test_follow_cell_budget_exit_code_two(capsys, monkeypatch):
 
 
 def test_sampler_cell_budget_exit_code_two(capsys, monkeypatch):
-    # 23 nodes, at most 2 children: 23 x 3 padded children plus 23 x 1 bounds
-    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 91)
+    # the action table: 2 strategies (one per mix) x (5 verifier sets + 1)
+    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 11)
     code, out, err = run(capsys, "simulate", corpus_path("phi_sb.if"),
                          corpus_path("sleeping_beauty.struct"),
                          "--profile", corpus_path("sb_tails.profile"))
     assert (code, out) == (2, "")
-    assert "sampler cell budget exceeded: limit 91, reached 92" in err
+    assert "sampler cell budget exceeded: limit 11, reached 12" in err
 
 
 def _wide_set(tmp_path, n):
@@ -211,12 +211,13 @@ def test_set_wider_than_int16(capsys, tmp_path):
 
 
 def test_sampler_cell_budget_on_a_wide_set(capsys, tmp_path):
-    # 40,001 nodes padded to 40,001 children and 39,999 bounds each: the
-    # arrays would take 23.8 GiB, so the budget stops them first
+    # 40,001 nodes: the flat child list holds 80,001 entries, and the action
+    # table 2 x 2 cells, where padding every node to the widest would take
+    # 3,200,080,000 cells
     code, out, err = run(capsys, "simulate", *_wide_set(tmp_path, 40_000),
-                         "--solve", "--plays", "1")
-    assert (code, out) == (2, "")
-    assert "sampler cell budget exceeded: limit 100000000, reached 3200080000" in err
+                         "--solve", "--plays", "10000")
+    assert (code, err) == (0, "")
+    assert "wins = 10000  (frequency 1)" in out.splitlines()
 
 
 def test_nonpositive_cap_exit_code_one(capsys):

@@ -17,6 +17,7 @@ from ifgames import (
     winner,
 )
 from ifgames.formula import And, ChanceOr, ChanceQ, Exists, Forall, Literal, Or
+from random_sentences import random_game
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +186,18 @@ def test_terminal_iff_literal(mh_game):
     for node in range(len(mh_game)):
         is_lit = isinstance(mh_game.subformula_at(node), Literal)
         assert mh_game.is_terminal(node) == is_lit
+
+
+def test_variables_in_first_binding_order(mh_prime_chance_game, sb_game,
+                                          fig1_game):
+    # the reference reads every node's whole binding tuple
+    games = [mh_prime_chance_game, sb_game, fig1_game]
+    for game in games + [random_game(seed) for seed in range(200)]:
+        seen = {}
+        for node in range(len(game)):
+            for var, _ in game.assignment[node].bindings():
+                seen.setdefault(var)
+        assert game.variables() == tuple(seen)
 
 
 def _dot_node_count(dot):

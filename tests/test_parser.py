@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ifgames import (
+    EXIST,
     App,
     ChainAtom,
     ChanceQ,
@@ -20,6 +21,7 @@ from ifgames import (
     RelAtom,
     Var,
     build_semantic_game,
+    enumerate_reduced,
     format_formula,
     parse_event,
     parse_extensive_game,
@@ -426,11 +428,36 @@ def test_game_chance_infosets_must_be_singletons():
     ("player=I info=r", "nonterminal history 0 has no actions"),
     ("player=chance info=c\n  action=h p=1/2 win=I\n  action=t p=1/3 win=II",
      "chance probabilities at node 0 do not sum to 1"),
+    ("player=I info=r\n  action=a player=I info=r\n    action=a win=I\n"
+     "    action=b win=II\n  action=b win=I",
+     "information set @r[] contains a history and its prefix"),
+    ("player=I info=r\n  action=l player=chance info=c\n    action=h p=1 win=I\n"
+     "  action=r player=chance info=c\n    action=h p=1 win=II",
+     "chance information set @c[] is not a singleton"),
 ])
 def test_game_diagnostics(text, message):
     with pytest.raises(ParseError) as err:
         parse_extensive_game(text)
     assert str(err.value) == message
+
+
+def test_game_diagnostic_from_the_strategy_tables():
+    # set b's first member comes before set c, but its second one lies
+    # below c: the file parses, and the strategy tables refuse it
+    game = parse_extensive_game("""player=I info=a
+  action=l player=I info=b
+    action=x win=I
+    action=y win=II
+  action=r player=I info=c
+    action=x player=I info=b
+      action=x win=I
+      action=y win=II
+    action=y win=II
+""")
+    with pytest.raises(GameError) as err:
+        enumerate_reduced(game, EXIST)
+    assert str(err.value) == ("information structure not supported: a decision "
+                              "point depends on a later information set")
 
 
 def test_single_terminal_game():

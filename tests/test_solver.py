@@ -514,6 +514,29 @@ def test_dominance_strict_needs_every_column():
     assert solve_zero_sum(weak).value == solve_zero_sum(strict).value == 1
 
 
+def test_solve_certifies_on_the_unreduced_matrix(monkeypatch):
+    # a faulty dominance pass that also drops row 0 where nothing is
+    # dominated shrinks matching pennies to one cell of value 0, which
+    # certifies itself; lifted to the 2 x 2 matrix the witness fails
+    sweep = solver._dominated_mask
+
+    def faulty(num, weak):
+        mask = sweep(num, weak)
+        mask[0] |= not mask.any()
+        return mask
+
+    game, lam = load_game(corpus_text("matching_pennies.if"),
+                          corpus_text("pennies_2.struct"))
+    assert solve(game, lam).value == F(1, 2)
+    monkeypatch.setattr(solver, "_dominated_mask", faulty)
+    reduced = reduce_matrix(build_matrix(game, lam))
+    assert reduced.shape == (1, 1)
+    assert solve_zero_sum(reduced).value == 0
+    with pytest.raises(GameError,
+                       match="the witness fails on the unreduced payoff matrix"):
+        solve(game, lam)
+
+
 @pytest.mark.parametrize("entry, check", _VALUED_CHECKS,
                          ids=[_check_id(e, c) for e, c in _VALUED_CHECKS])
 def test_corpus_dominance_masks_match_reference(monkeypatch, entry, check):
