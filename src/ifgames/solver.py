@@ -36,6 +36,7 @@ from .game import (
     TERMINAL,
     UNIV,
     ExtensiveGame,
+    SemanticGame,
     build_semantic_game,
 )
 from .structure import Structure
@@ -48,6 +49,7 @@ from .strategy import (
     _smallest_int_dtype,
     follow_classes,
     outcome_distribution,
+    reduced_from_rules,
     uniform_nature,
 )
 
@@ -250,6 +252,14 @@ def _merge_rows(num: np.ndarray, origin: np.ndarray, members: int,
     return num[keep], origin[keep]
 
 
+def _merge(num: np.ndarray, row_origin: np.ndarray, col_origin: np.ndarray,
+           members: tuple[int, int], log: list[str]):
+    """Merge equal rows, then equal columns."""
+    num, row_origin = _merge_rows(num, row_origin, members[0], "rows", log)
+    num_t, col_origin = _merge_rows(num.T, col_origin, members[1], "cols", log)
+    return num_t.T, row_origin, col_origin
+
+
 def _drop_dominated_rows(num: np.ndarray, origin: np.ndarray, weak: bool,
                          side: str, log: list[str]):
     """Remove the rows that another row dominates (the rows maximize)."""
@@ -274,21 +284,20 @@ def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMat
     for the rows; the columns run it on the transpose, negated for
     dominance, because the column player minimizes.
 
-    A reduced matrix is returned as it is, so reducing twice changes
-    nothing, the log included.  Running the merge again would not be a
-    no-op: dominance elimination can leave a row or column equal to
-    another (Monty Hall's 3 x 6 matrix holds three pairs of equal columns).
+    Dominance elimination can leave a row or column equal to another (on
+    Monty Hall's game three pairs of equal columns), so when it removes
+    anything the merge runs once more; removing an equal copy changes no
+    dominance, so the result is a fixpoint of both steps.  A reduced
+    matrix is returned as it is, so reducing twice changes nothing, the
+    log included.
     """
     if m.reduced:
         return m
     log = list(m.log)
     # the merge counts every strategy, also those that a class row of
     # build_matrix already stands for
-    members_rows, members_cols = m.members
-    num, row_origin = _merge_rows(m.num, m.row_origin, members_rows, "rows", log)
-    num_t, col_origin = _merge_rows(num.T, m.col_origin, members_cols, "cols",
-                                    log)
-    num = num_t.T
+    num, row_origin, col_origin = _merge(m.num, m.row_origin, m.col_origin,
+                                         m.members, log)
     r, c = num.shape
     if r * c > DEFAULT_DOMINANCE_CAP or r * c * (r + c) > _DOMINANCE_OPS_GUARD:
         log.append(f"dominance elimination skipped: {r}x{c} exceeds the cap")
@@ -303,6 +312,9 @@ def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMat
                 neg_t, col_origin = _drop_dominated_rows(-num.T, col_origin,
                                                          weak, "cols", log)
                 num = -neg_t.T
+        if num.shape != (r, c):
+            num, row_origin, col_origin = _merge(num, row_origin, col_origin,
+                                                 num.shape, log)
     return PayoffMatrix(m.rows, m.cols, np.ascontiguousarray(num), m.den,
                         row_origin, col_origin, log, reduced=True,
                         members=m.members)
@@ -315,19 +327,27 @@ class Equilibrium:
     """Exact value plus one optimal mixed strategy per side.
 
     Mixes are supports over the matrix's current rows/columns; helpers lift
-    them to reduced strategies through the matrix provenance.
+    them to reduced strategies through the matrix provenance, or return
+    ``lifted``, the mixes of the game that :func:`solve` was given when it
+    solved a settled copy of it.
     """
 
     value: Fraction
     row_mix: tuple[tuple[int, Fraction], ...]
     col_mix: tuple[tuple[int, Fraction], ...]
     matrix: PayoffMatrix = field(repr=False)
+    lifted: tuple[MixedStrategy, MixedStrategy] | None = field(default=None,
+                                                                repr=False)
 
     def row_strategies(self) -> MixedStrategy:
+        if self.lifted:
+            return self.lifted[0]
         return MixedStrategy(EXIST, [(self.matrix.row_strategy(i), w)
                                      for i, w in self.row_mix])
 
     def col_strategies(self) -> MixedStrategy:
+        if self.lifted:
+            return self.lifted[1]
         return MixedStrategy(UNIV, [(self.matrix.col_strategy(j), w)
                                     for j, w in self.col_mix])
 
@@ -493,25 +513,200 @@ def verify_equilibrium(m: PayoffMatrix, eq: Equilibrium) -> bool:
 
 # ----------------------------------------------------------- truth values
 
+def _alone(g: ExtensiveGame) -> list[bool]:
+    """Per node, whether it is a player's node in a set of its own."""
+    sizes = {p: [len(info.members) for info in g.information_partition(p)]
+             for p in (EXIST, UNIV)}
+    return [owner in sizes and sizes[owner][k] == 1
+            for owner, k in zip(g.owner, g.infoset)]
+
+
+def _forced_winners(g: ExtensiveGame, lam: BehavioralStrategy
+                    ) -> list[int | None]:
+    """Per node, the player who wins there whatever the other does, or None.
+
+    One backward pass: a terminal is forced to its winner; a chance node to
+    the winner that all its children of positive mass are forced to; a
+    player's node in a set of its own to that player when some child is
+    forced to it (choosing that child is weakly dominant), else to the
+    winner all its children share; a node in a larger set to the winner
+    all its children share.  The forcing player's moves on the way are at
+    singleton sets below the node, so they combine into one strategy.
+    """
+    alone = _alone(g)
+    forced: list[int | None] = [None] * len(g)
+    for node in reversed(range(len(g))):  # children come after their parents
+        owner = g.owner[node]
+        if owner == TERMINAL:
+            forced[node] = g.winner_of[node]
+            continue
+        kids = [forced[c] for c in g.children[node]]
+        if owner == NATURE:
+            kids = [w for w, p in zip(kids, lam.distribution(node)) if p]
+        elif alone[node] and owner in kids:
+            forced[node] = owner
+            continue
+        if kids.count(kids[0]) == len(kids):
+            forced[node] = kids[0]
+    return forced
+
+
+def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
+            forced: list[int | None]):
+    """The game rebuilt by one forward pass over ``forced``: a forced node
+    becomes a terminal, and a node in a set of its own drops the children
+    forced to its owner's loss.  Returns the small game, its chance
+    strategy and, per small node, its node in ``game``.
+
+    The small game keeps the node labels, so its information sets are
+    ``game``'s, less the members that are gone, and keep their order.
+    """
+    small = (SemanticGame(game.structure, game.formula)
+             if isinstance(game, SemanticGame) else ExtensiveGame())
+    alone, infoset = _alone(game), game.infoset
+    origin: list[int] = []
+    new = {-1: -1}
+    dists = {}
+    for node in range(len(game)):
+        at = game.parent[node]
+        if at not in new or at >= 0 and (
+                forced[at] is not None
+                or alone[at] and forced[node] not in (None, game.owner[at])):
+            continue
+        owner = TERMINAL if forced[node] is not None else game.owner[node]
+        new[node] = small.add_node(new[at], game.move[node], owner,
+                                   game.assignment[node], game.occ[node],
+                                   game.info_label[node], forced[node])
+        origin.append(node)
+        if owner == NATURE:
+            dists[new[node]] = lam.distribution(node)
+    small._occ_sort_index = lambda n: infoset[origin[n]]
+    return small, BehavioralStrategy(small, dists), origin
+
+
+def _lift(game: ExtensiveGame, small: ExtensiveGame, origin: list[int],
+          forced: list[int | None], mix: MixedStrategy) -> MixedStrategy:
+    """A mix of :func:`_settle`'s small game as a mix of ``game``.
+
+    Each strategy keeps its action at the sets the small game has, mapped
+    through ``origin``; at a set of its own that is forced to its owner it
+    takes the first child forced to the owner, and anywhere else action 0,
+    since the winner there is already fixed.
+    """
+    player = mix.player
+    where = {}
+    for info in small.information_partition(player):
+        first = info.members[0]
+        where[game.infoset[origin[first]]] = (
+            info.index, [game.edge[origin[c]] for c in small.children[first]])
+
+    def lift(sigma: ReducedStrategy) -> ReducedStrategy:
+        chosen = dict(sigma.actions)
+
+        def choose(info) -> int:
+            index, edges = where.get(info.index, (None, None))
+            if index in chosen:
+                return edges[chosen[index]]
+            node = info.members[0]
+            if len(info.members) == 1 and forced[node] == player:
+                return [forced[c] for c in game.children[node]].index(player)
+            return 0
+        return reduced_from_rules(game, player, choose)
+
+    return MixedStrategy(player, [(lift(s), w) for s, w in mix])
+
+
+def _follow_weights(g: ExtensiveGame, mix: MixedStrategy) -> list[Fraction]:
+    """Per node, the mass of the mix's strategies that follow it."""
+    infoset = g.infoset
+    weight = [Fraction(0)] * len(g)
+    for sigma, w in mix:
+        chosen = dict(sigma.actions)
+        on = [True] * len(g)
+        for node in range(len(g)):
+            at = g.parent[node]
+            if at >= 0:
+                on[node] = on[at] and (g.owner[at] != mix.player
+                                       or chosen.get(infoset[at]) == g.edge[node])
+            if on[node]:
+                weight[node] += w
+    return weight
+
+
+def _tree_reply(g: ExtensiveGame, reach: list[Fraction],
+                mix: MixedStrategy) -> Fraction:
+    """The verifier's win probability when the other player answers ``mix``
+    best, by backward induction on ``g``'s tree; exact when each of that
+    player's information sets is a singleton.
+
+    That player takes its best child, and a chance node or a node of the
+    mix's player sums its children; a verifier-win terminal weighs its
+    chance mass by the mix's follow weight (:func:`_follow_weights`).
+    """
+    follow = _follow_weights(g, mix)
+    best = min if mix.player == EXIST else max
+    value = [Fraction(0)] * len(g)
+    for node in reversed(range(len(g))):
+        kids = g.children[node]
+        if not kids:
+            if g.winner_of[node] == EXIST:
+                value[node] = reach[node] * follow[node]
+        elif g.owner[node] not in (mix.player, NATURE):
+            value[node] = best(value[c] for c in kids)
+        else:
+            value[node] = sum(value[c] for c in kids)
+    return value[0]
+
+
 def solve(game: ExtensiveGame, lam: BehavioralStrategy,
           budget: int = DEFAULT_STRATEGY_BUDGET,
           use_weak_dominance: bool = True) -> Equilibrium:
-    """Equilibrium of a game: build the payoff matrix, reduce it, solve.
+    """Equilibrium of a game: settle the tree, build the payoff matrix,
+    reduce it, solve.
 
-    The witness mixes refer to the reduced matrix (``eq.matrix``, whose
-    ``log`` records the reduction) and lift to reduced strategies through
-    its provenance.  Lifted to the rows and columns of the matrix as built,
-    they must still certify the value there, or :class:`GameError` is
-    raised: the reduction is checked, not trusted.
+    With weak dominance, :func:`_forced_winners` first settles every node
+    whose winner is already fixed, and the matrix is built on the small
+    game that :func:`_settle` rebuilds.  The witness mixes refer to the
+    reduced matrix (``eq.matrix``, whose ``log`` records the reduction) and
+    lift to reduced strategies through its provenance.  Lifted to the rows
+    and columns of the matrix as built, they must still certify the value
+    there, or :class:`GameError` is raised: the reduction is checked, not
+    trusted.  The settling is checked too: each mix, lifted to ``game``
+    (``eq.row_strategies()``, ``eq.col_strategies()``), must guarantee the
+    value on ``game``'s tree (:func:`_tree_reply`) wherever the other
+    player's information sets are all singletons; the log's last line
+    names the check each side passed.
     """
-    matrix = build_matrix(game, lam, budget)
+    small, small_lam = game, lam
+    if use_weak_dominance:
+        forced = _forced_winners(game, lam)
+        small, small_lam, origin = _settle(game, lam, forced)
+    matrix = build_matrix(small, small_lam, budget)
+    if use_weak_dominance:
+        matrix.log.append(f"tree: {len(game)} -> {len(small)} nodes")
     eq = solve_zero_sum(reduce_matrix(matrix, use_weak_dominance))
     rows, cols = eq.matrix.row_origin, eq.matrix.col_origin
-    lifted = Equilibrium(eq.value,
-                         tuple((int(rows[i]), w) for i, w in eq.row_mix),
-                         tuple((int(cols[j]), w) for j, w in eq.col_mix), matrix)
-    if not verify_equilibrium(matrix, lifted):
+    unreduced = Equilibrium(eq.value,
+                            tuple((int(rows[i]), w) for i, w in eq.row_mix),
+                            tuple((int(cols[j]), w) for j, w in eq.col_mix),
+                            matrix)
+    if not verify_equilibrium(matrix, unreduced):
         raise GameError("the witness fails on the unreduced payoff matrix")
+    if not use_weak_dominance:
+        return eq
+    eq.lifted = tuple(_lift(game, small, origin, forced, mix)
+                      for mix in (eq.row_strategies(), eq.col_strategies()))
+    reach = _chance_reach(game, lam)
+    checks = []
+    for side, mix, other in zip(("I", "II"), eq.lifted, (UNIV, EXIST)):
+        if any(len(info.members) > 1
+               for info in game.information_partition(other)):
+            checks.append(f"{side} on the class matrix")
+        elif _tree_reply(game, reach, mix) == eq.value:
+            checks.append(f"{side} on the game tree")
+        else:
+            raise GameError(f"the witness of {side} fails on the game tree")
+    eq.matrix.log.append("witness checked: " + ", ".join(checks))
     return eq
 
 

@@ -149,16 +149,18 @@ def test_budget_error_exit_code_two(capsys):
 
 
 def test_strategy_budget_diagnostics(capsys):
-    # the falsifier of the chance Monty Hall sentence passes the default
-    # budget at its last information set; phi_mh's verifier passes 1000
-    # part way through its enumeration
+    # on the unsettled trees (settling is weak dominance): the falsifier of
+    # the chance Monty Hall sentence passes the default budget at its last
+    # information set; phi_mh's verifier passes 1000 part way through its
+    # enumeration
     for argv, reached in [
         (["phi_mh_prime_chance.if", "doors3.struct"], "limit 1000000, reached 1048576"),
         (["phi_mh.if", "doors3.struct", "--budget", "1000"], "limit 1000, reached 1088"),
         (["phi_mh.if", "doors3.struct", "--budget", "823874"],
          "limit 823874, reached 823875"),
     ]:
-        code, out, err = run(capsys, "value", *map(corpus_path, argv[:2]), *argv[2:])
+        code, out, err = run(capsys, "value", *map(corpus_path, argv[:2]), *argv[2:],
+                             "--no-weak-dominance")
         assert (code, out) == (2, "")
         assert err == f"error: strategy budget exceeded: {reached}\n"
 
@@ -172,12 +174,14 @@ def test_cell_budget_exit_code_two(capsys, monkeypatch):
 
 
 def test_follow_cell_budget_exit_code_two(capsys, monkeypatch):
-    # 31 x 1 payoff cells pass the budget; the 31 x 5 follow table does not
-    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 31)
-    code, _, err = run(capsys, "value", corpus_path("phi_sb.if"),
-                       corpus_path("sleeping_beauty.struct"))
-    assert code == 2
-    assert "follow cell budget exceeded: limit 31, reached 155" in err
+    # on the settled tree, 2 x 1 payoff cells pass the budget; the 2 x 4
+    # follow table does not (unsettled, 31 x 1 and 31 x 5)
+    for budget, reached, flags in ((7, 8, ()), (31, 155, ("--no-weak-dominance",))):
+        monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", budget)
+        code, _, err = run(capsys, "value", corpus_path("phi_sb.if"),
+                           corpus_path("sleeping_beauty.struct"), *flags)
+        assert code == 2
+        assert f"follow cell budget exceeded: limit {budget}, reached {reached}" in err
 
 
 def test_sampler_cell_budget_exit_code_two(capsys, monkeypatch):

@@ -1,0 +1,154 @@
+"""Settling the nodes whose winner is already fixed, before strategies exist.
+
+``solve`` settles the tree (``solver._forced_winners``, ``solver._settle``)
+unless weak dominance is off.  The value must equal the unsettled one, and
+each witness mix, lifted to the original game, must hold the value there:
+checked here exactly, by backward induction where the other player's sets
+are singletons and over its class list of the original game otherwise.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ifgames import EXIST, UNIV, BudgetError, GameError, solve
+from ifgames import solver
+from ifgames.corpus import CORPUS, corpus_text
+from ifgames.parser import load_game
+from ifgames.strategy import follow_classes
+from random_sentences import seeded_sentence
+
+F = Fraction
+
+
+def _exact_reply(game, lam, mix) -> Fraction:
+    """The verifier's win probability when the other player answers
+    ``mix`` best on ``game``, exactly."""
+    reach = solver._chance_reach(game, lam)
+    other = UNIV if mix.player == EXIST else EXIST
+    if all(len(info.members) == 1 for info in game.information_partition(other)):
+        return solver._tree_reply(game, reach, mix)
+    wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
+    follow = solver._follow_weights(game, mix)
+    masses = [reach[t] * follow[t] for t in wins]
+    scale = math.lcm(*(m.denominator for m in masses))
+    nums = np.array([int(m * scale) for m in masses], dtype=object)
+    _, table, _ = follow_classes(game, other, wins)
+    scores = table.astype(object) @ nums
+    best = min if mix.player == EXIST else max
+    return Fraction(int(best(scores)), scale)
+
+
+def _check_lifted(game, lam, eq):
+    for mix in (eq.row_strategies(), eq.col_strategies()):
+        assert all(s.game is game for s, _ in mix)
+        assert _exact_reply(game, lam, mix) == eq.value
+
+
+_VALUED = [(entry, check) for entry in CORPUS for check in entry.checks
+           if check.expected is not None]
+
+
+@pytest.mark.parametrize("entry, check", _VALUED,
+                         ids=[f"{e.name}/{c.structure or e.game}" for e, c in _VALUED])
+def test_corpus_settled_equals_unsettled(entry, check):
+    game, lam = load_game(corpus_text(entry.game or entry.formula),
+                          check.structure and corpus_text(check.structure),
+                          check.nature and corpus_text(check.nature))
+    eq = solve(game, lam)
+    assert eq.value == check.expected
+    assert eq.matrix.log[0].startswith(f"tree: {len(game)} -> ")
+    assert eq.matrix.log[-1].startswith("witness checked: I on ")
+    _check_lifted(game, lam, eq)
+    if check.settled_only:
+        with pytest.raises(BudgetError):
+            solve(game, lam, use_weak_dominance=False)
+    else:
+        assert solve(game, lam, use_weak_dominance=False).value == eq.value
+
+
+def test_random_sentences_settled_equals_unsettled():
+    """Seeds 0-399 at a budget of 10**4: every settled game solves, its
+    value is the unsettled one wherever that fits the budget, and its
+    lifted witnesses hold on the original game."""
+    settled_only = widest = 0
+    for seed in range(400):
+        game, lam = load_game(*seeded_sentence(seed))
+        eq = solve(game, lam, budget=10**4)
+        widest = max(widest, *eq.matrix.members)
+        _check_lifted(game, lam, eq)
+        try:
+            unsettled = solve(game, lam, budget=10**4, use_weak_dominance=False)
+        except BudgetError:
+            settled_only += 1
+            continue
+        assert unsettled.value == eq.value, seed
+    assert settled_only == 11
+    assert widest == 126
+
+
+def _force_first_open_verifier_node(monkeypatch):
+    """Patch the pass to force the first verifier node it leaves open to the
+    verifier, a fault no matrix certificate of the small game can see."""
+    honest = solver._forced_winners
+
+    def faulty(g, lam):
+        forced = honest(g, lam)
+        node = next(n for n in range(len(g))
+                    if g.owner[n] == EXIST and forced[n] is None)
+        forced[node] = EXIST
+        return forced
+
+    monkeypatch.setattr(solver, "_forced_winners", faulty)
+    return faulty
+
+
+@pytest.mark.parametrize("name, faulty_value",
+                         [("phi_mh.if", F(1)), ("phi_mh_prime.if", F(1, 2))])
+def test_faulty_settling_fails_the_tree_check(monkeypatch, name, faulty_value):
+    game, lam = load_game(corpus_text(name), corpus_text("doors3.struct"))
+    faulty = _force_first_open_verifier_node(monkeypatch)
+    small, small_lam, _ = solver._settle(game, lam, faulty(game, lam))
+    # the small game's own certificates pass, on the reduced and on the
+    # unreduced matrix
+    matrix = solver.build_matrix(small, small_lam)
+    eq = solver.solve_zero_sum(solver.reduce_matrix(matrix))
+    assert eq.value == faulty_value
+    rows, cols = eq.matrix.row_origin, eq.matrix.col_origin
+    assert solver.verify_equilibrium(matrix, solver.Equilibrium(
+        eq.value, tuple((int(rows[i]), w) for i, w in eq.row_mix),
+        tuple((int(cols[j]), w) for j, w in eq.col_mix), matrix))
+    with pytest.raises(GameError, match="the witness of I fails on the game tree"):
+        solve(game, lam)
+
+
+# II drops its move a, under which I wins either way, and with it X's
+# first member; Y's first member then comes before X's other member, which
+# Y's second member follows
+_REORDERING_GAME = """\
+player=II info=r
+  action=a player=I info=X
+    action=1 win=I
+    action=2 win=I
+  action=b player=I info=Y
+    action=1 win=I
+    action=2 win=II
+  action=c player=I info=X
+    action=1 player=I info=Y
+      action=1 win=II
+      action=2 win=I
+    action=2 win=II
+"""
+
+
+def test_settling_keeps_the_order_of_information_sets():
+    game, lam = load_game(_REORDERING_GAME, None)
+    small, _, _ = solver._settle(game, lam, solver._forced_winners(game, lam))
+    assert len(small) == len(game) - 3
+    labels = [info.label for info in small.information_partition(EXIST)]
+    assert labels == [info.label for info in game.information_partition(EXIST)]
+    eq = solve(game, lam)
+    assert eq.value == solve(game, lam, use_weak_dominance=False).value
+    _check_lifted(game, lam, eq)
