@@ -44,7 +44,6 @@ from .game import (
     SemanticGame,
     build_semantic_game,
     export_dot,
-    winner,
 )
 from .parser import (
     EventPredicate,
@@ -57,14 +56,11 @@ from .parser import (
     parse_structure,
 )
 from .solver import (
-    ClassicalStatus,
     ConditionalValue,
     Equilibrium,
     PayoffMatrix,
     build_matrix,
-    classical_status,
     conditional_value,
-    mixed_expected_payoff,
     reduce_matrix,
     simulate,
     solve,
@@ -77,7 +73,6 @@ from .strategy import (
     MixedStrategy,
     ReducedStrategy,
     StrategyList,
-    count_pure_strategies,
     embedded_nature,
     enumerate_reduced,
     follow_classes,

@@ -221,9 +221,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                            help="reduced-strategy enumeration budget per "
                                 f"player (default: {DEFAULT_STRATEGY_BUDGET})")
             p.add_argument("--no-weak-dominance", action="store_true",
-                           help="reduce only by merging duplicates and by "
-                                "strict dominance (better against every "
-                                "opposing strategy)")
+                           help="skip settling the tree (weak dominance); "
+                                "the matrix is only merged")
             p.add_argument("--format", choices=("text", "structured"),
                            default="text")
 

@@ -303,15 +303,6 @@ def build_semantic_game(m: Structure, phi: Formula,
     return game
 
 
-def winner(g: ExtensiveGame, node: int) -> int:
-    """Winner of a terminal history (EXIST or UNIV)."""
-    if not g.is_terminal(node):
-        raise GameError(f"history {node} is not terminal")
-    w = g.winner_of[node]
-    assert w is not None
-    return w
-
-
 def export_dot(g: ExtensiveGame) -> str:
     """Graphviz text for the game tree.
 

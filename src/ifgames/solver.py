@@ -7,18 +7,18 @@ and so have equal payoffs; :func:`~ifgames.strategy.follow_classes` finds
 them without enumerating the strategies), built by a float64 BLAS product
 when that denominator is at most 2**53 (exact, see ``build_matrix``) and by
 an int64 product otherwise; the cell budgets count the strategies, not the
-classes.  Reductions only merge duplicates or drop dominated strategies
-(which preserves the game value).  The LP is one column-generation
-(double-oracle) loop: its restricted problems run a fraction-free integer
-simplex (Bareiss pivoting, Bland's rule) and its best-response pricing is
-exact integer arithmetic.  Within ``DEFAULT_SIMPLEX_CAP`` cells the loop
+classes.  :func:`solve` first settles the nodes whose winner is already
+fixed (weak dominance, applied on the tree); the matrix reduction then only
+merges duplicates, which preserves the game value.  The LP is one
+column-generation (double-oracle) loop: its restricted problems run a
+fraction-free integer simplex (Bareiss pivoting, Bland's rule) and its
+best-response pricing is exact integer arithmetic.  Within ``DEFAULT_SIMPLEX_CAP`` cells the loop
 starts from the whole matrix, so its first restricted LP is the game's LP;
 a larger matrix starts from one row and one column and grows.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BudgetError, GameError, ZeroProbabilityEventError
-from .formula import Formula, has_chance
+from .formula import Formula
 from .game import (
     DEFAULT_NODE_CAP,
     EXIST,
@@ -58,9 +58,7 @@ if TYPE_CHECKING:
 
 DEFAULT_CELL_BUDGET = 10**8  # payoff-matrix cells
 _PRODUCT_BLOCK_CELLS = 4_000_000  # payoff cells per block of the product
-DEFAULT_DOMINANCE_CAP = 300_000  # matrix cells
 DEFAULT_SIMPLEX_CAP = 4_000  # matrix cells
-_DOMINANCE_OPS_GUARD = 2_000_000_000
 
 
 # ----------------------------------------------------------- payoff matrix
@@ -71,12 +69,11 @@ class PayoffMatrix:
     Cells are exact: ``num[i, j] / den``.  ``rows``/``cols`` list one
     strategy per row and column of the matrix as built;
     ``row_origin``/``col_origin`` index each current row and column in those
-    lists, through duplicate merging and dominance elimination.  A row or
-    column may stand for several strategies (a follow class, listed as its
-    first member, see :func:`build_matrix`); ``members`` counts the
-    strategies that the rows and the columns stand for in all (one each,
-    unless given).  ``reduced`` marks the output of
-    :func:`reduce_matrix`.
+    lists, through duplicate merging.  A row or column may stand for
+    several strategies (a follow class, listed as its first member, see
+    :func:`build_matrix`); ``members`` counts the strategies that the rows
+    and the columns stand for in all (one each, unless given).
+    ``reduced`` marks the output of :func:`reduce_matrix`.
     """
 
     def __init__(self, rows: StrategyList, cols: StrategyList,
@@ -193,52 +190,6 @@ def _first_occurrences(arr: np.ndarray) -> list[int]:
     return keep
 
 
-def _row_sums(num: np.ndarray) -> list[int]:
-    """Exact row sums, as Python integers.
-
-    Each entry splits into its high and low 32 bits, whose sums cannot
-    overflow int64 for any width under 2**31 columns, so the sums are
-    exact even where the plain int64 sum would wrap.
-    """
-    wide = num.astype(np.int64, copy=False)
-    high = (wide >> 32).sum(axis=1).tolist()
-    low = (wide & 0xFFFFFFFF).sum(axis=1).tolist()
-    return [(h << 32) + lo for h, lo in zip(high, low)]
-
-
-def _dominated_mask(num: np.ndarray, weak: bool) -> np.ndarray:
-    """Rows dominated by some other row: weakly (``>=`` in every column and
-    ``>`` in some) or strictly (``>`` in every column).
-
-    A weak dominator's row sum is larger by at least 1, a strict one's by
-    at least the number of columns, and dominance is transitive, so every
-    dominated row is dominated by an undominated one with a larger sum.
-    The sweep takes the rows by sum, largest first, compares each row not
-    yet marked with the rows whose sums are small enough, and marks those
-    it dominates; marked rows are skipped as dominators.
-    """
-    sums = _row_sums(num)
-    order = sorted(range(len(num)), key=sums.__getitem__, reverse=True)
-    ranked = num[order]
-    negated = [-sums[i] for i in order]  # ascending, for bisect
-    margin = 1 if weak else num.shape[1]
-    marked = np.zeros(len(num), dtype=bool)
-    for k, i in enumerate(order):
-        if marked[k]:
-            continue
-        start = bisect.bisect_left(negated, margin - sums[i])
-        if start == len(num):
-            continue
-        rest = ranked[start:]
-        # a row with a smaller sum that is nowhere above this one differs
-        # from it somewhere, so this is weak dominance
-        hit = (rest <= ranked[k]) if weak else (rest < ranked[k])
-        marked[start:] |= hit.all(axis=1)
-    out = np.empty(len(num), dtype=bool)
-    out[order] = marked
-    return out
-
-
 def _merge_rows(num: np.ndarray, origin: np.ndarray, members: int,
                 side: str, log: list[str]):
     """Keep the first of each set of equal rows, logging the merge against
@@ -252,70 +203,27 @@ def _merge_rows(num: np.ndarray, origin: np.ndarray, members: int,
     return num[keep], origin[keep]
 
 
-def _merge(num: np.ndarray, row_origin: np.ndarray, col_origin: np.ndarray,
-           members: tuple[int, int], log: list[str]):
-    """Merge equal rows, then equal columns."""
-    num, row_origin = _merge_rows(num, row_origin, members[0], "rows", log)
-    num_t, col_origin = _merge_rows(num.T, col_origin, members[1], "cols", log)
-    return num_t.T, row_origin, col_origin
+def reduce_matrix(m: PayoffMatrix) -> PayoffMatrix:
+    """Merge equal rows, then equal columns.
 
-
-def _drop_dominated_rows(num: np.ndarray, origin: np.ndarray, weak: bool,
-                         side: str, log: list[str]):
-    """Remove the rows that another row dominates (the rows maximize)."""
-    if len(num) > 1:
-        mask = _dominated_mask(num, weak)
-        if mask.any():
-            log.append(f"{side}: removed {int(mask.sum())} by "
-                       f"{'weak' if weak else 'strict'} dominance")
-            return num[~mask], origin[~mask]
-    return num, origin
-
-
-def reduce_matrix(m: PayoffMatrix, use_weak_dominance: bool = True) -> PayoffMatrix:
-    """Merge duplicate rows/columns, then iterate dominance elimination.
-
-    Strict dominance (better in every column, or row for the minimizer)
-    always runs, weak dominance (no worse anywhere, better somewhere) too
-    when the flag is set, until a fixpoint, provided the deduplicated
-    matrix is within ``DEFAULT_DOMINANCE_CAP`` cells; above the cap only
-    duplicate merging happens, which still preserves the game value.  The
-    origins keep indexing ``m.rows`` and ``m.cols``.  Each step is written
-    for the rows; the columns run it on the transpose, negated for
-    dominance, because the column player minimizes.
-
-    Dominance elimination can leave a row or column equal to another (on
-    Monty Hall's game three pairs of equal columns), so when it removes
-    anything the merge runs once more; removing an equal copy changes no
-    dominance, so the result is a fixpoint of both steps.  A reduced
-    matrix is returned as it is, so reducing twice changes nothing, the
-    log included.
+    Merging keeps the first of each set of equal rows (columns), so it
+    preserves the game value; the origins keep indexing ``m.rows`` and
+    ``m.cols``.  Dominance is left to :func:`solve`'s settling of the
+    tree, before the matrix exists.  Two rows are equal exactly when they
+    are equal after the merge of equal columns, and the other way round,
+    so no equal rows or columns are left.  A reduced matrix is returned
+    as it is, so reducing twice changes nothing, the log included.
     """
     if m.reduced:
         return m
     log = list(m.log)
     # the merge counts every strategy, also those that a class row of
     # build_matrix already stands for
-    num, row_origin, col_origin = _merge(m.num, m.row_origin, m.col_origin,
-                                         m.members, log)
-    r, c = num.shape
-    if r * c > DEFAULT_DOMINANCE_CAP or r * c * (r + c) > _DOMINANCE_OPS_GUARD:
-        log.append(f"dominance elimination skipped: {r}x{c} exceeds the cap")
-    else:
-        passes = [False, True] if use_weak_dominance else [False]
-        shape = None
-        while num.shape != shape:
-            shape = num.shape
-            for weak in passes:
-                num, row_origin = _drop_dominated_rows(num, row_origin, weak,
-                                                       "rows", log)
-                neg_t, col_origin = _drop_dominated_rows(-num.T, col_origin,
-                                                         weak, "cols", log)
-                num = -neg_t.T
-        if num.shape != (r, c):
-            num, row_origin, col_origin = _merge(num, row_origin, col_origin,
-                                                 num.shape, log)
-    return PayoffMatrix(m.rows, m.cols, np.ascontiguousarray(num), m.den,
+    num, row_origin = _merge_rows(m.num, m.row_origin, m.members[0], "rows",
+                                  log)
+    num_t, col_origin = _merge_rows(num.T, m.col_origin, m.members[1], "cols",
+                                    log)
+    return PayoffMatrix(m.rows, m.cols, np.ascontiguousarray(num_t.T), m.den,
                         row_origin, col_origin, log, reduced=True,
                         members=m.members)
 
@@ -662,11 +570,12 @@ def solve(game: ExtensiveGame, lam: BehavioralStrategy,
           budget: int = DEFAULT_STRATEGY_BUDGET,
           use_weak_dominance: bool = True) -> Equilibrium:
     """Equilibrium of a game: settle the tree, build the payoff matrix,
-    reduce it, solve.
+    merge its duplicates, solve.
 
     With weak dominance, :func:`_forced_winners` first settles every node
     whose winner is already fixed, and the matrix is built on the small
-    game that :func:`_settle` rebuilds.  The witness mixes refer to the
+    game that :func:`_settle` rebuilds; this is the only dominance there
+    is, so without it the matrix of the whole game is only merged.  The witness mixes refer to the
     reduced matrix (``eq.matrix``, whose ``log`` records the reduction) and
     lift to reduced strategies through its provenance.  Lifted to the rows
     and columns of the matrix as built, they must still certify the value
@@ -684,7 +593,7 @@ def solve(game: ExtensiveGame, lam: BehavioralStrategy,
     matrix = build_matrix(small, small_lam, budget)
     if use_weak_dominance:
         matrix.log.append(f"tree: {len(game)} -> {len(small)} nodes")
-    eq = solve_zero_sum(reduce_matrix(matrix, use_weak_dominance))
+    eq = solve_zero_sum(reduce_matrix(matrix))
     rows, cols = eq.matrix.row_origin, eq.matrix.col_origin
     unreduced = Equilibrium(eq.value,
                             tuple((int(rows[i]), w) for i, w in eq.row_mix),
@@ -721,29 +630,6 @@ def truth_value(m: Structure, phi: Formula, lam: BehavioralStrategy | None = Non
     return solve(game, lam, budget, use_weak_dominance)
 
 
-@dataclass(frozen=True)
-class ClassicalStatus:
-    kind: str  # "true" | "false" | "indeterminate"
-    value: Fraction
-
-
-def classical_status(m: Structure, phi: Formula, **options) -> ClassicalStatus:
-    """Game-theoretic truth/falsity of a chance-free sentence.
-
-    Finite win-lose games make value 1 equivalent to a winning strategy for
-    the verifier and value 0 to one for the falsifier; anything in between
-    is indeterminate.
-    """
-    if has_chance(phi):
-        raise GameError("classical status is defined for chance-free sentences")
-    eq = truth_value(m, phi, None, **options)
-    if eq.value == 1:
-        return ClassicalStatus("true", eq.value)
-    if eq.value == 0:
-        return ClassicalStatus("false", eq.value)
-    return ClassicalStatus("indeterminate", eq.value)
-
-
 # ----------------------------------------------------------- conditioning
 
 @dataclass(frozen=True)
@@ -763,11 +649,6 @@ def profile_outcomes(g: ExtensiveGame, lam: BehavioralStrategy,
             for node, mass in outcome_distribution(g, lam, sigma, tau).items():
                 out[node] = out.get(node, Fraction(0)) + weight * mass
     return out
-
-
-def mixed_expected_payoff(g: ExtensiveGame, lam: BehavioralStrategy,
-                          row_mix: MixedStrategy, col_mix: MixedStrategy) -> Fraction:
-    return conditional_value(g, lam, row_mix, col_mix, None).value
 
 
 def conditional_value(g: ExtensiveGame, lam: BehavioralStrategy,

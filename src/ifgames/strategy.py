@@ -376,14 +376,6 @@ def reduced_from_rules(g: ExtensiveGame, player: int, choose) -> ReducedStrategy
                            own_reachable_closure(player_plan(g, player), action))
 
 
-def count_pure_strategies(g: ExtensiveGame, player: int) -> int:
-    """Number of full pure strategies (product of action counts)."""
-    total = 1
-    for info in g.information_partition(player):
-        total *= len(info.actions)
-    return total
-
-
 def follows(node: int, sigma) -> bool:
     """True iff the owner of ``sigma`` follows it along the history ``node``."""
     own = player_plan(sigma.game, sigma.player).own[node]

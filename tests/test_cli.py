@@ -30,16 +30,18 @@ def test_value_game_file(capsys):
     assert "value = 2/3" in out
 
 
-def test_no_weak_dominance_removes_only_strictly_dominated(capsys):
-    # every row Monty Hall's contestant drops is only weakly dominated
+def test_no_weak_dominance_skips_settling(capsys):
+    # settling the tree is the only weak dominance; without it the whole
+    # game's matrix is only merged, to the same value
     game = corpus_path("monty_hall.game")
     code, out, _ = run(capsys, "value", game)
     assert code == 0
-    assert "reduction: rows: removed 9 by weak dominance" in out
+    assert "value = 2/3" in out
+    assert "reduction: tree: " in out
     code, out, _ = run(capsys, "value", game, "--no-weak-dominance")
     assert code == 0
     assert "value = 2/3" in out
-    assert "weak dominance" not in out
+    assert "tree:" not in out
 
 
 def test_value_with_nature_file(capsys):

@@ -14,7 +14,6 @@ from ifgames import (
     build_semantic_game,
     export_dot,
     parse_formula,
-    winner,
 )
 from ifgames.formula import And, ChanceOr, ChanceQ, Exists, Forall, Literal, Or
 from random_sentences import random_game
@@ -48,7 +47,7 @@ def test_node_cap(doors3, phi_mh):
 def test_matching_pennies_terminals(mp_game):
     terminals = mp_game.terminals()
     assert len(terminals) == 4
-    wins = [t for t in terminals if winner(mp_game, t) == EXIST]
+    wins = [t for t in terminals if mp_game.winner_of[t] == EXIST]
     # Eloise wins exactly the two histories with matching values
     assert len(wins) == 2
     for t in wins:
@@ -57,8 +56,11 @@ def test_matching_pennies_terminals(mp_game):
 
 
 def test_winner_rejects_nonterminal(mp_game):
-    with pytest.raises(GameError):
-        winner(mp_game, mp_game.root)
+    # only a terminal history has a winner
+    assert not mp_game.is_terminal(mp_game.root)
+    assert mp_game.winner_of[mp_game.root] is None
+    assert all(mp_game.winner_of[t] in (EXIST, UNIV)
+               for t in mp_game.terminals())
 
 
 def test_matching_pennies_partition(mp_game):
@@ -80,7 +82,7 @@ def test_sb_game_shape(sb_game):
     node = sb_game.children[node][1]  # t := 2
     left = sb_game.children[node][0]
     assert sb_game.is_terminal(left)
-    assert winner(sb_game, left) == EXIST
+    assert sb_game.winner_of[left] == EXIST
 
 
 def test_sb_slashed_disjunction_one_infoset(sb_game):

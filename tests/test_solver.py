@@ -23,11 +23,9 @@ from ifgames import (
     ZeroProbabilityEventError,
     build_matrix,
     build_semantic_game,
-    classical_status,
     conditional_value,
     enumerate_reduced,
     follows,
-    mixed_expected_payoff,
     negate,
     parse_event,
     parse_formula,
@@ -126,8 +124,9 @@ def test_expected_payoff_fig3_cells(fig1_game):
     sigma1, sigma1p = rows[order_r[0]], rows[order_r[3]]
     tau1 = cols[order_c[0]]
     pure = MixedStrategy.pure
-    assert mixed_expected_payoff(fig1_game, lam, pure(sigma1), pure(tau1)) == 1
-    assert mixed_expected_payoff(fig1_game, lam, pure(sigma1p), pure(tau1)) == 0
+    tau = pure(tau1)
+    assert conditional_value(fig1_game, lam, pure(sigma1), tau, None).value == 1
+    assert conditional_value(fig1_game, lam, pure(sigma1p), tau, None).value == 0
 
 
 def test_expected_payoff_sb_always_tails(sb_game):
@@ -137,8 +136,8 @@ def test_expected_payoff_sb_always_tails(sb_game):
         lambda info: "R" if info.label == "@/0/0/1[]"
         else ("L" if "t=2,x=1" in info.label else "R"))
     tau = enumerate_reduced(sb_game, UNIV)[0]
-    assert mixed_expected_payoff(sb_game, lam, MixedStrategy.pure(tails),
-                                 MixedStrategy.pure(tau)) == F(3, 4)
+    assert conditional_value(sb_game, lam, MixedStrategy.pure(tails),
+                             MixedStrategy.pure(tau), None).value == F(3, 4)
 
 
 def test_build_matrix_fig1_matches_fig3(fig1_solution, fig1_game):
@@ -281,8 +280,8 @@ def test_build_matrix_cells_equal_expected_payoff(source, structure, nature):
     for i, sigma in enumerate(rows):
         for j, tau in enumerate(cols):
             assert cell(matrix, row_class[i], col_class[j]) == \
-                mixed_expected_payoff(game, lam, MixedStrategy.pure(sigma),
-                                      MixedStrategy.pure(tau))
+                conditional_value(game, lam, MixedStrategy.pure(sigma),
+                                  MixedStrategy.pure(tau), None).value
 
 
 @pytest.mark.parametrize("source, structure, nature", [
@@ -346,8 +345,7 @@ def test_reduce_matrix_is_idempotent(entry, check):
     assert twice.col_origin.tolist() == once.col_origin.tolist()
     assert twice.log == once.log
     if entry.formula == "phi_sb.if":
-        assert once.log == ["rows: merged 27 duplicates (31 -> 4)",
-                            "rows: removed 3 by strict dominance"]
+        assert once.log == ["rows: merged 27 duplicates (31 -> 4)"]
 
 
 def test_build_matrix_rejects_denominator_above_int64():
@@ -432,147 +430,43 @@ def test_reduce_preserves_value_phi_mh(mh_solution):
 
 
 def test_reduce_fig1_weak_dominance_keeps_value(fig1_solution):
+    # the game is only weakly settled on the tree; the merge keeps the value
     matrix, reduced, eq = fig1_solution
     assert eq.value == F(2, 3)
-    no_weak = reduce_matrix(matrix, use_weak_dominance=False)
-    assert solve_zero_sum(no_weak).value == F(2, 3)
-
-
-def _dominated_reference(num, weak):
-    """Reference for ``_dominated_mask``: each row against every row, one
-    full comparison per row."""
-    out = np.zeros(len(num), dtype=bool)
-    for i in range(len(num)):
-        above = (num >= num[i]).all(axis=1)
-        if weak:
-            above &= (num != num[i]).any(axis=1)
-        else:
-            above &= (num > num[i]).all(axis=1)
-        out[i] = bool(above.any())
-    return out
-
-
-def _random_dominance_case(rng, kind):
-    """A small matrix of ``kind`` ("small", "int8" or "huge") whose rows
-    are often dominated: few distinct entries, rows raised from earlier
-    rows, permuted rows (equal sums) and repeated rows."""
-    shape = rng.choice(["any", "any", "any", "one-row", "one-col"])
-    n = 1 if shape == "one-row" else rng.randrange(2, 10)
-    c = 1 if shape == "one-col" else rng.randrange(2, 7)
-    lo, hi, dtype = {"small": (-3, 3, np.int64), "int8": (-128, 127, np.int8),
-                     "huge": (2**62 - 3, 2**62 + 3, np.int64)}[kind]
-    levels = [rng.randint(lo, hi) for _ in range(rng.randrange(2, 4))]
-    rows = [[rng.choice(levels) for _ in range(c)]]
-    while len(rows) < n:
-        base = rng.choice(rows)
-        roll = rng.random()
-        if roll < 0.3:
-            row = [min(hi, x + rng.randrange(0, 2)) for x in base]
-        elif roll < 0.5:
-            row = rng.sample(base, c)  # the same row sum
-        elif roll < 0.6:
-            row = list(base)
-        else:
-            row = [rng.choice(levels) for _ in range(c)]
-        rows.append(row)
-    num = np.array(rows, dtype=dtype)
-    if kind == "huge" and rng.random() < 0.5:
-        num = -num  # entries near -2**62, as the column pass negates
-    return num
-
-
-def test_dominated_mask_matches_reference():
-    rng = random.Random(8)
-    seen = Counter()
-    for trial in range(2400):
-        kind = ("small", "int8", "huge")[trial % 3]
-        num = _random_dominance_case(rng, kind)
-        sums = [sum(map(int, row)) for row in num]
-        for weak in (False, True):
-            got = solver._dominated_mask(num, weak)
-            want = _dominated_reference(num, weak)
-            assert got.tolist() == want.tolist(), (num, weak)
-            seen["strict" if not weak else "weak"] += bool(want.any())
-        seen["negative"] += bool((num < 0).any())
-        seen["equal sums"] += len(set(sums)) < len(sums)
-        seen["one row"] += num.shape[0] == 1
-        seen["one col"] += num.shape[1] == 1
-        # the row sum that int64 (or int8) arithmetic would wrap
-        seen["wraps"] += num.sum(axis=1, dtype=num.dtype).tolist() != sums
-    assert min(seen.values()) >= 150, seen
-
-
-def test_dominance_strict_needs_every_column():
-    num = np.array([[1, 1], [1, 0]], dtype=np.int8)
-    assert solver._dominated_mask(num, weak=True).tolist() == [False, True]
-    assert solver._dominated_mask(num, weak=False).tolist() == [False, False]
-    matrix = PayoffMatrix(None, None, num, 1)
-    weak = reduce_matrix(matrix)
-    # the row left has two equal cells, and the merge after dominance
-    # keeps one of the columns they lie in
-    assert weak.num.tolist() == [[1]]
-    assert weak.log == ["rows: removed 1 by weak dominance",
-                        "cols: merged 1 duplicates (2 -> 1)"]
-    strict = reduce_matrix(matrix, use_weak_dominance=False)
-    assert strict.num.tolist() == [[1, 1], [1, 0]]
-    assert strict.log == []
-    assert solve_zero_sum(weak).value == solve_zero_sum(strict).value == 1
+    assert solve_zero_sum(matrix).value == solve_zero_sum(reduced).value
 
 
 def test_solve_certifies_on_the_unreduced_matrix(monkeypatch):
-    # a faulty dominance pass that also drops row 0 where nothing is
-    # dominated shrinks matching pennies to one cell of value 0, which
+    # a faulty merge that also drops the first row (column) where nothing
+    # is equal shrinks matching pennies to one cell of value 1, which
     # certifies itself; lifted to the 2 x 2 matrix the witness fails
-    sweep = solver._dominated_mask
+    first_occurrences = solver._first_occurrences
 
-    def faulty(num, weak):
-        mask = sweep(num, weak)
-        mask[0] |= not mask.any()
-        return mask
+    def faulty(arr):
+        keep = first_occurrences(arr)
+        return keep[1:] if len(keep) == len(arr) > 1 else keep
 
     game, lam = load_game(corpus_text("matching_pennies.if"),
                           corpus_text("pennies_2.struct"))
     assert solve(game, lam).value == F(1, 2)
-    monkeypatch.setattr(solver, "_dominated_mask", faulty)
+    monkeypatch.setattr(solver, "_first_occurrences", faulty)
     reduced = reduce_matrix(build_matrix(game, lam))
     assert reduced.shape == (1, 1)
-    assert solve_zero_sum(reduced).value == 0
+    assert solve_zero_sum(reduced).value == 1
     with pytest.raises(GameError,
                        match="the witness fails on the unreduced payoff matrix"):
         solve(game, lam)
 
 
-@pytest.mark.parametrize("entry, check", _VALUED_CHECKS,
-                         ids=[_check_id(e, c) for e, c in _VALUED_CHECKS])
-def test_corpus_dominance_masks_match_reference(monkeypatch, entry, check):
-    sweep = solver._dominated_mask
-    compared = []
-
-    def checked(num, weak):
-        got = sweep(num, weak)
-        assert got.tolist() == _dominated_reference(num, weak).tolist()
-        compared.append(num.shape)
-        return got
-
-    monkeypatch.setattr(solver, "_dominated_mask", checked)
-    game, lam = _load_check(entry, check)
-    matrix = build_matrix(game, lam)
-    for use_weak in (True, False):
-        reduced = reduce_matrix(matrix, use_weak)
-    skipped = any("skipped" in line for line in reduced.log)
-    assert skipped or compared
-
-
-def _assert_no_dominance(num, use_weak):
-    for weak in (False, True) if use_weak else (False,):
-        assert not _dominated_reference(num, weak).any()
-        assert not _dominated_reference(-num.T, weak).any()
+def _assert_no_equal_lines(num):
+    assert np.unique(num, axis=0).shape == np.unique(num, axis=1).shape \
+        == num.shape
 
 
 def test_random_sentences_reduce_properties():
     """On seeded random sentences: reducing is idempotent, keeps the value
-    and, under the cap, leaves no dominated row or column."""
-    reduced_by = Counter()
+    and leaves no two equal rows or columns."""
+    shrunk = Counter()
     for seed in range(300):
         game = random_game(seed)
         try:
@@ -580,32 +474,25 @@ def test_random_sentences_reduce_properties():
         except BudgetError:
             continue
         value = solve_zero_sum(matrix).value
-        for use_weak in (True, False):
-            once = reduce_matrix(matrix, use_weak)
-            assert reduce_matrix(once, use_weak) is once
-            # reduced afresh, the result only merges the duplicates that
-            # dominance left behind
-            again = reduce_matrix(PayoffMatrix(once.rows, once.cols, once.num,
-                                               once.den), use_weak)
-            assert all("merged" in line for line in again.log)
-            assert solve_zero_sum(once).value == value
-            assert solve_zero_sum(again).value == value
-            assert not any("skipped" in line for line in once.log)
-            _assert_no_dominance(once.num, use_weak)
-            reduced_by.update(line.split(" by ")[-1] for line in once.log
-                              if "removed" in line)
-    assert reduced_by["strict dominance"] >= 50
-    assert reduced_by["weak dominance"] >= 50
-
+        once = reduce_matrix(matrix)
+        assert reduce_matrix(once) is once
+        # reduced afresh, the result has nothing left to merge
+        again = reduce_matrix(PayoffMatrix(once.rows, once.cols, once.num,
+                                           once.den))
+        assert again.log == [] and np.array_equal(again.num, once.num)
+        assert solve_zero_sum(once).value == value
+        _assert_no_equal_lines(once.num)
+        shrunk["rows"] += once.shape[0] < matrix.shape[0]
+        shrunk["cols"] += once.shape[1] < matrix.shape[1]
+    assert min(shrunk.values()) >= 50, shrunk
 
 
 def test_reduce_matrix_treats_players_alike():
     """Reducing the dual game ``den - num.T``, in which the players swap
-    places, mirrors reducing ``num``: under strict dominance alone the
-    result is the dual of the reduced matrix with the origins swapped, and
-    with or without weak dominance the two values sum to 1."""
+    places, mirrors reducing ``num``: the result is the dual of the reduced
+    matrix with the origins swapped, and the two values sum to 1."""
     rng = random.Random(9)
-    removed = Counter()
+    merged = Counter()
     for trial in range(1200):
         n_rows, n_cols = rng.randrange(1, 7), rng.randrange(1, 7)
         den = rng.choice([1, 2, 3, 5])
@@ -613,18 +500,15 @@ def test_reduce_matrix_treats_players_alike():
                         for _ in range(n_rows)], dtype=np.int64)
         game = PayoffMatrix(None, None, num, den)
         dual = PayoffMatrix(None, None, den - num.T, den)
-        for use_weak in (False, True):
-            once = reduce_matrix(game, use_weak)
-            mirror = reduce_matrix(dual, use_weak)
-            if not use_weak:
-                assert np.array_equal(mirror.num, den - once.num.T), (num, den)
-                assert mirror.row_origin.tolist() == once.col_origin.tolist()
-                assert mirror.col_origin.tolist() == once.row_origin.tolist()
-            assert (solve_zero_sum(once).value
-                    + solve_zero_sum(mirror).value) == 1, (num, den, use_weak)
-            removed.update(line.split(":")[0] + line.split(" by ")[-1]
-                           for line in once.log if "removed" in line)
-    assert min(removed.values()) >= 100 and len(removed) == 4, removed
+        once = reduce_matrix(game)
+        mirror = reduce_matrix(dual)
+        assert np.array_equal(mirror.num, den - once.num.T), (num, den)
+        assert mirror.row_origin.tolist() == once.col_origin.tolist()
+        assert mirror.col_origin.tolist() == once.row_origin.tolist()
+        assert (solve_zero_sum(once).value
+                + solve_zero_sum(mirror).value) == 1, (num, den)
+        merged.update(line.split(":")[0] for line in once.log)
+    assert min(merged.values()) >= 100 and len(merged) == 2, merged
 
 
 def test_solve_one_by_one():
@@ -868,22 +752,23 @@ def test_truth_value_stochastic_matching_pennies(smp_game):
 
 
 def test_classical_status(binary, doors3):
+    # a finite win-lose game has value 1 (0) exactly when the verifier
+    # (falsifier) has a winning strategy; anything between is indeterminate
     copycat = parse_formula("forall x exists y (x = y)")
-    assert classical_status(binary, copycat).kind == "true"
+    assert truth_value(binary, copycat).value == 1
+    assert truth_value(binary, negate(copycat)).value == 0
     mp = parse_formula("forall x (exists y/{x}) x = y")
-    status = classical_status(binary, mp)
-    assert status.kind == "indeterminate"
-    assert status.value == F(1, 2)
     for n in (2, 3, 4, 5):
         m = parse_structure(corpus_text(f"pennies_{n}.struct"))
-        status = classical_status(m, mp)
-        assert status.kind == "indeterminate" and status.value == F(1, n)
+        assert truth_value(m, mp).value == F(1, n)
 
 
 def test_classical_status_rejects_chance(sb_structure, phi_sb):
-    from ifgames.errors import GameError
-    with pytest.raises(GameError):
-        classical_status(sb_structure, phi_sb)
+    # a chance sentence has no classical status: its value is a
+    # probability, here strictly between false and true
+    from ifgames.formula import has_chance
+    assert has_chance(phi_sb)
+    assert 0 < truth_value(sb_structure, phi_sb).value < 1
 
 
 def _sb_mix(game, p):
@@ -902,7 +787,8 @@ def test_conditional_sb_family(sb_game):
     awake = parse_event("Awake(x,t)", sb_game)
     for p in (F(0), F(1, 4), F(1, 2), F(1)):
         mix = _sb_mix(sb_game, p)
-        assert mixed_expected_payoff(sb_game, lam, mix, tau) == (3 - p) / 4
+        whole = conditional_value(sb_game, lam, mix, tau, None)
+        assert whole.value == (3 - p) / 4
         cond = conditional_value(sb_game, lam, mix, tau, awake)
         assert cond.value == (2 - p) / 3
         assert cond.p_event == F(3, 4)
@@ -916,7 +802,8 @@ def test_conditional_whole_space_is_expected_payoff(sb_game):
     mix = _sb_mix(sb_game, F(1, 2))
     cond = conditional_value(sb_game, lam, mix, tau, None)
     assert cond.p_event == 1
-    assert cond.value == mixed_expected_payoff(sb_game, lam, mix, tau)
+    # the expected payoff of the family above, (3 - p) / 4 at p = 1/2
+    assert cond.value == cond.p_win_and_event == F(5, 8)
 
 
 def test_conditional_zero_probability_event(sb_game):
@@ -935,7 +822,7 @@ def test_conditional_coherence(sb_game, sb_prime_game):
     complement = parse_event("not Awake(x,t)", sb_game)
     c1 = conditional_value(sb_game, lam, mix, tau, event)
     c2 = conditional_value(sb_game, lam, mix, tau, complement)
-    total = mixed_expected_payoff(sb_game, lam, mix, tau)
+    total = conditional_value(sb_game, lam, mix, tau, None).value
     assert c1.p_event + c2.p_event == 1
     assert c1.value * c1.p_event + c2.value * c2.p_event == total
 
@@ -1003,7 +890,7 @@ def test_simulate_deterministic_game(fig1_game):
     cols = enumerate_reduced(fig1_game, UNIV)
     sigma = MixedStrategy.pure(rows[0])
     tau = MixedStrategy.pure(cols[0])
-    exact = mixed_expected_payoff(fig1_game, lam, sigma, tau)
+    exact = conditional_value(fig1_game, lam, sigma, tau, None).value
     report = simulate(fig1_game, lam, sigma, tau, plays=50, seed=9)
     assert report.win_frequency in (F(0), F(1))
     assert report.win_frequency == exact

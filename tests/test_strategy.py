@@ -1,5 +1,6 @@
 """Reduced-strategy enumeration, the follow relation, outcome distributions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from ifgames import (
     MixedStrategy,
     Structure,
     build_semantic_game,
-    count_pure_strategies,
     enumerate_reduced,
     follows,
     outcome_distribution,
@@ -32,8 +32,12 @@ def test_fig1_reduced_counts(fig1_game):
 
 
 def test_fig1_pure_counts(fig1_game):
-    assert count_pure_strategies(fig1_game, EXIST) == 192
-    assert count_pure_strategies(fig1_game, UNIV) == 24
+    # a pure strategy picks one action at each of the player's sets
+    def pure(player):
+        return math.prod(len(info.actions)
+                         for info in fig1_game.information_partition(player))
+    assert pure(EXIST) == 192
+    assert pure(UNIV) == 24
 
 
 def test_matching_pennies_two_strategies():
