@@ -12,9 +12,10 @@ fixed (weak dominance, applied on the tree); the matrix reduction then only
 merges duplicates, which preserves the game value.  The LP is one
 column-generation (double-oracle) loop: its restricted problems run a
 fraction-free integer simplex (Bareiss pivoting, Bland's rule) and its
-best-response pricing is exact integer arithmetic.  Within ``DEFAULT_SIMPLEX_CAP`` cells the loop
-starts from the whole matrix, so its first restricted LP is the game's LP;
-a larger matrix starts from one row and one column and grows.
+best-response pricing is exact integer arithmetic.  Within
+``DEFAULT_SIMPLEX_CAP`` cells the loop starts from the whole matrix, so its
+first restricted LP is the game's LP; a larger matrix starts from one row
+and one column and grows.
 """
 
 from __future__ import annotations
@@ -575,16 +576,16 @@ def solve(game: ExtensiveGame, lam: BehavioralStrategy,
     With weak dominance, :func:`_forced_winners` first settles every node
     whose winner is already fixed, and the matrix is built on the small
     game that :func:`_settle` rebuilds; this is the only dominance there
-    is, so without it the matrix of the whole game is only merged.  The witness mixes refer to the
-    reduced matrix (``eq.matrix``, whose ``log`` records the reduction) and
-    lift to reduced strategies through its provenance.  Lifted to the rows
-    and columns of the matrix as built, they must still certify the value
-    there, or :class:`GameError` is raised: the reduction is checked, not
-    trusted.  The settling is checked too: each mix, lifted to ``game``
-    (``eq.row_strategies()``, ``eq.col_strategies()``), must guarantee the
-    value on ``game``'s tree (:func:`_tree_reply`) wherever the other
-    player's information sets are all singletons; the log's last line
-    names the check each side passed.
+    is, so without it the matrix of the whole game is only merged.  The
+    witness mixes refer to the reduced matrix (``eq.matrix``, whose
+    ``log`` records the reduction) and lift to reduced strategies through
+    its provenance.  Lifted to the rows and columns of the matrix as
+    built, they must still certify the value there, or :class:`GameError`
+    is raised: the reduction is checked, not trusted.  The settling is
+    checked too: each mix, lifted to ``game`` (``eq.row_strategies()``,
+    ``eq.col_strategies()``), must guarantee the value on ``game``'s tree
+    (:func:`_tree_reply`) wherever the other player's information sets are
+    all singletons; the log's last line names the check each side passed.
     """
     small, small_lam = game, lam
     if use_weak_dominance:

