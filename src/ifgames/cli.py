@@ -58,8 +58,7 @@ def _load_game(args):
 
 
 def _solve(args, game, lam):
-    return solve(game, lam, args.budget or DEFAULT_STRATEGY_BUDGET,
-                 not args.no_weak_dominance)
+    return solve(game, lam, args.budget or DEFAULT_STRATEGY_BUDGET)
 
 
 def _profile_for(args, game, lam):
@@ -68,8 +67,8 @@ def _profile_for(args, game, lam):
         return eq.row_strategies(), eq.col_strategies()
     if not args.profile:
         raise IfGameError("need --profile FILE or --solve")
-    if args.budget is not None or args.no_weak_dominance:
-        raise IfGameError("--budget and --no-weak-dominance act only with --solve")
+    if args.budget is not None:
+        raise IfGameError("--budget acts only with --solve")
     return parse_profile(Path(args.profile).read_text(), game)
 
 
@@ -119,8 +118,7 @@ def cmd_condition(args) -> int:
 
 def cmd_corpus(args) -> int:
     results = run_corpus(args.filter, node_cap=args.node_cap,
-                         budget=args.budget or DEFAULT_STRATEGY_BUDGET,
-                         use_weak_dominance=not args.no_weak_dominance)
+                         budget=args.budget or DEFAULT_STRATEGY_BUDGET)
     if not results:
         raise IfGameError(f"no corpus entry matches --filter {args.filter!r}")
     failed = [r for r in results if not r.passed]
@@ -220,9 +218,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=positive_int, default=None,
                            help="reduced-strategy enumeration budget per "
                                 f"player (default: {DEFAULT_STRATEGY_BUDGET})")
-            p.add_argument("--no-weak-dominance", action="store_true",
-                           help="skip settling the tree (weak dominance); "
-                                "the matrix is only merged")
             p.add_argument("--format", choices=("text", "structured"),
                            default="text")
 

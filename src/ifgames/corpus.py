@@ -33,9 +33,6 @@ class CorpusCheck:
     nature: str | None = None  # bundled .nat file; None means uniform/embedded
     expected: Fraction | None = None  # game value; None skips the solve
     queries: tuple[ConditionalQuery, ...] = ()
-    # the unsettled game exceeds the strategy budget, so a replay without
-    # weak dominance, which does not settle the tree, skips the value
-    settled_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ CORPUS: tuple[CorpusEntry, ...] = (
             # is at y or at the third door with mass 1/9 each, so either
             # choice wins 1/9 for each of the two doors z != y: 1/9 + 2/9.
             CorpusCheck(
-                "doors3.struct", expected=F(1, 3), settled_only=True,
+                "doors3.struct", expected=F(1, 3),
                 queries=(
                     ConditionalQuery("mh_prime_chance_paper.profile",
                                      "z != x and z != y#1 and y = y#1", F(1, 2)),
@@ -183,8 +180,7 @@ def _check(entry: CorpusEntry, label: str, expected: Fraction,
 
 def run_corpus(name_filter: str | None = None, *,
                node_cap: int = DEFAULT_NODE_CAP,
-               budget: int = DEFAULT_STRATEGY_BUDGET,
-               use_weak_dominance: bool = True) -> list[CheckResult]:
+               budget: int = DEFAULT_STRATEGY_BUDGET) -> list[CheckResult]:
     """Replay the corpus.  A diagnostic (:class:`IfGameError`) becomes a
     failed check and the replay goes on; any other exception is a bug and
     propagates."""
@@ -203,11 +199,10 @@ def run_corpus(name_filter: str | None = None, *,
                 results.append(CheckResult(entry.name, entry.group, where,
                                            check.expected or F(0), None, str(exc)))
                 continue
-            if check.expected is not None and (use_weak_dominance
-                                               or not check.settled_only):
+            if check.expected is not None:
                 results.append(_check(
                     entry, f"value on {where}", check.expected,
-                    lambda: solve(game, lam, budget, use_weak_dominance).value))
+                    lambda: solve(game, lam, budget).value))
             for q in check.queries:
                 results.append(_check(
                     entry, f"P(win | {q.event})", q.expected,

@@ -215,18 +215,6 @@ def occurrences(phi: Formula) -> list[tuple[OccurrenceId, Formula]]:
     return out
 
 
-def has_chance(phi: Formula) -> bool:
-    if isinstance(phi, (ChanceOr, ChanceQ)):
-        return True
-    return any(has_chance(c) for c in children(phi))
-
-
-def is_slash_free(phi: Formula) -> bool:
-    if isinstance(phi, (Or, And, Exists, Forall)) and phi.slash:
-        return False
-    return all(is_slash_free(c) for c in children(phi))
-
-
 def occurrence_label(path: OccurrenceId) -> str:
     """Render an occurrence path as ``/0/1`` (root is ``/``)."""
     if not path:

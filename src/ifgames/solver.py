@@ -7,9 +7,9 @@ and so have equal payoffs; :func:`~ifgames.strategy.follow_classes` finds
 them without enumerating the strategies), built by a float64 BLAS product
 when that denominator is at most 2**53 (exact, see ``build_matrix``) and by
 an int64 product otherwise; the cell budgets count the strategies, not the
-classes.  :func:`solve` first settles the nodes whose winner is already
-fixed (weak dominance, applied on the tree); the matrix reduction then only
-merges duplicates, which preserves the game value.  The LP is one
+classes.  :func:`solve` always first settles the nodes whose winner is
+already fixed (weak dominance, applied on the tree); the matrix reduction
+then only merges duplicates, which preserves the game value.  The LP is one
 column-generation (double-oracle) loop: its restricted problems run a
 fraction-free integer simplex (Bareiss pivoting, Bland's rule) and its
 best-response pricing is exact integer arithmetic.  Within
@@ -237,8 +237,8 @@ class Equilibrium:
 
     Mixes are supports over the matrix's current rows/columns; helpers lift
     them to reduced strategies through the matrix provenance, or return
-    ``lifted``, the mixes of the game that :func:`solve` was given when it
-    solved a settled copy of it.
+    ``lifted``, the mixes of the game that :func:`solve` was given, lifted
+    from the settled copy it solved.
     """
 
     value: Fraction
@@ -568,15 +568,13 @@ def _tree_reply(g: ExtensiveGame, reach: list[Fraction],
 
 
 def solve(game: ExtensiveGame, lam: BehavioralStrategy,
-          budget: int = DEFAULT_STRATEGY_BUDGET,
-          use_weak_dominance: bool = True) -> Equilibrium:
+          budget: int = DEFAULT_STRATEGY_BUDGET) -> Equilibrium:
     """Equilibrium of a game: settle the tree, build the payoff matrix,
     merge its duplicates, solve.
 
-    With weak dominance, :func:`_forced_winners` first settles every node
-    whose winner is already fixed, and the matrix is built on the small
-    game that :func:`_settle` rebuilds; this is the only dominance there
-    is, so without it the matrix of the whole game is only merged.  The
+    :func:`_forced_winners` first settles every node whose winner is
+    already fixed (weak dominance, the only dominance there is), and the
+    matrix is built on the small game that :func:`_settle` rebuilds.  The
     witness mixes refer to the reduced matrix (``eq.matrix``, whose
     ``log`` records the reduction) and lift to reduced strategies through
     its provenance.  Lifted to the rows and columns of the matrix as
@@ -587,13 +585,10 @@ def solve(game: ExtensiveGame, lam: BehavioralStrategy,
     (:func:`_tree_reply`) wherever the other player's information sets are
     all singletons; the log's last line names the check each side passed.
     """
-    small, small_lam = game, lam
-    if use_weak_dominance:
-        forced = _forced_winners(game, lam)
-        small, small_lam, origin = _settle(game, lam, forced)
+    forced = _forced_winners(game, lam)
+    small, small_lam, origin = _settle(game, lam, forced)
     matrix = build_matrix(small, small_lam, budget)
-    if use_weak_dominance:
-        matrix.log.append(f"tree: {len(game)} -> {len(small)} nodes")
+    matrix.log.append(f"tree: {len(game)} -> {len(small)} nodes")
     eq = solve_zero_sum(reduce_matrix(matrix))
     rows, cols = eq.matrix.row_origin, eq.matrix.col_origin
     unreduced = Equilibrium(eq.value,
@@ -602,8 +597,6 @@ def solve(game: ExtensiveGame, lam: BehavioralStrategy,
                             matrix)
     if not verify_equilibrium(matrix, unreduced):
         raise GameError("the witness fails on the unreduced payoff matrix")
-    if not use_weak_dominance:
-        return eq
     eq.lifted = tuple(_lift(game, small, origin, forced, mix)
                       for mix in (eq.row_strategies(), eq.col_strategies()))
     reach = _chance_reach(game, lam)
@@ -622,13 +615,12 @@ def solve(game: ExtensiveGame, lam: BehavioralStrategy,
 
 def truth_value(m: Structure, phi: Formula, lam: BehavioralStrategy | None = None,
                 *, node_cap: int = DEFAULT_NODE_CAP,
-                budget: int = DEFAULT_STRATEGY_BUDGET,
-                use_weak_dominance: bool = True) -> Equilibrium:
+                budget: int = DEFAULT_STRATEGY_BUDGET) -> Equilibrium:
     """Equilibrium value of the semantic game (the sentence's truth value)."""
     game = build_semantic_game(m, phi, node_cap)
     if lam is None:
         lam = uniform_nature(game)
-    return solve(game, lam, budget, use_weak_dominance)
+    return solve(game, lam, budget)
 
 
 # ----------------------------------------------------------- conditioning

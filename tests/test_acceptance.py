@@ -12,12 +12,15 @@ from fractions import Fraction
 from ifgames import (
     EXIST,
     UNIV,
+    ChanceOr,
+    ChanceQ,
     MixedStrategy,
     build_matrix,
     conditional_value,
     enumerate_reduced,
     format_formula,
     negate,
+    occurrences,
     outcome_distribution,
     parse_event,
     parse_formula,
@@ -191,13 +194,14 @@ def test_criterion_11_property_suite(corpus_formulas, doors3, binary,
         assert parse_formula(format_formula(phi)) == phi, name
 
     # bivalence on the ten slash-free, chance-free corpus sentences
-    from ifgames.formula import has_chance, is_slash_free
     classical = {n: f for n, f in corpus_formulas.items()
                  if n.startswith("classical")}
     assert len(classical) == 10
     values = {}
     for name, phi in classical.items():
-        assert is_slash_free(phi) and not has_chance(phi)
+        assert not any(isinstance(sub, (ChanceOr, ChanceQ))
+                       or getattr(sub, "slash", None)
+                       for _, sub in occurrences(phi))
         structure = (doors3 if name in ("classical_true_copycat.if",
                                         "classical_false_lone_element.if")
                      else sb_structure)

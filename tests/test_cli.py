@@ -3,8 +3,12 @@
 import json
 from importlib import resources
 
-from ifgames import solver
+import pytest
+
+from ifgames import BudgetError, solver
 from ifgames.cli import main
+from ifgames.corpus import corpus_text
+from ifgames.parser import load_game
 
 
 def corpus_path(name: str) -> str:
@@ -30,18 +34,17 @@ def test_value_game_file(capsys):
     assert "value = 2/3" in out
 
 
-def test_no_weak_dominance_skips_settling(capsys):
-    # settling the tree is the only weak dominance; without it the whole
-    # game's matrix is only merged, to the same value
+def test_settling_cannot_be_switched_off(capsys):
     game = corpus_path("monty_hall.game")
     code, out, _ = run(capsys, "value", game)
     assert code == 0
     assert "value = 2/3" in out
     assert "reduction: tree: " in out
-    code, out, _ = run(capsys, "value", game, "--no-weak-dominance")
-    assert code == 0
-    assert "value = 2/3" in out
-    assert "tree:" not in out
+    for argv in (["value", game], ["condition", game, "--solve"],
+                 ["simulate", game, "--solve"], ["corpus"]):
+        code, out, err = run(capsys, *argv, "--no-weak-dominance")
+        assert (code, out) == (1, ""), argv
+        assert "unrecognized arguments: --no-weak-dominance" in err
 
 
 def test_value_with_nature_file(capsys):
@@ -151,20 +154,24 @@ def test_budget_error_exit_code_two(capsys):
 
 
 def test_strategy_budget_diagnostics(capsys):
-    # on the unsettled trees (settling is weak dominance): the falsifier of
-    # the chance Monty Hall sentence passes the default budget at its last
-    # information set; phi_mh's verifier passes 1000 part way through its
-    # enumeration
-    for argv, reached in [
-        (["phi_mh_prime_chance.if", "doors3.struct"], "limit 1000000, reached 1048576"),
-        (["phi_mh.if", "doors3.struct", "--budget", "1000"], "limit 1000, reached 1088"),
-        (["phi_mh.if", "doors3.struct", "--budget", "823874"],
-         "limit 823874, reached 823875"),
+    # settled, phi_mh's verifier still has more than 5 strategies
+    code, out, err = run(capsys, "value", corpus_path("phi_mh.if"),
+                         corpus_path("doors3.struct"), "--budget", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: strategy budget exceeded: limit 5, reached 11\n"
+    # on the unsettled trees: the falsifier of the chance Monty Hall
+    # sentence passes the default budget at its last information set;
+    # phi_mh's verifier passes 1000 part way through its enumeration
+    doors3 = corpus_text("doors3.struct")
+    for name, budget, reached in [
+        ("phi_mh_prime_chance.if", 10**6, "limit 1000000, reached 1048576"),
+        ("phi_mh.if", 1000, "limit 1000, reached 1088"),
+        ("phi_mh.if", 823874, "limit 823874, reached 823875"),
     ]:
-        code, out, err = run(capsys, "value", *map(corpus_path, argv[:2]), *argv[2:],
-                             "--no-weak-dominance")
-        assert (code, out) == (2, "")
-        assert err == f"error: strategy budget exceeded: {reached}\n"
+        game, lam = load_game(corpus_text(name), doors3)
+        with pytest.raises(BudgetError) as exc:
+            solver.build_matrix(game, lam, budget)
+        assert str(exc.value) == f"strategy budget exceeded: {reached}"
 
 
 def test_cell_budget_exit_code_two(capsys, monkeypatch):
@@ -178,12 +185,17 @@ def test_cell_budget_exit_code_two(capsys, monkeypatch):
 def test_follow_cell_budget_exit_code_two(capsys, monkeypatch):
     # on the settled tree, 2 x 1 payoff cells pass the budget; the 2 x 4
     # follow table does not (unsettled, 31 x 1 and 31 x 5)
-    for budget, reached, flags in ((7, 8, ()), (31, 155, ("--no-weak-dominance",))):
-        monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", budget)
-        code, _, err = run(capsys, "value", corpus_path("phi_sb.if"),
-                           corpus_path("sleeping_beauty.struct"), *flags)
-        assert code == 2
-        assert f"follow cell budget exceeded: limit {budget}, reached {reached}" in err
+    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 7)
+    code, _, err = run(capsys, "value", corpus_path("phi_sb.if"),
+                       corpus_path("sleeping_beauty.struct"))
+    assert code == 2
+    assert "follow cell budget exceeded: limit 7, reached 8" in err
+    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 31)
+    game, lam = load_game(corpus_text("phi_sb.if"),
+                          corpus_text("sleeping_beauty.struct"))
+    with pytest.raises(BudgetError, match="follow cell budget exceeded: "
+                                          "limit 31, reached 155"):
+        solver.build_matrix(game, lam)
 
 
 def test_sampler_cell_budget_exit_code_two(capsys, monkeypatch):
@@ -326,13 +338,12 @@ def test_solver_flags_need_solve(capsys):
     sb = (corpus_path("phi_sb.if"), corpus_path("sleeping_beauty.struct"))
     for command in (["condition", *sb, "--event", "Awake(x,t)"],
                     ["simulate", *sb, "--plays", "10"]):
-        for flags in (["--budget", "1"], ["--no-weak-dominance"]):
-            code, out, err = run(capsys, *command, "--profile",
-                                 corpus_path("sb_heads.profile"), *flags)
-            assert (code, out) == (1, "")
-            assert "act only with --solve" in err
-            code, _, err = run(capsys, *command, "--solve", *flags)
-            assert code == (2 if flags[0] == "--budget" else 0), err
+        code, out, err = run(capsys, *command, "--profile",
+                             corpus_path("sb_heads.profile"), "--budget", "1")
+        assert (code, out) == (1, "")
+        assert "--budget acts only with --solve" in err
+        code, _, err = run(capsys, *command, "--solve", "--budget", "1")
+        assert code == 2, err
 
 
 def test_condition_bad_event_element(capsys):

@@ -1,8 +1,9 @@
 """Settling the nodes whose winner is already fixed, before strategies exist.
 
-``solve`` settles the tree (``solver._forced_winners``, ``solver._settle``)
-unless weak dominance is off.  The value must equal the unsettled one, and
-each witness mix, lifted to the original game, must hold the value there:
+``solve`` always settles the tree (``solver._forced_winners``,
+``solver._settle``).  The value must equal the unsettled one, which the
+public stages give when composed directly on the game as built, and each
+witness mix, lifted to the original game, must hold the value there:
 checked here exactly, by backward induction where the other player's sets
 are singletons and over its class list of the original game otherwise.
 """
@@ -17,7 +18,7 @@ from ifgames import EXIST, UNIV, BudgetError, GameError, solve
 from ifgames import solver
 from ifgames.corpus import CORPUS, corpus_text
 from ifgames.parser import load_game
-from ifgames.strategy import follow_classes
+from ifgames.strategy import DEFAULT_STRATEGY_BUDGET, follow_classes
 from random_sentences import seeded_sentence
 
 F = Fraction
@@ -41,6 +42,12 @@ def _exact_reply(game, lam, mix) -> Fraction:
     return Fraction(int(best(scores)), scale)
 
 
+def _unsettled(game, lam, budget=DEFAULT_STRATEGY_BUDGET):
+    """The equilibrium of ``game`` as built, with no settling."""
+    return solver.solve_zero_sum(solver.reduce_matrix(
+        solver.build_matrix(game, lam, budget)))
+
+
 def _check_lifted(game, lam, eq):
     for mix in (eq.row_strategies(), eq.col_strategies()):
         assert all(s.game is game for s, _ in mix)
@@ -49,6 +56,8 @@ def _check_lifted(game, lam, eq):
 
 _VALUED = [(entry, check) for entry in CORPUS for check in entry.checks
            if check.expected is not None]
+# the one value check whose unsettled falsifier exceeds the strategy budget
+_OVER_BUDGET_UNSETTLED = ("phi_mh_prime_chance.if", "doors3.struct")
 
 
 @pytest.mark.parametrize("entry, check", _VALUED,
@@ -62,30 +71,30 @@ def test_corpus_settled_equals_unsettled(entry, check):
     assert eq.matrix.log[0].startswith(f"tree: {len(game)} -> ")
     assert eq.matrix.log[-1].startswith("witness checked: I on ")
     _check_lifted(game, lam, eq)
-    if check.settled_only:
+    if (entry.formula, check.structure) == _OVER_BUDGET_UNSETTLED:
         with pytest.raises(BudgetError):
-            solve(game, lam, use_weak_dominance=False)
+            _unsettled(game, lam)
     else:
-        assert solve(game, lam, use_weak_dominance=False).value == eq.value
+        assert _unsettled(game, lam).value == eq.value
 
 
 def test_random_sentences_settled_equals_unsettled():
     """Seeds 0-399 at a budget of 10**4: every settled game solves, its
     value is the unsettled one wherever that fits the budget, and its
     lifted witnesses hold on the original game."""
-    settled_only = widest = 0
+    over_budget = widest = 0
     for seed in range(400):
         game, lam = load_game(*seeded_sentence(seed))
         eq = solve(game, lam, budget=10**4)
         widest = max(widest, *eq.matrix.members)
         _check_lifted(game, lam, eq)
         try:
-            unsettled = solve(game, lam, budget=10**4, use_weak_dominance=False)
+            unsettled = _unsettled(game, lam, 10**4)
         except BudgetError:
-            settled_only += 1
+            over_budget += 1
             continue
         assert unsettled.value == eq.value, seed
-    assert settled_only == 11
+    assert over_budget == 11
     assert widest == 126
 
 
@@ -150,5 +159,27 @@ def test_settling_keeps_the_order_of_information_sets():
     labels = [info.label for info in small.information_partition(EXIST)]
     assert labels == [info.label for info in game.information_partition(EXIST)]
     eq = solve(game, lam)
-    assert eq.value == solve(game, lam, use_weak_dominance=False).value
+    assert eq.value == _unsettled(game, lam).value
     _check_lifted(game, lam, eq)
+
+
+# closed forms on n doors, derived by hand: the verifier of phi_mh picks y
+# uniformly and switches to a uniform door outside {y, z}; that of
+# phi_mh_chance wins outright when z is x or y, and then 1/n**2 for each
+# door z != y
+_MONTY_HALL_ON_N_DOORS = {
+    "phi_mh.if": lambda n: F(n - 1, n * (n - 2)),
+    "phi_mh_prime.if": lambda n: F(1, n),
+    "phi_mh_chance.if": lambda n: F(3 * n - 2, n * n),
+    "phi_mh_prime_chance.if": lambda n: F(1, n),
+}
+# phi_mh on five doors is left out: it takes over a minute
+_FAMILY = [(n, name) for n in (4, 5) for name in _MONTY_HALL_ON_N_DOORS
+           if (n, name) != (5, "phi_mh.if")]
+
+
+@pytest.mark.parametrize("n, name", _FAMILY, ids=[f"{name}-{n}" for n, name in _FAMILY])
+def test_monty_hall_on_n_doors(n, name):
+    universe = "universe " + " ".join(str(d) for d in range(1, n + 1))
+    game, lam = load_game(corpus_text(name), universe)
+    assert solve(game, lam).value == _MONTY_HALL_ON_N_DOORS[name](n)
