@@ -61,7 +61,6 @@ from .solver import (
     PayoffMatrix,
     build_matrix,
     conditional_value,
-    reduce_matrix,
     simulate,
     solve,
     solve_zero_sum,

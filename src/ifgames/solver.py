@@ -1,18 +1,18 @@
-"""Exact zero-sum solving: payoff matrices, reduction, LP, conditioning.
+"""Exact zero-sum solving: payoff matrices, LP, conditioning, simulation.
 
-Every value-path computation is exact: payoff matrices are integer
-numerators over one common denominator, one row (column) per follow class
-of reduced strategies (those that follow the same verifier-win terminals,
-and so have equal payoffs; :func:`~ifgames.strategy.follow_classes` finds
-them without enumerating the strategies), built by a float64 BLAS product
-when that denominator is at most 2**53 (exact, see ``build_matrix``) and by
-an int64 product otherwise; the cell budgets count the strategies, not the
-classes.  :func:`solve` always first settles the nodes whose winner is
-already fixed (weak dominance, applied on the tree); the matrix reduction
-then only merges duplicates, which preserves the game value.  The LP is one
-column-generation (double-oracle) loop: its restricted problems run a
-fraction-free integer simplex (Bareiss pivoting, Bland's rule) and its
-best-response pricing is exact integer arithmetic.  Within
+Every value-path computation is exact.  A payoff matrix is held as the
+win-terminal follow tables of both players' follow classes of reduced
+strategies (those that follow the same verifier-win terminals, and so have
+equal payoffs; :func:`~ifgames.strategy.follow_classes` finds them without
+enumerating the strategies) and the terminals' integer chance weights over
+one common denominator; a cell is the weighted count of the terminals both
+classes follow, computed only for the cells a restricted LP needs.  The
+cell budgets count the strategies, not the classes.  :func:`solve` always
+first settles the nodes whose winner is already fixed (weak dominance,
+applied on the tree).  The LP is one column-generation (double-oracle)
+loop: its restricted problems run a fraction-free integer simplex (Bareiss
+pivoting, Bland's rule) and its best-response pricing is exact integer
+arithmetic over every class, straight from the follow tables.  Within
 ``DEFAULT_SIMPLEX_CAP`` cells the loop starts from the whole matrix, so its
 first restricted LP is the game's LP; a larger matrix starts from one row
 and one column and grows.
@@ -47,7 +47,6 @@ from .strategy import (
     MixedStrategy,
     ReducedStrategy,
     StrategyList,
-    _smallest_int_dtype,
     follow_classes,
     outcome_distribution,
     reduced_from_rules,
@@ -57,54 +56,48 @@ from .strategy import (
 if TYPE_CHECKING:
     from .parser import EventPredicate
 
-DEFAULT_CELL_BUDGET = 10**8  # payoff-matrix cells
-_PRODUCT_BLOCK_CELLS = 4_000_000  # payoff cells per block of the product
+# Strategy pairs (payoff cells) or strategy-terminal follow cells on one
+# side, and the sampler's action table.  No payoff matrix is stored, so the
+# payoff-cell check is a guard before the double-oracle loop, whose exact
+# restricted LPs would run for hours on such a game (phi_mh on six doors).
+DEFAULT_CELL_BUDGET = 10**8
 DEFAULT_SIMPLEX_CAP = 4_000  # matrix cells
 
 
 # ----------------------------------------------------------- payoff matrix
 
 class PayoffMatrix:
-    """Expected payoffs for the maximizer over reduced strategies.
+    """Expected payoffs for the maximizer over the follow classes of
+    reduced strategies, held as follow tables.
 
-    Cells are exact: ``num[i, j] / den``.  ``rows``/``cols`` list one
-    strategy per row and column of the matrix as built;
-    ``row_origin``/``col_origin`` index each current row and column in those
-    lists, through duplicate merging.  A row or column may stand for
-    several strategies (a follow class, listed as its first member, see
-    :func:`build_matrix`); ``members`` counts the strategies that the rows
-    and the columns stand for in all (one each, unless given).
-    ``reduced`` marks the output of :func:`reduce_matrix`.
+    ``rows`` (``cols``) lists one strategy per row (column), the first
+    member of its class; ``f_row`` (``f_col``) is the boolean (classes x
+    win terminals) table of the terminals each class follows, and
+    ``weights`` the terminals' chance masses times ``den``, as int64.  Cell
+    (i, j) is ``sum_t weights[t] * f_row[i, t] * f_col[j, t] / den``;
+    :meth:`cells` computes those of a restricted set.
     """
 
     def __init__(self, rows: StrategyList, cols: StrategyList,
-                 num: np.ndarray, den: int,
-                 row_origin: np.ndarray | None = None,
-                 col_origin: np.ndarray | None = None,
-                 log: list[str] | None = None,
-                 reduced: bool = False,
-                 members: tuple[int, int] | None = None):
+                 f_row: np.ndarray, f_col: np.ndarray, weights: np.ndarray,
+                 den: int, log: list[str] | None = None):
         self.rows = rows
         self.cols = cols
-        self.num = num
+        self.f_row = f_row
+        self.f_col = f_col
+        self.weights = weights
         self.den = den
-        self.row_origin = (np.arange(num.shape[0], dtype=np.int64)
-                           if row_origin is None else row_origin)
-        self.col_origin = (np.arange(num.shape[1], dtype=np.int64)
-                           if col_origin is None else col_origin)
         self.log = log if log is not None else []
-        self.reduced = reduced
-        self.members = num.shape if members is None else members
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.num.shape
+        return len(self.f_row), len(self.f_col)
 
-    def row_strategy(self, i: int) -> ReducedStrategy:
-        return self.rows[int(self.row_origin[i])]
-
-    def col_strategy(self, j: int) -> ReducedStrategy:
-        return self.cols[int(self.col_origin[j])]
+    def cells(self, rset, cset) -> np.ndarray:
+        """The int64 numerators of the cells in rows ``rset`` and columns
+        ``cset``.  The terms of a cell are non-negative and sum to at most
+        ``den``, so no partial sum overflows."""
+        return (self.f_row[rset] * self.weights) @ self.f_col[cset].T
 
 
 def _chance_reach(g: ExtensiveGame, lam: BehavioralStrategy) -> list[Fraction]:
@@ -127,16 +120,13 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
     A cell sums the chance masses of the verifier-win terminals that both
     strategies follow, so strategies that follow the same win terminals
     have equal payoffs: one row (column) per such class, listed in
-    ``rows`` (``cols``) as its first member in enumeration order.  Merging
-    duplicates over the classes therefore keeps the rows and columns that
-    merging over every strategy would.  The classes come
-    from :func:`~ifgames.strategy.follow_classes`, which does not enumerate
-    the strategies; the cells from matrix products over the classes'
-    win-terminal follow tables: float64 BLAS when the common denominator is
-    at most 2**53 (exact, see the comment below), int64 otherwise.  Raises
-    :class:`BudgetError` before the product when the strategies would give
-    more than ``DEFAULT_CELL_BUDGET`` payoff cells, or follow cells on one
-    side.
+    ``rows`` (``cols``) as its first member in enumeration order.  The
+    classes and their follow tables come from
+    :func:`~ifgames.strategy.follow_classes`, which does not enumerate the
+    strategies; no cell is computed here.  Raises :class:`BudgetError`
+    when the strategies would give more than ``DEFAULT_CELL_BUDGET``
+    payoff cells, or follow cells on one side, and :class:`GameError` when
+    the common denominator exceeds 64-bit integers.
     """
     win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
     rows, f_row, count_rows = follow_classes(g, EXIST, win_nodes, budget)
@@ -151,82 +141,10 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
     reach = _chance_reach(g, lam)
     masses = [reach[t] for t in win_nodes]
     den = math.lcm(*(mass.denominator for mass in masses))
-    dtype = _smallest_int_dtype(den)
-    nums = np.array([int(m * den) for m in masses], dtype=np.int64)
-    shape = (len(f_row), len(f_col))
-    # A cell sums the masses of the win terminals that both strategies
-    # follow.  Those terminals all lie in the outcome distribution of one
-    # profile, so the cell, and every partial sum in any summation order, is
-    # an integer in [0, den].  Up to 2**53 float64 represents each of them
-    # exactly, so BLAS computes the exact product; beyond it int64 does.
-    work = np.float64 if den <= 2**53 else np.int64
-    weights = nums.astype(work)
-    out = np.empty(shape, dtype=dtype)
-    # The product runs in blocks of the larger side, with the masses on the
-    # smaller one, so neither the weighted operand nor a product block grows
-    # with the larger side.  A cell is the same sum either way round, so
-    # when the columns are more, the blocks fill ``out.T``.
-    big, small, target = ((f_row, f_col, out) if shape[0] >= shape[1]
-                          else (f_col, f_row, out.T))
-    weighted = small.T * weights[:, None]  # (terminals, smaller side)
-    chunk = max(1, _PRODUCT_BLOCK_CELLS // min(shape))
-    for start in range(0, len(big), chunk):
-        block = big[start:start + chunk].astype(work) @ weighted
-        target[start:start + chunk] = block.astype(dtype)
-    return PayoffMatrix(rows, cols, out, den, members=(count_rows, count_cols))
-
-
-# ---------------------------------------------------------------- reduction
-
-def _first_occurrences(arr: np.ndarray) -> list[int]:
-    """Index of the first row of each distinct row, in order."""
-    seen: set[bytes] = set()
-    keep: list[int] = []
-    data = np.ascontiguousarray(arr)
-    for i in range(len(data)):
-        key = data[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return keep
-
-
-def _merge_rows(num: np.ndarray, origin: np.ndarray, members: int,
-                side: str, log: list[str]):
-    """Keep the first of each set of equal rows, logging the merge against
-    the ``members`` strategies that the rows stand for."""
-    keep = _first_occurrences(num)
-    if len(keep) != members:
-        log.append(f"{side}: merged {members - len(keep)} duplicates "
-                   f"({members} -> {len(keep)})")
-    if len(keep) == len(num):
-        return num, origin
-    return num[keep], origin[keep]
-
-
-def reduce_matrix(m: PayoffMatrix) -> PayoffMatrix:
-    """Merge equal rows, then equal columns.
-
-    Merging keeps the first of each set of equal rows (columns), so it
-    preserves the game value; the origins keep indexing ``m.rows`` and
-    ``m.cols``.  Dominance is left to :func:`solve`'s settling of the
-    tree, before the matrix exists.  Two rows are equal exactly when they
-    are equal after the merge of equal columns, and the other way round,
-    so no equal rows or columns are left.  A reduced matrix is returned
-    as it is, so reducing twice changes nothing, the log included.
-    """
-    if m.reduced:
-        return m
-    log = list(m.log)
-    # the merge counts every strategy, also those that a class row of
-    # build_matrix already stands for
-    num, row_origin = _merge_rows(m.num, m.row_origin, m.members[0], "rows",
-                                  log)
-    num_t, col_origin = _merge_rows(num.T, m.col_origin, m.members[1], "cols",
-                                    log)
-    return PayoffMatrix(m.rows, m.cols, np.ascontiguousarray(num_t.T), m.den,
-                        row_origin, col_origin, log, reduced=True,
-                        members=m.members)
+    if den > np.iinfo(np.int64).max:
+        raise GameError("payoff denominators exceed 64-bit integers")
+    weights = np.array([int(m * den) for m in masses], dtype=np.int64)
+    return PayoffMatrix(rows, cols, f_row, f_col, weights, den)
 
 
 # ------------------------------------------------------------------ the LP
@@ -235,8 +153,8 @@ def reduce_matrix(m: PayoffMatrix) -> PayoffMatrix:
 class Equilibrium:
     """Exact value plus one optimal mixed strategy per side.
 
-    Mixes are supports over the matrix's current rows/columns; helpers lift
-    them to reduced strategies through the matrix provenance, or return
+    Mixes are supports over the matrix's classes (its rows and columns);
+    the helpers read them as each class's first member, or return
     ``lifted``, the mixes of the game that :func:`solve` was given, lifted
     from the settled copy it solved.
     """
@@ -251,13 +169,13 @@ class Equilibrium:
     def row_strategies(self) -> MixedStrategy:
         if self.lifted:
             return self.lifted[0]
-        return MixedStrategy(EXIST, [(self.matrix.row_strategy(i), w)
+        return MixedStrategy(EXIST, [(self.matrix.rows[i], w)
                                      for i, w in self.row_mix])
 
     def col_strategies(self) -> MixedStrategy:
         if self.lifted:
             return self.lifted[1]
-        return MixedStrategy(UNIV, [(self.matrix.col_strategy(j), w)
+        return MixedStrategy(UNIV, [(self.matrix.cols[j], w)
                                     for j, w in self.col_mix])
 
 
@@ -342,31 +260,37 @@ def _solve_int_matrix(num: list[list[int]], den: int):
     return value, tuple(row_mix), tuple(col_mix)
 
 
-def _exact_mix_scores(num: np.ndarray, den: int, mix):
-    """Exact expected payoffs of a mix over the rows of ``num`` against
-    every column (pass ``num.T`` for a column mix); returns (integer
-    vector, scale) with score = vec/scale.  The vector is int64 when no
-    score can exceed ``den * q <= 2**62``, Python integers otherwise."""
+def _exact_mix_scores(mine: np.ndarray, other: np.ndarray,
+                      weights: np.ndarray, den: int, mix):
+    """Exact expected payoffs of a mix over the classes of the follow table
+    ``mine`` against every class of the other side's table ``other``;
+    returns (integer vector, scale) with score = vec/scale.
+
+    With ``x`` the mix's masses times ``q``, their common denominator, the
+    vector is ``other @ (weights * (x @ mine))``: per terminal, the mass of
+    the mix that follows it, weighed by its chance.  Every term is
+    non-negative and a score is at most ``den * q``, so the vector is int64
+    when ``den * q <= 2**62`` and Python integers otherwise."""
     q = math.lcm(*(w.denominator for _, w in mix))
     dtype = np.int64 if den * q <= 2**62 else object
-    acc = np.zeros(num.shape[1], dtype=dtype)
-    for idx, w in mix:
-        acc += num[idx].astype(dtype) * int(w * q)
-    return acc, den * q
+    x = np.array([int(w * q) for _, w in mix], dtype=dtype)
+    followed = x @ mine[[idx for idx, _ in mix]]
+    return other @ (weights.astype(dtype) * followed), den * q
 
 
 def solve_zero_sum(m: PayoffMatrix) -> Equilibrium:
     """Exact equilibrium of the matrix game (rows maximize).
 
     A column-generation (double-oracle) loop: solve the restricted matrix
-    on the integer tableau, add each side's exact best response that beats
-    the restricted value, and stop when neither does.  A matrix of at most
-    ``DEFAULT_SIMPLEX_CAP`` cells starts with every row and column, so its
-    first restricted LP is the whole matrix; a larger one starts from its
-    first row and column.  The result always passes
+    on the integer tableau, add each side's exact best response over every
+    class that beats the restricted value, and stop when neither does.  A
+    matrix of at most ``DEFAULT_SIMPLEX_CAP`` cells starts with every row
+    and column, so its first restricted LP is the whole matrix; a larger
+    one starts from its first row and column.  A best response is the
+    first class of the extreme score, the one a merge of equal rows
+    (columns) would keep.  The result always passes
     :func:`verify_equilibrium`; a failure raises :class:`GameError`.
     """
-    num = m.num
     n_rows, n_cols = m.shape
     if n_rows == 0 or n_cols == 0:
         raise GameError("empty payoff matrix")
@@ -374,13 +298,14 @@ def solve_zero_sum(m: PayoffMatrix) -> Equilibrium:
     rset = list(range(n_rows)) if whole else [0]
     cset = list(range(n_cols)) if whole else [0]
     while True:
-        sub = num[np.ix_(rset, cset)].tolist()
+        sub = m.cells(rset, cset).tolist()
         value, row_local, col_local = _solve_int_matrix(sub, m.den)
         row_mix = tuple((rset[i], w) for i, w in row_local)
         col_mix = tuple((cset[j], w) for j, w in col_local)
         improved = False
         # best column response (minimizer) against the current row mix
-        scores, scale = _exact_mix_scores(num, m.den, row_mix)
+        scores, scale = _exact_mix_scores(m.f_row, m.f_col, m.weights, m.den,
+                                          row_mix)
         j_best = int(np.argmin(scores))
         if Fraction(int(scores[j_best]), scale) < value:
             if j_best in cset:
@@ -388,7 +313,8 @@ def solve_zero_sum(m: PayoffMatrix) -> Equilibrium:
             cset.append(j_best)
             improved = True
         # best row response (maximizer) against the current column mix
-        scores, scale = _exact_mix_scores(num.T, m.den, col_mix)
+        scores, scale = _exact_mix_scores(m.f_col, m.f_row, m.weights, m.den,
+                                          col_mix)
         i_best = int(np.argmax(scores))
         if Fraction(int(scores[i_best]), scale) > value:
             if i_best in rset:
@@ -404,8 +330,9 @@ def solve_zero_sum(m: PayoffMatrix) -> Equilibrium:
 
 
 def verify_equilibrium(m: PayoffMatrix, eq: Equilibrium) -> bool:
-    """Exact maximin check: the row mix guarantees at least the value against
-    every column and the column mix at most the value against every row."""
+    """Exact maximin check over every class: the row mix guarantees at
+    least the value against every column and the column mix at most the
+    value against every row."""
     if not eq.row_mix or not eq.col_mix:
         return False
     if any(w < 0 for _, w in eq.row_mix) or any(w < 0 for _, w in eq.col_mix):
@@ -413,10 +340,12 @@ def verify_equilibrium(m: PayoffMatrix, eq: Equilibrium) -> bool:
     if (sum(w for _, w in eq.row_mix) != 1
             or sum(w for _, w in eq.col_mix) != 1):
         return False
-    scores, scale = _exact_mix_scores(m.num, m.den, eq.row_mix)
+    scores, scale = _exact_mix_scores(m.f_row, m.f_col, m.weights, m.den,
+                                      eq.row_mix)
     if Fraction(int(scores.min()), scale) != eq.value:
         return False
-    scores, scale = _exact_mix_scores(m.num.T, m.den, eq.col_mix)
+    scores, scale = _exact_mix_scores(m.f_col, m.f_row, m.weights, m.den,
+                                      eq.col_mix)
     return Fraction(int(scores.max()), scale) == eq.value
 
 
@@ -570,33 +499,24 @@ def _tree_reply(g: ExtensiveGame, reach: list[Fraction],
 def solve(game: ExtensiveGame, lam: BehavioralStrategy,
           budget: int = DEFAULT_STRATEGY_BUDGET) -> Equilibrium:
     """Equilibrium of a game: settle the tree, build the payoff matrix,
-    merge its duplicates, solve.
+    solve it, lift the witness and check it on the tree.
 
     :func:`_forced_winners` first settles every node whose winner is
     already fixed (weak dominance, the only dominance there is), and the
     matrix is built on the small game that :func:`_settle` rebuilds.  The
-    witness mixes refer to the reduced matrix (``eq.matrix``, whose
-    ``log`` records the reduction) and lift to reduced strategies through
-    its provenance.  Lifted to the rows and columns of the matrix as
-    built, they must still certify the value there, or :class:`GameError`
-    is raised: the reduction is checked, not trusted.  The settling is
-    checked too: each mix, lifted to ``game`` (``eq.row_strategies()``,
-    ``eq.col_strategies()``), must guarantee the value on ``game``'s tree
-    (:func:`_tree_reply`) wherever the other player's information sets are
-    all singletons; the log's last line names the check each side passed.
+    witness mixes refer to that matrix's classes (``eq.matrix``), and
+    :func:`solve_zero_sum` has already checked them exactly against every
+    class.  The settling is checked too: each mix, lifted to ``game``
+    (``eq.row_strategies()``, ``eq.col_strategies()``), must guarantee the
+    value on ``game``'s tree (:func:`_tree_reply`) wherever the other
+    player's information sets are all singletons, or :class:`GameError` is
+    raised; the log's last line names the check each side passed.
     """
     forced = _forced_winners(game, lam)
     small, small_lam, origin = _settle(game, lam, forced)
     matrix = build_matrix(small, small_lam, budget)
     matrix.log.append(f"tree: {len(game)} -> {len(small)} nodes")
-    eq = solve_zero_sum(reduce_matrix(matrix))
-    rows, cols = eq.matrix.row_origin, eq.matrix.col_origin
-    unreduced = Equilibrium(eq.value,
-                            tuple((int(rows[i]), w) for i, w in eq.row_mix),
-                            tuple((int(cols[j]), w) for j, w in eq.col_mix),
-                            matrix)
-    if not verify_equilibrium(matrix, unreduced):
-        raise GameError("the witness fails on the unreduced payoff matrix")
+    eq = solve_zero_sum(matrix)
     eq.lifted = tuple(_lift(game, small, origin, forced, mix)
                       for mix in (eq.row_strategies(), eq.col_strategies()))
     reach = _chance_reach(game, lam)

@@ -148,13 +148,13 @@ class StrategyList(Sequence):
 
 def _smallest_int_dtype(max_value: int):
     """The narrowest signed integer type that holds ``0..max_value``: the
-    one width rule for the integer tables of strategies and payoffs.  Action
-    counts and walk positions stay below 2**63 (see :func:`follow_classes`),
-    so only a payoff denominator can be too wide."""
+    one width rule for the integer tables of strategies.  Action counts and
+    walk positions stay below 2**63 (see :func:`follow_classes`); a wider
+    value raises :class:`GameError`."""
     for dtype in (np.int8, np.int16, np.int32, np.int64):
         if max_value <= np.iinfo(dtype).max:
             return dtype
-    raise GameError("payoff denominators exceed 64-bit integers")
+    raise GameError("integer table values exceed 64-bit integers")
 
 
 def _reachable_rows(plan: PlayerPlan, k: int, table: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from ifgames import (
     parse_extensive_game,
     parse_formula,
     parse_structure,
-    reduce_matrix,
     solve_zero_sum,
     uniform_nature,
 )
@@ -117,10 +116,10 @@ def smp_game(binary, phi_smp):
 
 
 def _pipeline(game, lam=None):
+    """The unsettled game's class matrix and its equilibrium."""
     lam = lam or uniform_nature(game)
     matrix = build_matrix(game, lam)
-    reduced = reduce_matrix(matrix)
-    return matrix, reduced, solve_zero_sum(reduced)
+    return matrix, solve_zero_sum(matrix)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ at pinned seeds.
 
 from fractions import Fraction
 
+import numpy as np
+
 from ifgames import (
     EXIST,
     UNIV,
@@ -27,9 +29,9 @@ from ifgames import (
     parse_nature_strategy,
     parse_profile,
     parse_structure,
-    reduce_matrix,
     reduced_from_rules,
     simulate,
+    solve,
     solve_zero_sum,
     truth_value,
     uniform_nature,
@@ -48,34 +50,32 @@ def passed(num: int, text: str):
 
 
 def test_criterion_01_fig1_value_and_support(fig1_solution, fig1_game):
-    _, _, eq = fig1_solution
+    _, eq = fig1_solution
     assert eq.value == F(2, 3)
     kinds = fig1_row_kinds(fig1_game)
-    support = eq.row_strategies()
-    reduced = fig1_solution[1]
-    support_rows = [int(reduced.row_origin[i]) for i, _ in eq.row_mix]
-    assert all(kinds[i][1] == "switch" for i in support_rows)
+    # no two strategies share a follow class: a row is a strategy index
+    assert all(kinds[i][1] == "switch" for i, _ in eq.row_mix)
     passed(1, "hand-built game value 2/3, optimal support all-switch")
 
 
 def test_criterion_02_semantic_monty_hall(mh_solution, fig1_solution):
-    assert mh_solution[2].value == F(2, 3)
-    assert mh_solution[2].value == fig1_solution[2].value
+    assert mh_solution[1].value == F(2, 3)
+    assert mh_solution[1].value == fig1_solution[1].value
     passed(2, "semantic game truth value 2/3 matches the hand-built game")
 
 
 def test_criterion_03_fig3_fidelity(fig1_solution, fig1_game):
-    matrix, _, _ = fig1_solution
+    matrix, _ = fig1_solution
     order_r, order_c = fig1_named_order(fig1_game)
-    got = [[int(matrix.num[i, j]) for j in order_c] for i in order_r]
-    assert got == FIG3
+    num = matrix.cells(list(range(12)), list(range(6)))
+    assert num[np.ix_(order_r, order_c)].tolist() == FIG3
     unnamed = [i for i in range(12) if i not in order_r]
-    assert all(int(matrix.num[i].sum()) == 3 for i in unnamed)
+    assert all(int(num[i].sum()) == 3 for i in unnamed)
     passed(3, "named rows match the published matrix; others hold three 1s")
 
 
 def test_criterion_04_no_offer_variant(mh_prime_solution):
-    assert mh_prime_solution[2].value == F(1, 3)
+    assert mh_prime_solution[1].value == F(1, 3)
     passed(4, "no-offer variant truth value 1/3")
 
 
@@ -92,7 +92,7 @@ def test_criterion_05_matching_pennies_family():
 def test_criterion_06_stochastic_matching_pennies(smp_game):
     lam = parse_nature_strategy(corpus_text("biased_coin.nat"), smp_game)
     matrix = build_matrix(smp_game, lam)
-    eq = solve_zero_sum(reduce_matrix(matrix))
+    eq = solve_zero_sum(matrix)
     assert eq.value == F(2, 9)
     assert verify_equilibrium(eq.matrix, eq)
     paper = Equilibrium(F(2, 9), ((0, F(2, 3)), (1, F(1, 3))),
@@ -102,7 +102,7 @@ def test_criterion_06_stochastic_matching_pennies(smp_game):
 
 
 def test_criterion_07_indifferent_host(mh_chance_solution):
-    assert mh_chance_solution[2].value == F(7, 9)
+    assert mh_chance_solution[1].value == F(7, 9)
     passed(7, "indifferent-host variant truth value 7/9")
 
 
@@ -168,7 +168,7 @@ def test_criterion_10_halfer_variant(sb_prime_game, sb_game):
     # the alternative chance strategy on the original sentence matches q = 1/2
     lam_prime = parse_nature_strategy(corpus_text("sb_lambda_prime.nat"), sb_game)
     matrix = build_matrix(sb_game, lam_prime)
-    eq = solve_zero_sum(reduce_matrix(matrix))
+    eq = solve_zero_sum(matrix)
     assert eq.value == F(1, 2)
     heads0, tails0 = _sb_strategies(sb_game)
     tau0 = MixedStrategy.pure(enumerate_reduced(sb_game, UNIV)[0])
@@ -187,7 +187,9 @@ def test_criterion_10_halfer_variant(sb_prime_game, sb_game):
 def test_criterion_11_property_suite(corpus_formulas, doors3, binary,
                                      sb_structure, fig1_solution, mh_solution,
                                      mh_prime_solution, mh_chance_solution,
-                                     sb_game, smp_game, sb_prime_game):
+                                     fig1_game, mh_game, mh_prime_game,
+                                     mh_chance_game, sb_game, smp_game,
+                                     sb_prime_game):
     # NNF involution and round-trips on every corpus formula
     for name, phi in corpus_formulas.items():
         assert negate(negate(phi)) == phi, name
@@ -211,8 +213,8 @@ def test_criterion_11_property_suite(corpus_formulas, doors3, binary,
 
     # duality on every chance-free corpus sentence (positive-side values
     # taken from the already-computed solutions where available)
-    values["phi_mh.if"] = mh_solution[2].value
-    values["phi_mh_prime.if"] = mh_prime_solution[2].value
+    values["phi_mh.if"] = mh_solution[1].value
+    values["phi_mh_prime.if"] = mh_prime_solution[1].value
     values["matching_pennies.if"] = truth_value(
         binary, corpus_formulas["matching_pennies.if"]).value
     chance_free = {
@@ -228,18 +230,21 @@ def test_criterion_11_property_suite(corpus_formulas, doors3, binary,
         assert truth_value(structure, negate(phi)).value == \
             1 - values[name], name
 
-    # reduction soundness: reduced and unreduced solves agree on every
-    # corpus game whose matrix is within budget
-    for matrix, reduced, eq in (fig1_solution, mh_solution,
-                                mh_prime_solution, mh_chance_solution):
-        assert solve_zero_sum(matrix).value == eq.value
+    # reduction soundness: settled and unsettled solves agree on every
+    # corpus game whose unsettled matrix is within budget
+    for game, lam, (_, eq) in (
+            (fig1_game, uniform_nature(fig1_game), fig1_solution),
+            (mh_game, uniform_nature(mh_game), mh_solution),
+            (mh_prime_game, uniform_nature(mh_prime_game), mh_prime_solution),
+            (mh_chance_game, uniform_nature(mh_chance_game),
+             mh_chance_solution)):
+        assert solve(game, lam).value == eq.value
     for game, lam in ((sb_game, uniform_nature(sb_game)),
                       (sb_prime_game, uniform_nature(sb_prime_game)),
                       (smp_game, parse_nature_strategy(
                           corpus_text("biased_coin.nat"), smp_game))):
-        matrix = build_matrix(game, lam)
-        assert solve_zero_sum(matrix).value == \
-            solve_zero_sum(reduce_matrix(matrix)).value
+        assert solve(game, lam).value == \
+            solve_zero_sum(build_matrix(game, lam)).value
 
     # conditional coherence and outcome normalization
     heads, tails = _sb_strategies(sb_game)
@@ -270,7 +275,7 @@ def test_criterion_12_monte_carlo(fig1_solution, fig1_game,
                                   smp_game, sb_game):
     plays = 100_000
 
-    _, reduced, eq = fig1_solution
+    _, eq = fig1_solution
     report = simulate(fig1_game, uniform_nature(fig1_game),
                       eq.row_strategies(), eq.col_strategies(), plays, seed=1)
     assert _within_bound(report.win_frequency, F(2, 3), plays)
@@ -283,7 +288,7 @@ def test_criterion_12_monte_carlo(fig1_solution, fig1_game,
     report = simulate(smp_game, lam, mu, nu, plays, seed=6)
     assert _within_bound(report.win_frequency, F(2, 9), plays)
 
-    _, _, eq7 = mh_chance_solution
+    _, eq7 = mh_chance_solution
     report = simulate(mh_chance_game, uniform_nature(mh_chance_game),
                       eq7.row_strategies(), eq7.col_strategies(), plays, seed=7)
     assert _within_bound(report.win_frequency, F(7, 9), plays)

@@ -21,7 +21,6 @@ from ifgames import (
     BudgetError,
     ReducedStrategy,
     build_matrix,
-    reduce_matrix,
     solve,
     uniform_nature,
 )
@@ -147,9 +146,7 @@ def test_value_path_does_not_enumerate(monkeypatch, capsys, mh_game):
 
     monkeypatch.setattr(strategy, "enumerate_reduced", refuse)
     matrix = build_matrix(mh_game, uniform_nature(mh_game))
-    assert matrix.members == (823_875, 81)
-    assert len(matrix.rows) == 4_114
-    assert reduce_matrix(matrix).log[0] == "rows: merged 823019 duplicates (823875 -> 856)"
+    assert matrix.shape == (4_114, 81)
     eq = solve(mh_game, uniform_nature(mh_game))
     assert [s.lines() for s, _ in eq.row_strategies()]
     corpus = resources.files("ifgames") / "corpus"

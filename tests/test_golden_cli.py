@@ -3,7 +3,7 @@
 ``tests/golden/cli.json`` maps each command below (bundled corpus files by
 bare name, other inputs by their path under ``tests/``) to its exit status
 and its exact standard output, including witness strategy lines and the
-reduction log.  Run this file as a script to rewrite the store from the
+solve log.  Run this file as a script to rewrite the store from the
 current code.
 """
 
@@ -35,9 +35,9 @@ COMMANDS = [
      "--profile", "sb_heads.profile", "--event", "Awake(x,t)",
      "--format", "structured"],
     ["export", "matching_pennies.if", "pennies_2.struct"],
-    # no verifier-win terminal: a one-cell zero matrix after the merge
+    # no verifier-win terminal: one class a side and no terminal to follow
     ["value", "golden/irreflexive.if", "pennies_2.struct", "--format", "structured"],
-    # 81 rows and 823,875 columns, merged on the column side
+    # the players swap roles: settled, 6 x 27 classes, more columns than rows
     ["value", "golden/phi_mh_negated.if", "doors3.struct", "--format", "structured"],
     # the seeded Monte Carlo runs: the benchmark's stick/switch request,
     ["simulate", "phi_mh_prime_chance.if", "doors3.struct",

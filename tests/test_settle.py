@@ -44,8 +44,7 @@ def _exact_reply(game, lam, mix) -> Fraction:
 
 def _unsettled(game, lam, budget=DEFAULT_STRATEGY_BUDGET):
     """The equilibrium of ``game`` as built, with no settling."""
-    return solver.solve_zero_sum(solver.reduce_matrix(
-        solver.build_matrix(game, lam, budget)))
+    return solver.solve_zero_sum(solver.build_matrix(game, lam, budget))
 
 
 def _check_lifted(game, lam, eq):
@@ -86,7 +85,7 @@ def test_random_sentences_settled_equals_unsettled():
     for seed in range(400):
         game, lam = load_game(*seeded_sentence(seed))
         eq = solve(game, lam, budget=10**4)
-        widest = max(widest, *eq.matrix.members)
+        widest = max(widest, *eq.matrix.shape)
         _check_lifted(game, lam, eq)
         try:
             unsettled = _unsettled(game, lam, 10**4)
@@ -95,7 +94,7 @@ def test_random_sentences_settled_equals_unsettled():
             continue
         assert unsettled.value == eq.value, seed
     assert over_budget == 11
-    assert widest == 126
+    assert widest == 95  # classes on one side of a settled matrix
 
 
 def _force_first_open_verifier_node(monkeypatch):
@@ -120,15 +119,11 @@ def test_faulty_settling_fails_the_tree_check(monkeypatch, name, faulty_value):
     game, lam = load_game(corpus_text(name), corpus_text("doors3.struct"))
     faulty = _force_first_open_verifier_node(monkeypatch)
     small, small_lam, _ = solver._settle(game, lam, faulty(game, lam))
-    # the small game's own certificates pass, on the reduced and on the
-    # unreduced matrix
+    # the small game's own certificate passes on every class
     matrix = solver.build_matrix(small, small_lam)
-    eq = solver.solve_zero_sum(solver.reduce_matrix(matrix))
+    eq = solver.solve_zero_sum(matrix)
     assert eq.value == faulty_value
-    rows, cols = eq.matrix.row_origin, eq.matrix.col_origin
-    assert solver.verify_equilibrium(matrix, solver.Equilibrium(
-        eq.value, tuple((int(rows[i]), w) for i, w in eq.row_mix),
-        tuple((int(cols[j]), w) for j, w in eq.col_mix), matrix))
+    assert solver.verify_equilibrium(matrix, eq)
     with pytest.raises(GameError, match="the witness of I fails on the game tree"):
         solve(game, lam)
 

@@ -1,4 +1,4 @@
-"""Payoff matrices, reduction, the exact LP, conditioning, simulation."""
+"""Payoff matrices, the exact LP, conditioning, simulation."""
 
 import bisect
 import json
@@ -35,7 +35,6 @@ from ifgames import (
     parse_nature_strategy,
     parse_profile,
     parse_structure,
-    reduce_matrix,
     reduced_from_rules,
     simulate,
     solve,
@@ -55,11 +54,10 @@ from ifgames.solver import (
     _chance_reach,
     _exact_mix_scores,
     _simplex_max,
-    _smallest_int_dtype,
     _solve_int_matrix,
 )
 from ifgames.strategy import player_plan
-from random_sentences import random_game, seeded_sentence
+from random_sentences import seeded_sentence
 
 F = Fraction
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -76,7 +74,25 @@ FIG3 = [
 
 def cell(m, i, j):
     """The exact payoff in row ``i`` and column ``j`` of a payoff matrix."""
-    return Fraction(int(m.num[i, j]), m.den)
+    return Fraction(int(m.cells([i], [j])[0, 0]), m.den)
+
+
+def dense(m):
+    """Every cell numerator of a payoff matrix."""
+    rows, cols = m.shape
+    return m.cells(list(range(rows)), list(range(cols)))
+
+
+def as_follow_tables(num, den):
+    """Any integer matrix with cells in [0, den] as a payoff matrix: one win
+    terminal per cell, followed by the cell's row and column alone, whose
+    weight is the cell."""
+    num = np.asarray(num, dtype=np.int64)
+    n_rows, n_cols = num.shape
+    # terminal i * n_cols + j is cell (i, j)
+    f_row = np.repeat(np.eye(n_rows, dtype=bool), n_cols, axis=1)
+    f_col = np.tile(np.eye(n_cols, dtype=bool), n_rows)
+    return PayoffMatrix(None, None, f_row, f_col, num.ravel(), den)
 
 
 def fig1_row_kinds(game):
@@ -144,19 +160,21 @@ def test_expected_payoff_sb_always_tails(sb_game):
 
 
 def test_build_matrix_fig1_matches_fig3(fig1_solution, fig1_game):
-    matrix, _, _ = fig1_solution
+    matrix, _ = fig1_solution
     # no two strategies share a follow class, so rows and columns are in
     # enumeration order (criterion 3 indexes them so too)
     assert matrix.shape == (len(matrix.rows), len(matrix.cols)) == (12, 6)
-    assert matrix.row_origin.tolist() == list(range(12))
-    assert matrix.col_origin.tolist() == list(range(6))
+    assert np.array_equal(matrix.rows.table,
+                          enumerate_reduced(fig1_game, EXIST).table)
+    assert np.array_equal(matrix.cols.table,
+                          enumerate_reduced(fig1_game, UNIV).table)
     order_r, order_c = fig1_named_order(fig1_game)
-    got = [[int(matrix.num[i, j]) for j in order_c] for i in order_r]
-    assert got == FIG3
+    num = dense(matrix)
+    assert num[np.ix_(order_r, order_c)].tolist() == FIG3
     unnamed = [i for i in range(12) if i not in order_r]
     assert len(unnamed) == 6
     for i in unnamed:
-        assert int(matrix.num[i].sum()) == 3  # three 1's and three 0's
+        assert int(num[i].sum()) == 3  # three 1's and three 0's
 
 
 def test_build_matrix_matching_pennies_identity():
@@ -168,8 +186,8 @@ def test_build_matrix_matching_pennies_identity():
         [[F(1), F(0)], [F(0), F(1)]]
 
 
-# den = 2**61 - 1 is above 2**53, so the int64 product runs; the cell
-# 2**61 - 2 is one that a float64 product would round to 2**61.
+# den = 2**61 - 1 is above 2**53: the cell 2**61 - 2 is one that a float64
+# product would round to 2**61.
 MERSENNE_61 = 2**61 - 1
 MERSENNE_COIN = f"z : 0 -> 1/{MERSENNE_61}, 1 -> {MERSENNE_61 - 1}/{MERSENNE_61}\n"
 # unequal win-terminal masses 1/3 and 2/3 for phi_sb_prime
@@ -221,24 +239,20 @@ def _follow_classes(follow):
     return np.sort(order[first])
 
 
-def _full_matrix(g, lam):
-    """Reference for ``build_matrix``: the payoff matrix over every pair of
-    enumerated reduced strategies, by the same exact product over the
-    win-terminal follow tables, in blocks of rows."""
-    rows = enumerate_reduced(g, EXIST)
-    cols = enumerate_reduced(g, UNIV)
+def _full_matrix(g, lam, budget=10**6):
+    """Reference for ``build_matrix``: the dense payoff matrix over every
+    pair of enumerated reduced strategies, as (rows, cols, numerators,
+    denominator), by an exact int64 product of the win-terminal follow
+    tables read off the enumeration."""
+    rows = enumerate_reduced(g, EXIST, budget)
+    cols = enumerate_reduced(g, UNIV, budget)
     win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
     reach = _chance_reach(g, lam)
     masses = [reach[t] for t in win_nodes]
     den = math.lcm(*(mass.denominator for mass in masses))
-    work = np.float64 if den <= 2**53 else np.int64
-    weights = np.array([int(m * den) for m in masses], dtype=np.int64).astype(work)
-    right = _follow_matrix(cols, win_nodes).T * weights[:, None]
-    f_row = _follow_matrix(rows, win_nodes)
-    num = np.empty((len(rows), len(cols)), dtype=_smallest_int_dtype(den))
-    for start in range(0, len(rows), 1024):
-        num[start:start + 1024] = f_row[start:start + 1024].astype(work) @ right
-    return PayoffMatrix(rows, cols, num, den)
+    weights = np.array([int(m * den) for m in masses], dtype=np.int64)
+    num = (_follow_matrix(rows, win_nodes) * weights) @ _follow_matrix(cols, win_nodes).T
+    return rows, cols, num, den
 
 
 def _follow_class_index(strats, classes, wins):
@@ -270,10 +284,9 @@ def test_build_matrix_cells_equal_expected_payoff(source, structure, nature):
     rows, cols = enumerate_reduced(game, EXIST), enumerate_reduced(game, UNIV)
     if nature == MERSENNE_COIN:
         assert matrix.den == MERSENNE_61
-        assert int(matrix.num.max()) == MERSENNE_61 - 1
-    assert matrix.members == (len(rows), len(cols))
+        assert int(dense(matrix).max()) == MERSENNE_61 - 1
     if source.startswith("~"):
-        assert matrix.members == (4, 31)
+        assert (len(rows), len(cols)) == (4, 31)
         assert matrix.shape == (4, 23)  # 7 win terminals split 23 classes
     assert matrix.shape == (len(matrix.rows), len(matrix.cols))
     wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
@@ -300,23 +313,18 @@ def test_build_matrix_cells_equal_expected_payoff(source, structure, nature):
         "sleeping-beauty-prime", "negated-sleeping-beauty-prime", "den-2^61-1",
         "monty-hall-prime"])
 def test_class_matrix_reduces_like_full_matrix(source, structure, nature):
+    # the class matrix is the full matrix reduced to the first member of
+    # each follow class, cell for cell
     game, lam = _load(source, structure, nature)
     classes = build_matrix(game, lam)
-    full = _full_matrix(game, lam)
+    rows, cols, num, den = _full_matrix(game, lam)
     wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
-    first_rows = _follow_classes(_follow_matrix(full.rows, wins))
-    first_cols = _follow_classes(_follow_matrix(full.cols, wins))
-    assert np.array_equal(classes.rows.table, full.rows.table[first_rows])
-    assert np.array_equal(classes.cols.table, full.cols.table[first_cols])
-    assert np.array_equal(full.num[np.ix_(first_rows, first_cols)], classes.num)
-    got, want = reduce_matrix(classes), reduce_matrix(full)
-    assert np.array_equal(got.num, want.num)
-    # the origins index different lists; they name the same strategies
-    assert np.array_equal(got.rows.table[got.row_origin],
-                          want.rows.table[want.row_origin])
-    assert np.array_equal(got.cols.table[got.col_origin],
-                          want.cols.table[want.col_origin])
-    assert got.log == want.log
+    first_rows = _follow_classes(_follow_matrix(rows, wins))
+    first_cols = _follow_classes(_follow_matrix(cols, wins))
+    assert np.array_equal(classes.rows.table, rows.table[first_rows])
+    assert np.array_equal(classes.cols.table, cols.table[first_cols])
+    assert classes.den == den
+    assert np.array_equal(num[np.ix_(first_rows, first_cols)], dense(classes))
 
 
 _CORPUS_CHECKS = [(entry, check) for entry in CORPUS for check in entry.checks]
@@ -339,18 +347,53 @@ _VALUED_CHECKS = [(e, c) for e, c in _CORPUS_CHECKS
                   != ("phi_mh_prime_chance.if", "doors3.struct")]
 
 
+def _merged(m):
+    """``m`` with equal rows, then equal columns, merged into the first of
+    each set, and the rows and columns of ``m`` that it keeps."""
+    def first(lines):
+        seen = {}
+        for i, line in enumerate(lines):
+            seen.setdefault(line.tobytes(), i)
+        return sorted(seen.values())
+
+    num = dense(m)
+    rows = first(num)
+    cols = first(np.ascontiguousarray(num[rows].T))
+    return PayoffMatrix(None, None, m.f_row[rows], m.f_col[cols], m.weights,
+                        m.den), rows, cols
+
+
+def _assert_solves_like_merged(m):
+    """Pricing over every class takes the first class of an extreme score,
+    the one a merge keeps, so merging changes neither the value nor the
+    witness."""
+    merged, rows, cols = _merged(m)
+    eq, want = solve_zero_sum(m), solve_zero_sum(merged)
+    assert eq.value == want.value
+    assert eq.row_mix == tuple((rows[i], w) for i, w in want.row_mix)
+    assert eq.col_mix == tuple((cols[j], w) for j, w in want.col_mix)
+    return merged.shape != m.shape
+
+
 @pytest.mark.parametrize("entry, check", _VALUED_CHECKS,
                          ids=[_check_id(e, c) for e, c in _VALUED_CHECKS])
-def test_reduce_matrix_is_idempotent(entry, check):
+def test_merging_changes_no_witness(entry, check):
+    # on the settled class matrix that ``solve`` solves
     game, lam = _load_check(entry, check)
-    once = reduce_matrix(build_matrix(game, lam))
-    twice = reduce_matrix(once)
-    assert np.array_equal(twice.num, once.num)
-    assert twice.row_origin.tolist() == once.row_origin.tolist()
-    assert twice.col_origin.tolist() == once.col_origin.tolist()
-    assert twice.log == once.log
-    if entry.formula == "phi_sb.if":
-        assert once.log == ["rows: merged 27 duplicates (31 -> 4)"]
+    _assert_solves_like_merged(solve(game, lam).matrix)
+
+
+def test_random_sentences_merging_changes_no_witness():
+    """Seeds 0-399 at a budget of 10**4, on the unsettled class matrix."""
+    merged = 0
+    for seed in range(400):
+        game, lam = load_game(*seeded_sentence(seed))
+        try:
+            matrix = build_matrix(game, lam, budget=10**4)
+        except BudgetError:
+            continue
+        merged += _assert_solves_like_merged(matrix)
+    assert merged >= 100, merged
 
 
 def test_build_matrix_rejects_denominator_above_int64():
@@ -370,22 +413,6 @@ def test_follow_matrix_matches_follows(fig1_game):
         assert table.shape == (len(strats), len(wins))
         for j, node in enumerate(wins):
             assert table[:, j].tolist() == [follows(node, s) for s in strats]
-
-
-@pytest.mark.parametrize("negate_first", [False, True],
-                         ids=["rows-ge-cols", "cols-gt-rows"])
-def test_build_matrix_blocks_agree(monkeypatch, negate_first):
-    text = corpus_text("phi_sb_prime.if")
-    if negate_first:
-        text = f"~({text})"
-    game, lam = load_game(text, corpus_text("sleeping_beauty.struct"),
-                          BIASED_COIN_X)
-    whole = build_matrix(game, lam)
-    monkeypatch.setattr(solver, "_PRODUCT_BLOCK_CELLS", 9)  # blocks of 2
-    blocked = build_matrix(game, lam)
-    # follow classes of the 31 x 4 strategies
-    assert whole.shape == ((4, 23) if negate_first else (11, 4))
-    assert np.array_equal(whole.num, blocked.num)
 
 
 def test_build_matrix_cell_budget(monkeypatch):
@@ -411,109 +438,95 @@ def test_build_matrix_single_column_when_no_falsifier_choices(sb_game):
     matrix = build_matrix(sb_game, uniform_nature(sb_game))
     strategies = (len(enumerate_reduced(sb_game, EXIST)),
                   len(enumerate_reduced(sb_game, UNIV)))
-    assert matrix.members == strategies == (31, 1)
+    assert strategies == (31, 1)
     assert (len(matrix.rows), len(matrix.cols)) == matrix.shape == (11, 1)
 
 
-def test_reduce_all_zero_matrix(sb_game):
-    rows = enumerate_reduced(sb_game, EXIST)
-    cols = enumerate_reduced(sb_game, UNIV)
-    zero = PayoffMatrix(rows, cols, np.zeros((4, 3), dtype=np.int8), 1)
-    reduced = reduce_matrix(zero)
-    assert reduced.shape == (1, 1)
-    assert cell(reduced, 0, 0) == 0
-    # the merge counts the strategies that the matrix's rows stand for, one
-    # each here, not the lists it indexes into
-    assert reduced.log == ["rows: merged 3 duplicates (4 -> 1)",
-                           "cols: merged 2 duplicates (3 -> 1)"]
+def test_reduce_preserves_value_phi_mh(mh_solution, mh_game):
+    # settling reduces the tree before the matrix exists and keeps the
+    # value of the matrix as built
+    matrix, eq = mh_solution
+    assert solve(mh_game, uniform_nature(mh_game)).value == eq.value == F(2, 3)
 
 
-def test_reduce_preserves_value_phi_mh(mh_solution):
-    matrix, reduced, eq = mh_solution
-    raw_eq = solve_zero_sum(matrix)
-    assert raw_eq.value == eq.value == F(2, 3)
+def test_reduce_fig1_weak_dominance_keeps_value(fig1_solution, fig1_game):
+    # unsettled, weak dominance is nowhere applied; settled, it is applied
+    # on the tree, and the value is the same
+    matrix, eq = fig1_solution
+    assert solve(fig1_game, uniform_nature(fig1_game)).value == eq.value \
+        == F(2, 3)
 
 
-def test_reduce_fig1_weak_dominance_keeps_value(fig1_solution):
-    # unsettled, weak dominance is nowhere applied: the merge alone keeps
-    # the value of the matrix as built
-    matrix, reduced, eq = fig1_solution
-    assert solve_zero_sum(matrix).value == eq.value == F(2, 3)
+def _corrupt_first_cell(monkeypatch):
+    """Patch ``PayoffMatrix.cells`` to flip the first cell of every
+    restricted set: cell c reads den - c."""
+    honest = PayoffMatrix.cells
+
+    def corrupt(self, rset, cset):
+        out = honest(self, rset, cset)
+        out[0, 0] = self.den - out[0, 0]
+        return out
+
+    monkeypatch.setattr(PayoffMatrix, "cells", corrupt)
 
 
-def test_solve_certifies_on_the_unreduced_matrix(monkeypatch):
-    # a faulty merge that also drops the first row (column) where nothing
-    # is equal shrinks matching pennies to one cell of value 1, which
-    # certifies itself; lifted to the 2 x 2 matrix the witness fails
-    first_occurrences = solver._first_occurrences
-
-    def faulty(arr):
-        keep = first_occurrences(arr)
-        return keep[1:] if len(keep) == len(arr) > 1 else keep
-
-    game, lam = load_game(corpus_text("matching_pennies.if"),
-                          corpus_text("pennies_2.struct"))
-    assert solve(game, lam).value == F(1, 2)
-    monkeypatch.setattr(solver, "_first_occurrences", faulty)
-    reduced = reduce_matrix(build_matrix(game, lam))
-    assert reduced.shape == (1, 1)
-    assert solve_zero_sum(reduced).value == 1
-    with pytest.raises(GameError,
-                       match="the witness fails on the unreduced payoff matrix"):
-        solve(game, lam)
+@pytest.mark.parametrize("cap", [solver.DEFAULT_SIMPLEX_CAP, 0],
+                         ids=["whole", "column-generation"])
+def test_solve_rejects_a_corrupted_restricted_cell(monkeypatch, cap):
+    # matching pennies on n elements with its first cell flipped from 1 to
+    # 0 has a restricted LP of another value than 1/n; pricing and
+    # verification read every class straight from the follow tables and
+    # refuse its witness
+    monkeypatch.setattr(solver, "DEFAULT_SIMPLEX_CAP", cap)
+    for n in (2, 3, 4):
+        game, lam = _load("matching_pennies.if", f"pennies_{n}.struct", None)
+        assert solve(game, lam).value == F(1, n)
+        with monkeypatch.context() as patch:
+            _corrupt_first_cell(patch)
+            with pytest.raises(GameError):
+                solve(game, lam)
 
 
-def _assert_no_equal_lines(num):
-    assert np.unique(num, axis=0).shape == np.unique(num, axis=1).shape \
-        == num.shape
+def _rational_mix(rng, n):
+    """A mix over up to four of ``n`` classes, with random rational masses."""
+    support = rng.sample(range(n), rng.randint(1, min(n, 4)))
+    parts = [rng.randint(1, 12) for _ in support]
+    return tuple((i, F(p, sum(parts))) for i, p in zip(support, parts))
 
 
-def test_random_sentences_reduce_properties():
-    """On seeded random sentences: reducing is idempotent, keeps the value
-    and leaves no two equal rows or columns."""
-    shrunk = Counter()
-    for seed in range(300):
-        game = random_game(seed)
+def test_mix_scores_equal_the_full_product():
+    """On the corpus and seeds 0-399 at a budget of 10**4: the exact scores
+    of random rational mixes over the classes, read from the follow tables,
+    equal the product of the enumerated full matrix at the classes' first
+    members, on both sides."""
+    games = [_load_check(e, c) for e, c in _CORPUS_CHECKS]
+    games += [load_game(*seeded_sentence(seed)) for seed in range(400)]
+    rng = random.Random(21)
+    checked = 0
+    for game, lam in games:
         try:
-            matrix = build_matrix(game, uniform_nature(game), budget=10**4)
+            matrix = build_matrix(game, lam, budget=10**4)
+            rows, cols, num, den = _full_matrix(game, lam, budget=10**4)
         except BudgetError:
             continue
-        value = solve_zero_sum(matrix).value
-        once = reduce_matrix(matrix)
-        assert reduce_matrix(once) is once
-        # reduced afresh, the result has nothing left to merge
-        again = reduce_matrix(PayoffMatrix(once.rows, once.cols, once.num,
-                                           once.den))
-        assert again.log == [] and np.array_equal(again.num, once.num)
-        assert solve_zero_sum(once).value == value
-        _assert_no_equal_lines(once.num)
-        shrunk["rows"] += once.shape[0] < matrix.shape[0]
-        shrunk["cols"] += once.shape[1] < matrix.shape[1]
-    assert min(shrunk.values()) >= 50, shrunk
-
-
-def test_reduce_matrix_treats_players_alike():
-    """Reducing the dual game ``den - num.T``, in which the players swap
-    places, mirrors reducing ``num``: the result is the dual of the reduced
-    matrix with the origins swapped, and the two values sum to 1."""
-    rng = random.Random(9)
-    merged = Counter()
-    for trial in range(1200):
-        n_rows, n_cols = rng.randrange(1, 7), rng.randrange(1, 7)
-        den = rng.choice([1, 2, 3, 5])
-        num = np.array([[rng.randrange(den + 1) for _ in range(n_cols)]
-                        for _ in range(n_rows)], dtype=np.int64)
-        game = PayoffMatrix(None, None, num, den)
-        dual = PayoffMatrix(None, None, den - num.T, den)
-        once = reduce_matrix(game)
-        mirror = reduce_matrix(dual)
-        assert np.array_equal(mirror.num, den - once.num.T), (num, den)
-        assert mirror.row_origin.tolist() == once.col_origin.tolist()
-        assert mirror.col_origin.tolist() == once.row_origin.tolist()
-        assert (solve_zero_sum(once).value
-                + solve_zero_sum(mirror).value) == 1, (num, den)
-        merged.update(line.split(":")[0] for line in once.log)
-    assert min(merged.values()) >= 100 and len(merged) == 2, merged
+        wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
+        first_rows = _follow_classes(_follow_matrix(rows, wins))
+        first_cols = _follow_classes(_follow_matrix(cols, wins))
+        assert np.array_equal(matrix.rows.table, rows.table[first_rows])
+        assert np.array_equal(matrix.cols.table, cols.table[first_cols])
+        table = num[np.ix_(first_rows, first_cols)].astype(object)
+        for _ in range(3):
+            for mine, other, cells in ((matrix.f_row, matrix.f_col, table),
+                                       (matrix.f_col, matrix.f_row, table.T)):
+                mix = _rational_mix(rng, len(mine))
+                scores, scale = _exact_mix_scores(mine, other, matrix.weights,
+                                                  matrix.den, mix)
+                q = math.lcm(*(w.denominator for _, w in mix))
+                assert scale == den * q
+                want = sum(int(w * q) * cells[i] for i, w in mix)
+                assert [int(s) for s in scores] == list(want)
+        checked += 1
+    assert checked >= 380
 
 
 def test_solve_one_by_one():
@@ -551,7 +564,7 @@ def test_direct_and_column_generation_agree(monkeypatch):
         den = rng.choice([1, 2, 3, 6, 9])
         num = _np.array([[rng.randrange(0, den + 1) for _ in range(cols)]
                          for _ in range(rows)], dtype=_np.int64)
-        matrix = PayoffMatrix(None, None, num, den)
+        matrix = as_follow_tables(num, den)
         value, row_mix, col_mix = _solve_int_matrix(num.tolist(), den)
         direct = Equilibrium(value, tuple(row_mix), tuple(col_mix), matrix)
         with monkeypatch.context() as patch:
@@ -683,16 +696,16 @@ def test_exact_mix_scores_near_int64_limit(q):
         n_rows, n_cols = rng.randrange(3, 6), rng.randrange(3, 6)
         cells = [[rng.choice([0, 1, den - 1, den, rng.randrange(den + 1)])
                   for _ in range(n_cols)] for _ in range(n_rows)]
-        num = np.array(cells, dtype=np.int64)
+        m = as_follow_tables(cells, den)
         row_mix = _random_mix(rng, n_rows, q)
         col_mix = _random_mix(rng, n_cols, q)
         against_cols = [sum(w * F(cells[i][j], den) for i, w in row_mix)
                         for j in range(n_cols)]
         against_rows = [sum(w * F(cells[i][j], den) for j, w in col_mix)
                         for i in range(n_rows)]
-        for matrix, mix, want in ((num, row_mix, against_cols),
-                                  (num.T, col_mix, against_rows)):
-            scores, scale = _exact_mix_scores(matrix, den, mix)
+        for mine, other, mix, want in ((m.f_row, m.f_col, row_mix, against_cols),
+                                       (m.f_col, m.f_row, col_mix, against_rows)):
+            scores, scale = _exact_mix_scores(mine, other, m.weights, den, mix)
             assert scale == den * q
             assert scores.dtype == (np.int64 if q == 2 else object)
             assert [F(int(s), scale) for s in scores] == want
@@ -704,7 +717,7 @@ def test_verify_equilibrium_near_int64_limit(n):
     # uniform mixes have denominator n, so the check runs in int64 for
     # n = 2 and on Python integers for n = 3
     den = 2**61 - 1
-    matrix = PayoffMatrix(None, None, np.eye(n, dtype=np.int64) * den, den)
+    matrix = as_follow_tables(np.eye(n, dtype=np.int64) * den, den)
     uniform = tuple((k, F(1, n)) for k in range(n))
     skewed = ((0, F(2, 3)), (1, F(1, 3))) if n == 3 else ((0, F(1)),)
     assert verify_equilibrium(matrix, Equilibrium(F(1, n), uniform, uniform,
@@ -728,7 +741,7 @@ def test_unverified_equilibrium_raises(monkeypatch):
 
 
 def test_verify_fig3_paper_profile(fig1_solution, fig1_game):
-    matrix, _, _ = fig1_solution
+    matrix, _ = fig1_solution
     order_r, order_c = fig1_named_order(fig1_game)
     mu = tuple((order_r[3 + k], F(1, 3)) for k in range(3))  # switch rows
     nu = tuple((j, F(1, 6)) for j in order_c)
@@ -737,9 +750,9 @@ def test_verify_fig3_paper_profile(fig1_solution, fig1_game):
 
 def test_truth_values_match_paper(mh_solution, mh_prime_solution,
                                   mh_chance_solution):
-    assert mh_solution[2].value == F(2, 3)
-    assert mh_prime_solution[2].value == F(1, 3)
-    assert mh_chance_solution[2].value == F(7, 9)
+    assert mh_solution[1].value == F(2, 3)
+    assert mh_prime_solution[1].value == F(1, 3)
+    assert mh_chance_solution[1].value == F(7, 9)
 
 
 def test_truth_value_stochastic_matching_pennies(smp_game):
@@ -748,9 +761,9 @@ def test_truth_value_stochastic_matching_pennies(smp_game):
     assert matrix.shape == (2, 2)
     assert [[cell(matrix, i, j) for j in range(2)] for i in range(2)] == \
         [[F(1, 3), F(0)], [F(0), F(2, 3)]]
-    eq = solve_zero_sum(reduce_matrix(matrix))
+    eq = solve_zero_sum(matrix)
     assert eq.value == F(2, 9)
-    # the analyzed profile p = q = 2/3 is an equilibrium of the raw matrix
+    # the analyzed profile p = q = 2/3 is an equilibrium of the matrix
     profile = Equilibrium(F(2, 9), ((0, F(2, 3)), (1, F(1, 3))),
                           ((0, F(2, 3)), (1, F(1, 3))), matrix)
     assert verify_equilibrium(matrix, profile)
@@ -799,6 +812,35 @@ def test_conditional_sb_family(sb_game):
         assert cond.p_event == F(3, 4)
     assert conditional_value(sb_game, lam, _sb_mix(sb_game, F(1)), tau,
                              awake).value == F(1, 3)
+
+
+def _sleeping_beauty_on(k):
+    """Sleeping Beauty over k days: the structure, a fair coin on Heads (1)
+    and Tails (2) with mass 0 on the other elements, and the always-Heads
+    profile (R where Awake, else L; Heads at the slashed disjunction)."""
+    days = range(1, k + 1)
+    structure = (f"universe {' '.join(map(str, days))}\n"
+                 "rel Heads/1: (1)\nrel Tails/1: (2)\n"
+                 f"rel Awake/2: (1,1) {' '.join(f'(2,{t})' for t in days)}\n")
+    nature = "x : 1 -> 1/2, 2 -> 1/2" + "".join(f", {x} -> 0" for x in days[2:])
+    rows = [f"@/0/0[t={t},x={x}] -> {'R' if x == 2 or x == t == 1 else 'L'}"
+            for x in days for t in days]
+    profile = "row 1 {\n" + "\n".join(rows + ["@/0/0/1[] -> L"]) + "\n}\n"
+    return structure, nature + "\n", profile
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_sleeping_beauty_on_k_days(k):
+    # awake once on Heads and k times on Tails: the value is (2k - 1)/(2k),
+    # and always guessing Heads wins 1/(k + 1) of the awakenings, the
+    # thirder answer at k = 2
+    structure, nature, profile = _sleeping_beauty_on(k)
+    game, lam = load_game(corpus_text("phi_sb.if"), structure, nature)
+    assert solve(game, lam).value == F(2 * k - 1, 2 * k)
+    row_mix, col_mix = parse_profile(profile, game)
+    awake = parse_event("Awake(x,t)", game)
+    assert conditional_value(game, lam, row_mix, col_mix, awake).value \
+        == F(1, k + 1)
 
 
 def test_conditional_whole_space_is_expected_payoff(sb_game):
