@@ -80,14 +80,14 @@ class PayoffMatrix:
 
     def __init__(self, rows: StrategyList, cols: StrategyList,
                  f_row: np.ndarray, f_col: np.ndarray, weights: np.ndarray,
-                 den: int, log: list[str] | None = None):
+                 den: int):
         self.rows = rows
         self.cols = cols
         self.f_row = f_row
         self.f_col = f_col
         self.weights = weights
         self.den = den
-        self.log = log if log is not None else []
+        self.log: list[str] = []
 
     @property
     def shape(self) -> tuple[int, int]:
