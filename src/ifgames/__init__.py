@@ -76,7 +76,7 @@ from .strategy import (
     enumerate_reduced,
     follow_classes,
     follows,
-    outcome_distribution,
+    play_masses,
     reduced_from_rules,
     uniform_nature,
 )

@@ -7,6 +7,8 @@ equal payoffs; :func:`~ifgames.strategy.follow_classes` finds them without
 enumerating the strategies) and the terminals' integer chance weights over
 one common denominator; a cell is the weighted count of the terminals both
 classes follow, computed only for the cells a restricted LP needs.  The
+chance weights, the tree certificate and conditioning all read one integer
+pass, :func:`~ifgames.strategy.play_masses`.  The
 cell budgets count the strategies, not the classes.  :func:`solve` always
 first settles the nodes whose winner is already fixed (weak dominance,
 applied on the tree).  The LP is one column-generation (double-oracle)
@@ -48,7 +50,7 @@ from .strategy import (
     ReducedStrategy,
     StrategyList,
     follow_classes,
-    outcome_distribution,
+    play_masses,
     reduced_from_rules,
     uniform_nature,
 )
@@ -100,18 +102,6 @@ class PayoffMatrix:
         return (self.f_row[rset] * self.weights) @ self.f_col[cset].T
 
 
-def _chance_reach(g: ExtensiveGame, lam: BehavioralStrategy) -> list[Fraction]:
-    """Per node, the product of the chance probabilities along its history."""
-    reach = [Fraction(1)]
-    for node in range(1, len(g)):  # parents come before their children
-        at = g.parent[node]
-        if g.owner[at] == NATURE:
-            reach.append(reach[at] * lam.distribution(at)[g.edge[node]])
-        else:
-            reach.append(reach[at])
-    return reach
-
-
 def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
                  budget: int = DEFAULT_STRATEGY_BUDGET) -> PayoffMatrix:
     """Payoff matrix over the follow classes of both players' reduced
@@ -138,12 +128,13 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
         cells = count * len(win_nodes)
         if cells > DEFAULT_CELL_BUDGET:
             raise BudgetError("follow cell", DEFAULT_CELL_BUDGET, cells)
-    reach = _chance_reach(g, lam)
-    masses = [reach[t] for t in win_nodes]
-    den = math.lcm(*(mass.denominator for mass in masses))
+    masses, scale = play_masses(g, lam)
+    masses = [masses[t] for t in win_nodes]
+    common = math.gcd(scale, *masses)
+    den = scale // common
     if den > np.iinfo(np.int64).max:
         raise GameError("payoff denominators exceed 64-bit integers")
-    weights = np.array([int(m * den) for m in masses], dtype=np.int64)
+    weights = np.array([m // common for m in masses], dtype=np.int64)
     return PayoffMatrix(rows, cols, f_row, f_col, weights, den)
 
 
@@ -454,42 +445,23 @@ def _lift(game: ExtensiveGame, small: ExtensiveGame, origin: list[int],
     return MixedStrategy(player, [(lift(s), w) for s, w in mix])
 
 
-def _follow_weights(g: ExtensiveGame, mix: MixedStrategy) -> list[Fraction]:
-    """Per node, the mass of the mix's strategies that follow it."""
-    infoset = g.infoset
-    weight = [Fraction(0)] * len(g)
-    for sigma, w in mix:
-        chosen = dict(sigma.actions)
-        on = [True] * len(g)
-        for node in range(len(g)):
-            at = g.parent[node]
-            if at >= 0:
-                on[node] = on[at] and (g.owner[at] != mix.player
-                                       or chosen.get(infoset[at]) == g.edge[node])
-            if on[node]:
-                weight[node] += w
-    return weight
+def _tree_reply(g: ExtensiveGame, masses: list[int], player: int) -> int:
+    """The verifier's win mass when the other player answers ``player``'s
+    mix best, by backward induction on ``g``'s tree over the integer
+    masses of :func:`~ifgames.strategy.play_masses` of that mix; exact when
+    each of the other player's information sets is a singleton.
 
-
-def _tree_reply(g: ExtensiveGame, reach: list[Fraction],
-                mix: MixedStrategy) -> Fraction:
-    """The verifier's win probability when the other player answers ``mix``
-    best, by backward induction on ``g``'s tree; exact when each of that
-    player's information sets is a singleton.
-
-    That player takes its best child, and a chance node or a node of the
-    mix's player sums its children; a verifier-win terminal weighs its
-    chance mass by the mix's follow weight (:func:`_follow_weights`).
+    That player takes its best child, and a chance node or a node of
+    ``player`` sums its children; a verifier-win terminal holds its mass.
     """
-    follow = _follow_weights(g, mix)
-    best = min if mix.player == EXIST else max
-    value = [Fraction(0)] * len(g)
+    best = min if player == EXIST else max
+    value = [0] * len(g)
     for node in reversed(range(len(g))):
         kids = g.children[node]
         if not kids:
             if g.winner_of[node] == EXIST:
-                value[node] = reach[node] * follow[node]
-        elif g.owner[node] not in (mix.player, NATURE):
+                value[node] = masses[node]
+        elif g.owner[node] not in (player, NATURE):
             value[node] = best(value[c] for c in kids)
         else:
             value[node] = sum(value[c] for c in kids)
@@ -519,16 +491,16 @@ def solve(game: ExtensiveGame, lam: BehavioralStrategy,
     eq = solve_zero_sum(matrix)
     eq.lifted = tuple(_lift(game, small, origin, forced, mix)
                       for mix in (eq.row_strategies(), eq.col_strategies()))
-    reach = _chance_reach(game, lam)
     checks = []
     for side, mix, other in zip(("I", "II"), eq.lifted, (UNIV, EXIST)):
         if any(len(info.members) > 1
                for info in game.information_partition(other)):
             checks.append(f"{side} on the class matrix")
-        elif _tree_reply(game, reach, mix) == eq.value:
-            checks.append(f"{side} on the game tree")
-        else:
+            continue
+        masses, scale = play_masses(game, lam, mix)
+        if _tree_reply(game, masses, mix.player) != eq.value * scale:
             raise GameError(f"the witness of {side} fails on the game tree")
+        checks.append(f"{side} on the game tree")
     eq.matrix.log.append("witness checked: " + ", ".join(checks))
     return eq
 
@@ -552,18 +524,6 @@ class ConditionalValue:
     value: Fraction
 
 
-def profile_outcomes(g: ExtensiveGame, lam: BehavioralStrategy,
-                     row_mix: MixedStrategy, col_mix: MixedStrategy):
-    """Terminal distribution of a mixed profile: (node, probability) pairs."""
-    out: dict[int, Fraction] = {}
-    for sigma, w_sigma in row_mix:
-        for tau, w_tau in col_mix:
-            weight = w_sigma * w_tau
-            for node, mass in outcome_distribution(g, lam, sigma, tau).items():
-                out[node] = out.get(node, Fraction(0)) + weight * mass
-    return out
-
-
 def conditional_value(g: ExtensiveGame, lam: BehavioralStrategy,
                       row_mix: MixedStrategy, col_mix: MixedStrategy,
                       event: EventPredicate | None) -> ConditionalValue:
@@ -572,20 +532,21 @@ def conditional_value(g: ExtensiveGame, lam: BehavioralStrategy,
     ``event=None`` conditions on the whole space, giving the unconditional
     expected payoff.  A zero-probability event is an error.
     """
-    p_event = Fraction(0)
-    p_win = Fraction(0)
-    for node, p in profile_outcomes(g, lam, row_mix, col_mix).items():
-        if event is not None and not event.holds(g, node):
+    masses, scale = play_masses(g, lam, row_mix, col_mix)
+    p_event = p_win = 0
+    for node in g.terminals():
+        if not masses[node] or (event is not None and not event.holds(g, node)):
             continue
-        p_event += p
+        p_event += masses[node]
         if g.winner_of[node] == EXIST:
-            p_win += p
+            p_win += masses[node]
     if p_event == 0:
         raise ZeroProbabilityEventError(
             f"event {event.text if event else 'true'} has probability zero "
             f"under this profile"
         )
-    return ConditionalValue(p_event, p_win, p_win / p_event)
+    return ConditionalValue(Fraction(p_event, scale), Fraction(p_win, scale),
+                            Fraction(p_win, p_event))
 
 
 # ------------------------------------------------------------- simulation

@@ -9,11 +9,14 @@ one column per information set, ``-1`` marking unreachable sets) because
 interesting semantic games have strategy counts in the hundreds of
 thousands.  :func:`follow_classes` reaches the classes of strategies that
 follow the same histories, one row per class (its first member), without
-that table.
+that table.  :func:`play_masses` gives, per node, the probability that play
+under a chance strategy and any mixes reaches it, in integers over one
+scale.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, GameError, NatureStrategyError
-from .game import EXIST, NATURE, TERMINAL, UNIV, ExtensiveGame, InfoSet
+from .game import EXIST, NATURE, UNIV, ExtensiveGame, InfoSet
 
 DEFAULT_STRATEGY_BUDGET = 10**6
 
@@ -441,34 +444,62 @@ def embedded_nature(g: ExtensiveGame) -> BehavioralStrategy:
     return BehavioralStrategy(g, {**uniform_nature(g).dists, **g.embedded_chance})
 
 
-def outcome_distribution(g: ExtensiveGame, lam: BehavioralStrategy,
-                         sigma: ReducedStrategy, tau: ReducedStrategy
-                         ) -> dict[int, Fraction]:
-    """Distribution over terminal histories under the profile (λ, σ, τ).
+def play_masses(g: ExtensiveGame, lam: BehavioralStrategy,
+                *mixes: MixedStrategy) -> tuple[list[int], int]:
+    """Per node, the probability that play under λ and ``mixes`` reaches
+    it, as integers over one scale: ``(masses, scale)``.
 
-    The support holds every terminal followed by both strategies (including
-    chance branches of probability zero); masses are the products of the
-    chance probabilities along each history and sum to exactly 1.
+    That probability is the product of the chance probabilities along the
+    node's history and, per mix, the mass of its strategies that follow the
+    node; a player with no mix is free, so ``play_masses(g, lam)`` is the
+    chance mass of every node.  Each strategy walks the nodes it follows,
+    through every chance branch, and one with no action at such a node
+    raises :class:`GameError` when every other mix follows the node too.
+    A node ``c`` chance moves deep has chance mass ``num / unit**c``,
+    ``unit`` the lcm of the chance denominators.
     """
-    infoset = g.infoset
-    dist: dict[int, Fraction] = {}
-    stack: list[tuple[int, Fraction]] = [(g.root, Fraction(1))]
-    while stack:
-        node, mass = stack.pop()
-        owner = g.owner[node]
-        if owner == TERMINAL:
-            dist[node] = mass
-        elif owner == NATURE:
-            for child, p in zip(g.children[node], lam.distribution(node)):
-                stack.append((child, mass * p))
-        else:
-            strat = sigma if owner == EXIST else tau
-            act = strat.action_at(infoset[node])
-            if act is None:
-                info = g.information_partition(owner)[infoset[node]]
-                raise GameError(
-                    f"strategy for {'I' if owner == EXIST else 'II'} undefined "
-                    f"at reachable set {info.label}"
-                )
-            stack.append((g.children[node][act], mass))
-    return dist
+    unit = math.lcm(*(p.denominator for dist in lam.dists.values() for p in dist))
+    steps = {node: [int(p * unit) for p in dist] for node, dist in lam.dists.items()}
+    infoset, children, owner = g.infoset, g.children, g.owner
+    chance: dict[int, tuple[int, int]] = {}  # node -> (num, chance moves)
+    stuck = []
+
+    def walk(player, chosen: dict[int, int], weight: int, follow: dict):
+        stack = [(g.root, 1, 0)]
+        while stack:
+            node, num, moves = stack.pop()
+            follow[node] = follow.get(node, 0) + weight
+            chance[node] = num, moves
+            if owner[node] == NATURE:
+                stack += [(kid, num * step, moves + 1)
+                          for kid, step in zip(children[node], steps[node])]
+            elif owner[node] != player:
+                stack += [(kid, num, moves) for kid in children[node]]
+            elif infoset[node] in chosen:
+                stack.append((children[node][chosen[infoset[node]]], num, moves))
+            else:
+                stuck.append((player, node, follow))
+
+    follows, scale = [], 1
+    for mix in mixes:
+        q = math.lcm(*(w.denominator for _, w in mix))
+        follows.append({})
+        for sigma, w in mix:
+            walk(sigma.player, dict(sigma.actions), int(w * q), follows[-1])
+        scale *= q
+    if not mixes:
+        walk(None, {}, 1, {})
+    for player, node, follow in stuck:
+        if all(node in other for other in follows if other is not follow):
+            info = g.information_partition(player)[infoset[node]]
+            raise GameError(
+                f"strategy for {'I' if player == EXIST else 'II'} undefined "
+                f"at reachable set {info.label}"
+            )
+    depth = max(moves for _, moves in chance.values())
+    masses = [0] * len(g)
+    for node, (num, moves) in chance.items():
+        masses[node] = num * unit ** (depth - moves)
+        for follow in follows:
+            masses[node] *= follow.get(node, 0)
+    return masses, unit ** depth * scale

@@ -23,12 +23,12 @@ from ifgames import (
     format_formula,
     negate,
     occurrences,
-    outcome_distribution,
     parse_event,
     parse_formula,
     parse_nature_strategy,
     parse_profile,
     parse_structure,
+    play_masses,
     reduced_from_rules,
     simulate,
     solve,
@@ -259,8 +259,8 @@ def test_criterion_11_property_suite(corpus_formulas, doors3, binary,
     assert c1.value * c1.p_event + c2.value * c2.p_event == total
     assert c1.p_event + c2.p_event == 1
     for sigma in (heads, tails):
-        dist = outcome_distribution(sb_game, lam, sigma, tau.support[0][0])
-        assert sum(dist.values(), F(0)) == 1
+        masses, scale = play_masses(sb_game, lam, MixedStrategy.pure(sigma), tau)
+        assert sum(masses[t] for t in sb_game.terminals()) == scale
     passed(11, "involution, round-trip, bivalence, duality, reduction "
                "soundness, coherence, normalization - all exact")
 

@@ -8,7 +8,6 @@ checked here exactly, by backward induction where the other player's sets
 are singletons and over its class list of the original game otherwise.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +17,7 @@ from ifgames import EXIST, UNIV, BudgetError, GameError, solve
 from ifgames import solver
 from ifgames.corpus import CORPUS, corpus_text
 from ifgames.parser import load_game
-from ifgames.strategy import DEFAULT_STRATEGY_BUDGET, follow_classes
+from ifgames.strategy import DEFAULT_STRATEGY_BUDGET, follow_classes, play_masses
 from random_sentences import seeded_sentence
 
 F = Fraction
@@ -27,15 +26,12 @@ F = Fraction
 def _exact_reply(game, lam, mix) -> Fraction:
     """The verifier's win probability when the other player answers
     ``mix`` best on ``game``, exactly."""
-    reach = solver._chance_reach(game, lam)
+    masses, scale = play_masses(game, lam, mix)
     other = UNIV if mix.player == EXIST else EXIST
     if all(len(info.members) == 1 for info in game.information_partition(other)):
-        return solver._tree_reply(game, reach, mix)
+        return Fraction(solver._tree_reply(game, masses, mix.player), scale)
     wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
-    follow = solver._follow_weights(game, mix)
-    masses = [reach[t] * follow[t] for t in wins]
-    scale = math.lcm(*(m.denominator for m in masses))
-    nums = np.array([int(m * scale) for m in masses], dtype=object)
+    nums = np.array([masses[t] for t in wins], dtype=object)
     _, table, _ = follow_classes(game, other, wins)
     scores = table.astype(object) @ nums
     best = min if mix.player == EXIST else max

@@ -51,12 +51,11 @@ from ifgames.solver import (
     Equilibrium,
     PayoffMatrix,
     SimulationReport,
-    _chance_reach,
     _exact_mix_scores,
     _simplex_max,
     _solve_int_matrix,
 )
-from ifgames.strategy import player_plan
+from ifgames.strategy import play_masses, player_plan
 from random_sentences import seeded_sentence
 
 F = Fraction
@@ -247,8 +246,8 @@ def _full_matrix(g, lam, budget=10**6):
     rows = enumerate_reduced(g, EXIST, budget)
     cols = enumerate_reduced(g, UNIV, budget)
     win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
-    reach = _chance_reach(g, lam)
-    masses = [reach[t] for t in win_nodes]
+    masses, scale = play_masses(g, lam)
+    masses = [Fraction(masses[t], scale) for t in win_nodes]
     den = math.lcm(*(mass.denominator for mass in masses))
     weights = np.array([int(m * den) for m in masses], dtype=np.int64)
     num = (_follow_matrix(rows, win_nodes) * weights) @ _follow_matrix(cols, win_nodes).T
@@ -859,6 +858,36 @@ def test_conditional_zero_probability_event(sb_game):
     event = parse_event("x = 1 and t = 2", sb_game)
     with pytest.raises(ZeroProbabilityEventError):
         conditional_value(sb_game, lam, _sb_mix(sb_game, F(1)), tau, event)
+
+
+def _copy_game_partial():
+    """``forall x exists y (x = y)`` on two elements, the verifier's strategy
+    that copies x but has no action at the set where x = 2, and the
+    falsifier's two strategies (x = 1, x = 2)."""
+    game = build_semantic_game(Structure(("1", "2")),
+                               parse_formula("forall x exists y (x = y)"))
+    assert game.information_partition(EXIST)[0].label == "@/0[x=1]"
+    partial = ReducedStrategy(game, EXIST, {0: 0})
+    return game, partial, enumerate_reduced(game, UNIV)
+
+
+def test_conditional_undefined_on_reached_set_raises():
+    game, partial, (x1, x2) = _copy_game_partial()
+    lam = uniform_nature(game)
+    for col_mix in (MixedStrategy.pure(x2),
+                    MixedStrategy(UNIV, [(x1, F(1, 2)), (x2, F(1, 2))])):
+        with pytest.raises(GameError,
+                           match=r"undefined at reachable set @/0\[x=2\]"):
+            conditional_value(game, lam, MixedStrategy.pure(partial), col_mix,
+                              None)
+
+
+def test_conditional_undefined_only_on_unreached_set():
+    game, partial, (x1, _) = _copy_game_partial()
+    result = conditional_value(game, uniform_nature(game),
+                               MixedStrategy.pure(partial),
+                               MixedStrategy.pure(x1), None)
+    assert (result.p_event, result.value) == (1, 1)
 
 
 def test_conditional_coherence(sb_game, sb_prime_game):

@@ -1,4 +1,4 @@
-"""Reduced-strategy enumeration, the follow relation, outcome distributions."""
+"""Reduced-strategy enumeration, the follow relation, play masses."""
 
 import math
 import random
@@ -9,6 +9,7 @@ import pytest
 
 from ifgames import (
     EXIST,
+    NATURE,
     UNIV,
     BudgetError,
     GameError,
@@ -17,13 +18,17 @@ from ifgames import (
     build_semantic_game,
     enumerate_reduced,
     follows,
-    outcome_distribution,
     parse_formula,
     parse_nature_strategy,
+    parse_profile,
+    play_masses,
     reduced_from_rules,
     uniform_nature,
 )
+from ifgames.corpus import CORPUS, corpus_text
+from ifgames.parser import load_game
 from ifgames.strategy import _smallest_int_dtype
+from random_sentences import seeded_sentence
 
 
 def test_fig1_reduced_counts(fig1_game):
@@ -119,37 +124,45 @@ def test_fig1_stick_history_follow(fig1_game):
     assert follows(node, sigma1)
 
 
-def test_outcome_distribution_deterministic_game(mh_game):
+def _outcomes(game, lam, sigma, tau):
+    """The terminals of positive mass under the pure profile (λ, σ, τ),
+    with their probabilities."""
+    masses, scale = play_masses(game, lam, MixedStrategy.pure(sigma),
+                                MixedStrategy.pure(tau))
+    return {t: Fraction(masses[t], scale) for t in game.terminals() if masses[t]}
+
+
+def test_play_masses_deterministic_game(mh_game):
     lam = uniform_nature(mh_game)  # chance-free: empty behavioral strategy
     sigma = enumerate_reduced(mh_game, EXIST)[0]
     tau = enumerate_reduced(mh_game, UNIV)[0]
-    dist = outcome_distribution(mh_game, lam, sigma, tau)
+    dist = _outcomes(mh_game, lam, sigma, tau)
     assert len(dist) == 1
     ((node, mass),) = dist.items()
     assert mass == 1 and mh_game.is_terminal(node)
 
 
-def test_outcome_distribution_sb_quarters(sb_game):
+def test_play_masses_sb_quarters(sb_game):
     lam = uniform_nature(sb_game)
     tails = reduced_from_rules(
         sb_game, EXIST,
         lambda info: "R" if info.label == "@/0/0/1[]"
         else ("L" if "t=2,x=1" in info.label else "R"))
     tau = enumerate_reduced(sb_game, UNIV)[0]
-    dist = outcome_distribution(sb_game, lam, tails, tau)
+    dist = _outcomes(sb_game, lam, tails, tau)
     assert len(dist) == 4
     assert all(mass == Fraction(1, 4) for mass in dist.values())
 
 
-def test_outcome_distribution_biased_chance(smp_game):
+def test_play_masses_biased_chance(smp_game):
     lam = parse_nature_strategy("z : 0 -> 1/3, 1 -> 2/3", smp_game)
     sigma = enumerate_reduced(smp_game, EXIST)[0]
     tau = enumerate_reduced(smp_game, UNIV)[0]
-    dist = outcome_distribution(smp_game, lam, sigma, tau)
+    dist = _outcomes(smp_game, lam, sigma, tau)
     assert sorted(dist.values()) == [Fraction(1, 3), Fraction(2, 3)]
 
 
-def test_outcome_masses_sum_to_one(fig1_game, sb_game, mh_chance_game):
+def test_play_masses_sum_to_one(fig1_game, sb_game, mh_chance_game):
     rng = random.Random(11)
     for game in (fig1_game, sb_game, mh_chance_game):
         lam = uniform_nature(game)
@@ -158,8 +171,76 @@ def test_outcome_masses_sum_to_one(fig1_game, sb_game, mh_chance_game):
         for _ in range(10):
             sigma = rows[rng.randrange(len(rows))]
             tau = cols[rng.randrange(len(cols))]
-            dist = outcome_distribution(game, lam, sigma, tau)
+            dist = _outcomes(game, lam, sigma, tau)
             assert sum(dist.values(), Fraction(0)) == 1
+
+
+def _chance_along(game, lam, node) -> Fraction:
+    """The product of the chance probabilities along ``node``'s history."""
+    mass = Fraction(1)
+    while node != game.root:
+        at = game.parent[node]
+        if game.owner[at] == NATURE:
+            mass *= lam.distribution(at)[game.edge[node]]
+        node = at
+    return mass
+
+
+def _assert_play_masses_match_pure_pairs(game, lam, row_mix, col_mix):
+    """``play_masses`` at the terminals equals the slow reference, the sum
+    over pure pairs of chance reach x follows x follows, and sums to 1."""
+    masses, scale = play_masses(game, lam, row_mix, col_mix)
+    got = [Fraction(masses[t], scale) for t in game.terminals()]
+    want = [_chance_along(game, lam, t) * sum(
+        w * v for sigma, w in row_mix for tau, v in col_mix
+        if follows(t, sigma) and follows(t, tau)) for t in game.terminals()]
+    assert got == want
+    assert sum(got) == 1
+
+
+# every corpus query profile, and one under the halfer chance, whose
+# zero-probability branch the profiles' own chance strategies lack
+_PROFILES = sorted({(entry.formula, check.structure, check.nature, query.profile)
+                    for entry in CORPUS for check in entry.checks
+                    for query in check.queries}, key=str) + [
+    ("phi_sb.if", "sleeping_beauty.struct", "sb_lambda_prime.nat", "sb_even.profile")]
+
+
+@pytest.mark.parametrize("formula, structure, nature, profile", _PROFILES,
+                         ids=[f"{p[3]}{'+' + p[2] if p[2] else ''}"
+                              for p in _PROFILES])
+def test_play_masses_match_pure_pairs_on_corpus_profiles(formula, structure,
+                                                         nature, profile):
+    game, lam = load_game(corpus_text(formula), corpus_text(structure),
+                          nature and corpus_text(nature))
+    _assert_play_masses_match_pure_pairs(
+        game, lam, *parse_profile(corpus_text(profile), game))
+
+
+def _random_mix(rng, strategies):
+    """A mix over up to three of ``strategies``, with random rational masses."""
+    support = rng.sample(range(len(strategies)),
+                         rng.randint(1, min(len(strategies), 3)))
+    parts = [rng.randint(1, 9) for _ in support]
+    return MixedStrategy(strategies.player, [
+        (strategies[i], Fraction(p, sum(parts))) for i, p in zip(support, parts)])
+
+
+def test_play_masses_match_pure_pairs_on_random_sentences():
+    rng = random.Random(22)
+    checked = 0
+    for seed in range(100):
+        game, lam = load_game(*seeded_sentence(seed))
+        try:
+            rows = enumerate_reduced(game, EXIST, 10**4)
+            cols = enumerate_reduced(game, UNIV, 10**4)
+        except BudgetError:
+            continue
+        for _ in range(3):
+            _assert_play_masses_match_pure_pairs(
+                game, lam, _random_mix(rng, rows), _random_mix(rng, cols))
+        checked += 1
+    assert checked == 97  # three seeds exceed the budget
 
 
 def test_uniform_nature(mh_chance_game, sb_game, mh_game):
@@ -172,7 +253,7 @@ def test_uniform_nature(mh_chance_game, sb_game, mh_game):
     assert uniform_nature(mh_game).dists == {}
 
 
-def test_reduced_extension_outcome_invariance(fig1_game, sb_game):
+def test_play_masses_reduced_extension_invariance(fig1_game, sb_game):
     # extending a reduced strategy on unreachable sets never changes outcomes
     rng = random.Random(7)
     for game in (fig1_game, sb_game):
@@ -183,14 +264,14 @@ def test_reduced_extension_outcome_invariance(fig1_game, sb_game):
         for _ in range(10):
             sigma = rows[rng.randrange(len(rows))]
             tau = cols[rng.randrange(len(cols))]
-            base = outcome_distribution(game, lam, sigma, tau)
+            base = _outcomes(game, lam, sigma, tau)
             # the unreachable sets get a random action each
             chosen = dict(sigma.actions)
             filled = type(sigma)(game, EXIST, {
                 info.index: chosen[info.index] if info.index in chosen
                 else rng.randrange(len(info.actions)) for info in infosets})
             assert len(filled.actions) == len(infosets)
-            assert outcome_distribution(game, lam, filled, tau) == base
+            assert _outcomes(game, lam, filled, tau) == base
 
 
 def test_mixed_strategy_validation(sb_game):
