@@ -44,6 +44,7 @@ from .game import (
 )
 from .structure import Structure
 from .strategy import (
+    DEFAULT_CELL_BUDGET,
     DEFAULT_STRATEGY_BUDGET,
     BehavioralStrategy,
     MixedStrategy,
@@ -58,11 +59,6 @@ from .strategy import (
 if TYPE_CHECKING:
     from .parser import EventPredicate
 
-# Strategy pairs (payoff cells) or strategy-terminal follow cells on one
-# side, and the sampler's action table.  No payoff matrix is stored, so the
-# payoff-cell check is a guard before the double-oracle loop, whose exact
-# restricted LPs would run for hours on such a game (phi_mh on six doors).
-DEFAULT_CELL_BUDGET = 10**8
 DEFAULT_SIMPLEX_CAP = 4_000  # matrix cells
 
 
@@ -551,7 +547,7 @@ def conditional_value(g: ExtensiveGame, lam: BehavioralStrategy,
 
 # ------------------------------------------------------------- simulation
 
-_SAMPLE_BLOCK_STARTS = 4096  # play starts that simulate walks at once
+_SAMPLE_BLOCK_WORDS = 1 << 14  # draws that simulate walks at once
 _NEVER = 2**64 - 1  # a bound that no 64-bit draw exceeds
 
 
@@ -643,15 +639,15 @@ class _Sampler:
             first.append(len(kids) + chance)
             kids += [node, *children]
             bounds += [_NEVER, *cuts] + [_NEVER] * (len(children) - len(cuts))
-            for kid in children:
+            for kid in g.children[node]:
                 depth[kid] = depth[node] + 1
                 chance_moves[kid] = chance_moves[node] + chance
         self.first = np.array(first, dtype=np.intp)
         self.kids = np.array(kids, dtype=np.intp)
         self.bounds = np.array(bounds, dtype=np.uint64)
         self.levels = max(depth)
-        # a play reads its row pick, its column pick and one word per
-        # chance move
+        # a play's run of words: row pick, column pick and one per chance
+        # move on the tree's path with the most of them
         self.words_per_play = 2 + max(chance_moves)
         self.column = np.where(self.is_univ | (self.owner == EXIST),
                                np.array(g.infoset), self.columns - 1)
@@ -667,33 +663,36 @@ class _Sampler:
         self.col_bounds = np.array(col_bounds, dtype=np.uint64)
         self.n_rows = len(row_mix.support)
 
-    def walk(self, words: np.ndarray, starts: int):
-        """Play from each of the first ``starts`` word positions at once.
+    def walk(self, words: np.ndarray) -> np.ndarray:
+        """Play each row of the (plays x ``words_per_play``) ``words`` once.
 
-        A play from position ``p`` picks its row strategy with word ``p``,
-        its column strategy with word ``p + 1``, and each chance move with
-        the next unread word.  Returns each start's final node (not a
-        terminal when a strategy was undefined on the way) and the number
-        of words it read; ``words`` must hold ``starts + words_per_play``
-        words.
+        A play picks its row strategy with its row's first word, its column
+        strategy with the second, and its chance moves with the words after
+        them, in play order; a play with fewer chance moves leaves the rest
+        of its row unread.  Returns each play's final node (not a terminal
+        when a strategy was undefined on the way).
         Every step gathers from 1-d arrays, which numpy does several times
         faster than from rows of 2-d ones.  A chance step passes each child
         whose bound the draw exceeds; the bounds rise along the children.
         """
-        row = self.columns * np.searchsorted(self.row_bounds, words[:starts])
+        plays = len(words)
+        row = self.columns * np.searchsorted(self.row_bounds, words[:, 0])
         col = self.columns * (
-            self.n_rows + np.searchsorted(self.col_bounds, words[1:starts + 1]))
-        node = np.zeros(starts, dtype=np.intp)
-        pos = np.arange(2, starts + 2)
+            self.n_rows + np.searchsorted(self.col_bounds, words[:, 1]))
+        words = words.ravel()
+        node = np.zeros(plays, dtype=np.intp)
+        pos = np.arange(2, plays * self.words_per_play + 2, self.words_per_play)
         for _ in range(self.levels):
-            draw = words[pos]
+            # a play past its last chance move reads a word it never uses
+            # (the next row's first); the clip keeps the last play's in range
+            draw = words.take(pos, mode="clip")
             at = self.first[node] + self.actions[
                 np.where(self.is_univ[node], col, row) + self.column[node]]
             for _ in range(self.chance_steps):
                 at += draw > self.bounds[at]
             pos += self.is_chance[node]
             node = self.kids[at]
-        return node, pos - np.arange(starts)
+        return node
 
 
 def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
@@ -703,19 +702,20 @@ def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
     """Monte Carlo cross-check of a profile's win probability.
 
     One sequential stream of ``getrandbits(64)`` draws from a
-    Mersenne-Twister generator (``random.Random(seed)``); per play the
-    draws are: row strategy, column strategy, then the chance moves
-    reached along the play, in play order, each picked by exact integer
-    inversion (:func:`_thresholds`).  Bit-for-bit reproducible for a fixed
-    (game, profile, plays, seed).
+    Mersenne-Twister generator (``random.Random(seed)``).  Each play reads
+    a fixed run of ``words_per_play`` draws: row strategy, column strategy,
+    then the chance moves reached along the play, in play order, each
+    picked by exact integer inversion (:func:`_thresholds`).  The run has
+    a word for each chance move on the tree's path with the most, so where
+    plays meet fewer the samples differ from those of a loop that reads
+    only the draws it needs.  Bit-for-bit reproducible for a fixed (game,
+    profile, plays, seed).
 
-    The draws are taken in bulk (:func:`_draw_words`), and they are
-    identical to per-play draws in that order.  Each block of
-    ``_SAMPLE_BLOCK_STARTS`` word positions is walked down the compiled
-    game (:class:`_Sampler`) as if every position started a play; the plays
-    are then the chain of starts from the first, each beginning where the
-    last one's words end, and the unread words carry over to the next
-    block, so memory does not grow with ``plays``.  ``numpy.random`` is
+    The draws are taken in bulk (:func:`_draw_words`), identical to
+    per-play draws in that order.  Each block of about
+    ``_SAMPLE_BLOCK_WORDS`` of them, one row per play, walks down the
+    compiled game (:class:`_Sampler`) at once, so memory grows neither
+    with ``plays`` nor with the tree's depth.  ``numpy.random`` is
     deliberately not imported: the stdlib generator already gives these
     draws, and importing that module alone adds about 6 MB to the resident
     memory of a process (Python 3.11, numpy 2.4).
@@ -725,25 +725,14 @@ def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
     sampler = _Sampler(g, lam, row_mix, col_mix)
     rng = random.Random(seed)
     visits = np.zeros(len(g), dtype=np.int64)
-    words = np.empty(0, dtype=np.uint64)
-    done = 0
-    while done < plays:
-        # the plays left read at most this many words
-        starts = min(_SAMPLE_BLOCK_STARTS, (plays - done) * sampler.words_per_play)
-        missing = starts + sampler.words_per_play - len(words)
-        if missing > 0:
-            words = np.concatenate((words, _draw_words(rng, missing)))
-        ends, used = sampler.walk(words, starts)
-        used, chain, p = used.tolist(), [], 0
-        while p < starts:
-            chain.append(p)
-            p += used[p]
-        reached = ends[chain[:plays - done]]
-        if (sampler.owner[reached] != TERMINAL).any():
+    width = sampler.words_per_play
+    block = max(1, _SAMPLE_BLOCK_WORDS // width)
+    for done in range(0, plays, block):
+        n = min(block, plays - done)
+        ends = sampler.walk(_draw_words(rng, n * width).reshape(n, width))
+        if (sampler.owner[ends] != TERMINAL).any():
             raise GameError("profile strategy undefined on a reached set")
-        visits += np.bincount(reached, minlength=len(g))
-        done += len(reached)
-        words = words[p:]
+        visits += np.bincount(ends, minlength=len(g))
     visited = {int(t): int(visits[t]) for t in np.flatnonzero(visits)}
     won = {t: g.winner_of[t] == EXIST for t in visited}
     wins = sum(count for t, count in visited.items() if won[t])

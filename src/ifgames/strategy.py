@@ -27,6 +27,11 @@ from .errors import BudgetError, GameError, NatureStrategyError
 from .game import EXIST, NATURE, UNIV, ExtensiveGame, InfoSet
 
 DEFAULT_STRATEGY_BUDGET = 10**6
+# cells of one table: a frontier step's 64-bit words here; in solver.py the
+# payoff cells (a guard before the double-oracle loop, whose exact LPs would
+# run for hours on phi_mh on six doors), one side's follow cells and the
+# sampler's action table
+DEFAULT_CELL_BUDGET = 10**8
 
 
 # ------------------------------------------------------------ player plans
@@ -211,7 +216,9 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
     follow table of those members; and the number of strategies.  Raises
     :class:`BudgetError` where :func:`enumerate_reduced` would, with the
     same count reached; a budget too large for exact 64-bit counts acts
-    as the largest one that keeps them exact.
+    as the largest one that keeps them exact.  A set whose children would
+    take more than ``DEFAULT_CELL_BUDGET`` state words raises the
+    "frontier cell" :class:`BudgetError` before they are allocated.
 
     A frontier walk over the information sets in canonical order.  An
     *item* is a constraint tuple (``plan.own``) of a member of a set or of
@@ -281,12 +288,15 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
         total = int(counts @ widths)
         if total > limit:
             raise BudgetError("strategy", limit, total)
+        kept = words[k]
+        cells = kept * int(widths.sum())
+        if cells > DEFAULT_CELL_BUDGET:  # the children's words, not yet taken
+            raise BudgetError("frontier cell", DEFAULT_CELL_BUDGET, cells)
         offsets = np.zeros(len(widths) + 1, dtype=position)
         np.cumsum(widths, out=offsets[1:])
         parent = np.repeat(np.arange(len(widths), dtype=position), widths)
         action = np.where(live[parent],
                           np.arange(offsets[-1]) - offsets[parent], widest)
-        kept = words[k]
         children = (np.take(states[:kept], parent, axis=1)
                     & np.take(keep[:kept, k], action, axis=1))
         first, counts = _merge(children, counts[parent])

@@ -204,6 +204,28 @@ def test_counts_beyond_int64_stop_at_the_exact_limit():
     assert follow_classes(game, UNIV, _wins(game), budget=10**30)[2] == 64
 
 
+def test_frontier_cell_budget_exits_two(monkeypatch, tmp_path, capsys):
+    # the verifier's last set branches 625 states into 3,125 children of one
+    # word each: a budget of one word less stops the walk before they are
+    # taken, and the exact count lets it pass
+    sentence = "forall x forall z (exists y/{x}) (x = y)"
+    game, _ = load_game(sentence, "universe 1 2 3 4 5\n", None)
+    monkeypatch.setattr(strategy, "DEFAULT_CELL_BUDGET", 3124)
+    with pytest.raises(BudgetError) as info:
+        follow_classes(game, EXIST, _wins(game))
+    assert (info.value.what, info.value.limit, info.value.reached) == \
+        ("frontier cell", 3124, 3125)
+    (tmp_path / "phi.if").write_text(sentence + "\n")
+    (tmp_path / "five.struct").write_text("universe 1 2 3 4 5\n")
+    code = main(["value", str(tmp_path / "phi.if"), str(tmp_path / "five.struct")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == \
+        "error: frontier cell budget exceeded: limit 3124, reached 3125\n"
+    monkeypatch.setattr(strategy, "DEFAULT_CELL_BUDGET", 3125)
+    assert follow_classes(game, EXIST, _wins(game))[2] == 3125
+
+
 @pytest.mark.parametrize("n", [129, 32_769])
 def test_wide_set_keeps_its_last_action(n):
     # one verifier set of n actions; only the last one wins, and a table

@@ -1025,20 +1025,34 @@ def _scalar_pick(draw, dist):
     return min(bisect.bisect_right(cums, draw * den), len(cums) - 1)
 
 
+def _words_per_play(g):
+    """2 plus the most chance moves on any root-to-terminal path of ``g``."""
+    moves = [0] * len(g)
+    for node in range(len(g)):  # parents come before their children
+        for kid in g.children[node]:
+            moves[kid] = moves[node] + (g.owner[node] == NATURE)
+    return 2 + max(moves)
+
+
 def _scalar_plays(g, lam, row_mix, col_mix, plays, rng):
     """Each play's terminal, one play at a time: the per-play loop that
-    ``simulate`` replaced, kept as the reference for its draws."""
+    ``simulate`` replaced, kept as the reference for its draws.  Every play
+    draws a run of ``_words_per_play(g)`` words: its row pick, its column
+    pick, then one per chance move in play order, the rest unread."""
+    width = _words_per_play(g)
     row_dist = _scalar_thresholds(tuple(w for _, w in row_mix.support))
     col_dist = _scalar_thresholds(tuple(w for _, w in col_mix.support))
     chance = {node: _scalar_thresholds(dist) for node, dist in lam.dists.items()}
     owner, children, infoset = g.owner, g.children, g.infoset
     for _ in range(plays):
-        sigma = row_mix.support[_scalar_pick(rng.getrandbits(64), row_dist)][0]
-        tau = col_mix.support[_scalar_pick(rng.getrandbits(64), col_dist)][0]
+        run = [rng.getrandbits(64) for _ in range(width)]
+        sigma = row_mix.support[_scalar_pick(run[0], row_dist)][0]
+        tau = col_mix.support[_scalar_pick(run[1], col_dist)][0]
+        draws = iter(run[2:])
         node = g.root
         while owner[node] != TERMINAL:
             if owner[node] == NATURE:
-                node = children[node][_scalar_pick(rng.getrandbits(64), chance[node])]
+                node = children[node][_scalar_pick(next(draws), chance[node])]
             else:
                 strat = sigma if owner[node] == EXIST else tau
                 act = strat.action_at(infoset[node])
@@ -1075,16 +1089,26 @@ _CORPUS_PROFILES = [
     for profile in ([None] if check.expected is not None else [])
     + sorted({q.profile for q in check.queries})
 ]
-_BLOCK = solver._SAMPLE_BLOCK_STARTS
+# every play of a corpus game meets the same number of chance moves; here a
+# play meets one (x = 1) or two, so a run of draws is not always read whole
+_VARIABLE_DEPTH = "chance x ((x = 1) \\/ chance z (z = x))"
 
 
 @pytest.mark.parametrize(
-    "entry, check, profile", _CORPUS_PROFILES,
-    ids=[f"{_check_id(e, c)}/{p or 'solve'}" for e, c, p in _CORPUS_PROFILES])
+    "entry, check, profile", _CORPUS_PROFILES + [(None, None, None)],
+    ids=[f"{_check_id(e, c)}/{p or 'solve'}" for e, c, p in _CORPUS_PROFILES]
+    + ["variable-depth/solve"])
 def test_simulate_matches_scalar_loop(entry, check, profile):
-    game, lam = _load_check(entry, check)
+    if entry is None:
+        game = build_semantic_game(Structure(("1", "2", "3")),
+                                   parse_formula(_VARIABLE_DEPTH))
+        lam = uniform_nature(game)
+    else:
+        game, lam = _load_check(entry, check)
     if profile is None:
         eq = solve(game, lam)
+        if entry is None:
+            assert eq.value == F(5, 9)
         row_mix, col_mix = eq.row_strategies(), eq.col_strategies()
         # the first variable takes its first value, when there is one
         names = game.variables()
@@ -1093,7 +1117,10 @@ def test_simulate_matches_scalar_loop(entry, check, profile):
         row_mix, col_mix = parse_profile(corpus_text(profile), game)
         texts = [q.event for q in check.queries if q.profile == profile]
     events = {text: parse_event(text, game) for text in texts}
-    counts = (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10_007)
+    width = _words_per_play(game)
+    assert solver._Sampler(game, lam, row_mix, col_mix).words_per_play == width
+    block = solver._SAMPLE_BLOCK_WORDS // width
+    counts = (1, 2, block - 1, block, block + 1, 10_007)
     for seed in range(1, 21):
         # a play's draws do not depend on the plays after it, so every
         # count is a prefix of one scalar run
@@ -1107,7 +1134,7 @@ def test_simulate_matches_scalar_loop(entry, check, profile):
 
 
 def test_bulk_draws_equal_single_draws():
-    for k in (1, 2, 7, _BLOCK + 5):
+    for k in (1, 2, 7, solver._SAMPLE_BLOCK_WORDS + 5):
         bulk, single = random.Random(k), random.Random(k)
         words = solver._draw_words(bulk, k)
         assert words.tolist() == [single.getrandbits(64) for _ in range(k)]
@@ -1151,12 +1178,10 @@ def test_sampler_picks_at_threshold_boundaries(nature):
     words = [w for play in plays for w in play]
     sampler = solver._Sampler(game, lam, row_mix, col_mix)
     assert sampler.words_per_play == 3
-    ends, used = sampler.walk(np.array(words + [0] * 3, dtype=np.uint64),
-                              len(words))
+    ends = sampler.walk(np.array(plays, dtype=np.uint64))
     want = list(_scalar_plays(game, lam, row_mix, col_mix, len(plays),
                               _Words(words)))
-    assert ends[::3].tolist() == want
-    assert set(used[::3].tolist()) == {3}
+    assert ends.tolist() == want
 
 
 def _sb_partial_mix(game):
@@ -1181,27 +1206,23 @@ def test_simulate_undefined_on_reached_set_raises(sb_game):
                 run(sb_game, lam, mix, tau, 50, seed)
 
 
-def test_simulate_undefined_only_on_unused_starts(sb_game):
-    # one play reads at most `words_per_play` words, and the sampler walks a
-    # start at each of them; the starts after the first are never played
+def test_simulate_undefined_raises_as_scalar_loop_does(sb_game):
+    # one play, which is stuck when it picks the partial strategy and the
+    # coin shows tails: simulate raises exactly when the scalar loop does
     lam = uniform_nature(sb_game)
     tau = MixedStrategy.pure(enumerate_reduced(sb_game, UNIV)[0])
     mix = _sb_partial_mix(sb_game)
-    sampler = solver._Sampler(sb_game, lam, mix, tau)
-    unused_only = 0
+    outcomes = set()
     for seed in range(1, 41):
-        ends, _ = sampler.walk(
-            solver._draw_words(random.Random(seed), 2 * sampler.words_per_play),
-            sampler.words_per_play)
-        stuck = (sampler.owner[ends] != TERMINAL).tolist()
         try:
             want = _scalar_simulate(sb_game, lam, mix, tau, 1, seed)
         except GameError:
-            assert stuck[0]
-            with pytest.raises(GameError):
+            with pytest.raises(GameError,
+                               match="profile strategy undefined on a reached set"):
                 simulate(sb_game, lam, mix, tau, 1, seed)
+            outcomes.add("raised")
             continue
         got = simulate(sb_game, lam, mix, tau, 1, seed)
         assert (got.wins, got.event_counts) == (want.wins, want.event_counts)
-        unused_only += any(stuck[1:])
-    assert unused_only > 0
+        outcomes.add("played")
+    assert outcomes == {"raised", "played"}
