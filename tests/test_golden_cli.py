@@ -35,6 +35,10 @@ COMMANDS = [
      "--profile", "sb_heads.profile", "--event", "Awake(x,t)",
      "--format", "structured"],
     ["export", "matching_pennies.if", "pennies_2.struct"],
+    # declared information sets and chance probabilities on the edges
+    ["export", "monty_hall.game"],
+    # chance quantifiers and a chance-or, labelled by their occurrences
+    ["export", "phi_mh_chance.if", "doors3.struct"],
     # no verifier-win terminal: one class a side and no terminal to follow
     ["value", "golden/irreflexive.if", "pennies_2.struct", "--format", "structured"],
     # the players swap roles: settled, 6 x 27 classes, more columns than rows
