@@ -41,7 +41,6 @@ from .game import (
     UNIV,
     ExtensiveGame,
     InfoSet,
-    SemanticGame,
     build_semantic_game,
     export_dot,
 )

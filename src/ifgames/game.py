@@ -2,10 +2,11 @@
 
 Histories are nodes of an explicit tree; a node id *is* the history (the
 tree is prefix-closed by construction, and each node caches its induced
-assignment and current subformula occurrence).  The same representation
-hosts hand-built games read from ``.game`` files, which carry declared
-information-set labels instead of the computed indistinguishability
-relation.
+assignment and current subformula occurrence).  One class hosts both the
+semantic game of a sentence and a hand-built game read from a ``.game``
+file: each node is added with what fixes its information set (its
+occurrence and slash set, or a declared label) and the key that orders
+the sets, so the partition is a grouping of the nonterminals by label.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .errors import BudgetError, GameError, StructureError
 from .formula import (
     And,
     ChanceOr,
+    ChanceQ,
     Exists,
-    Forall,
     Formula,
     Literal,
     OccurrenceId,
@@ -53,9 +54,22 @@ class InfoSet:
 
 
 class ExtensiveGame:
-    """Win-lose extensive game with imperfect information and chance moves."""
+    """Win-lose extensive game with imperfect information and chance moves.
 
-    def __init__(self):
+    A node of a semantic game carries its occurrence ``occ`` and ``slash``,
+    the variables its owner may not see; its set's label is the occurrence
+    and the bindings outside ``slash``, and a chance node sees every binding
+    and is a set of its own.  A node of a ``.game`` file carries no
+    occurrence, and its set's label is its declared ``info_label``.  A
+    chance node's ``info_label`` is the key that ``.nat`` rules name: its
+    chance quantifier's variable, ``@occurrence`` for a chance-or, or its
+    declared label.  Sets are ordered by ``info_order`` of their first
+    member, then by that member.  ``structure`` is the structure a sentence
+    is played on, None for a ``.game`` file.
+    """
+
+    def __init__(self, structure: Structure | None = None):
+        self.structure = structure
         self.parent: list[int] = []
         self.children: list[list[int]] = []
         # position of each node among its parent's children (-1 at the root)
@@ -66,16 +80,21 @@ class ExtensiveGame:
         self.assignment: list[Assignment] = []
         self.occ: list[OccurrenceId | None] = []
         self.info_label: list[str | None] = []
+        self.slash: list[frozenset[str]] = []
+        self.info_order: list[int] = []
         # chance probabilities embedded in a .game file, per chance node
         self.embedded_chance: dict[int, tuple[Fraction, ...]] = {}
         self._partitions: dict[int, tuple[InfoSet, ...]] = {}
         self._infoset: list[int] = []
+        # strategy.player_plan's result, per player
+        self.plans: dict = {}
 
     # ---------------------------------------------------------- tree access
 
     def add_node(self, parent: int, move: str, owner: int,
                  assignment: Assignment, occ: OccurrenceId | None = None,
-                 info_label: str | None = None, winner: int | None = None) -> int:
+                 info_label: str | None = None, winner: int | None = None,
+                 slash: frozenset[str] = frozenset(), info_order: int = 0) -> int:
         node = len(self.parent)
         self.parent.append(parent)
         self.children.append([])
@@ -86,6 +105,8 @@ class ExtensiveGame:
         self.assignment.append(assignment)
         self.occ.append(occ)
         self.info_label.append(info_label)
+        self.slash.append(slash)
+        self.info_order.append(info_order)
         if parent >= 0:
             self.children[parent].append(node)
         return node
@@ -159,10 +180,10 @@ class ExtensiveGame:
     def _compute_partition(self, player: int,
                            groups: dict[str, list[int]]) -> tuple[InfoSet, ...]:
         # groups: the player's nodes by class label, each in node order;
-        # canonical order: occurrence preorder first, then first member history
+        # canonical order: the first member's order key, then that member
         def sort_key(kv):
             first = kv[1][0]
-            return (self._occ_sort_index(first), first)
+            return (self.info_order[first], first)
 
         infosets: list[InfoSet] = []
         for label, members in sorted(groups.items(), key=sort_key):
@@ -183,24 +204,13 @@ class ExtensiveGame:
         return tuple(infosets)
 
     def _class_label(self, node: int) -> str:
-        if self.info_label[node] is not None:
+        if self.occ[node] is None:
             return f"@{self.info_label[node]}[]"
-        if self.owner[node] == NATURE:
-            # all chance information sets are singletons
-            items = ",".join(f"{v}={x}" for v, x in
-                             sorted(self.assignment[node].as_dict().items()))
-            return f"@{occurrence_label(self.occ[node])}[{items}]#{node}"
-        slash = self._slash_at(node)
-        items = ",".join(
-            f"{v}={x}" for v, x in self.assignment[node].restricted_items(slash)
-        )
-        return f"@{occurrence_label(self.occ[node])}[{items}]"
-
-    def _slash_at(self, node: int) -> frozenset[str]:
-        return frozenset()
-
-    def _occ_sort_index(self, node: int) -> int:
-        return 0
+        items = ",".join(f"{v}={x}" for v, x in
+                         self.assignment[node].restricted_items(self.slash[node]))
+        label = f"@{occurrence_label(self.occ[node])}[{items}]"
+        # all chance information sets are singletons
+        return f"{label}#{node}" if self.owner[node] == NATURE else label
 
     # -------------------------------------------------------------- checks
 
@@ -228,34 +238,8 @@ class ExtensiveGame:
                 raise GameError(f"negative chance probability at node {node}")
 
 
-class SemanticGame(ExtensiveGame):
-    """The semantic evaluation game of a sentence on a suitable structure."""
-
-    def __init__(self, structure: Structure, phi: Formula):
-        super().__init__()
-        self.structure = structure
-        self.formula = phi
-        self.occ_list = occurrences(phi)
-        self.occ_node: dict[OccurrenceId, Formula] = dict(self.occ_list)
-        self.occ_order: dict[OccurrenceId, int] = {
-            path: i for i, (path, _) in enumerate(self.occ_list)
-        }
-
-    def _slash_at(self, node: int) -> frozenset[str]:
-        sub = self.occ_node[self.occ[node]]
-        if isinstance(sub, (Or, And, Exists, Forall)):
-            return sub.slash
-        return frozenset()
-
-    def _occ_sort_index(self, node: int) -> int:
-        return self.occ_order[self.occ[node]]
-
-    def subformula_at(self, node: int) -> Formula:
-        return self.occ_node[self.occ[node]]
-
-
 def build_semantic_game(m: Structure, phi: Formula,
-                        node_cap: int = DEFAULT_NODE_CAP) -> SemanticGame:
+                        node_cap: int = DEFAULT_NODE_CAP) -> ExtensiveGame:
     """Materialize the full game tree of ``phi`` on ``m``.
 
     Quantifier and chance-quantifier nodes branch once per universe element;
@@ -263,17 +247,20 @@ def build_semantic_game(m: Structure, phi: Formula,
     literals, where the winner is decided by the literal's compiled truth
     test under the induced assignment.  Every literal occurrence is compiled,
     in preorder, before any node is built, so an unsuitable structure is
-    reported before the node cap can fire.
+    reported before the node cap can fire.  A node's sets are ordered by its
+    occurrence's place in preorder.
     """
     fv = free_variables(phi)
     if fv:
         raise GameError(f"not a sentence: free variables {sorted(fv)}")
-    game = SemanticGame(m, phi)
+    game = ExtensiveGame(m)
+    occ_list = occurrences(phi)
     try:
-        tests = {path: compile_literal(m, sub) for path, sub in game.occ_list
+        tests = {path: compile_literal(m, sub) for path, sub in occ_list
                  if isinstance(sub, Literal)}
     except StructureError as exc:
         raise GameError(f"structure not suitable: {exc}") from exc
+    order = {path: i for i, (path, _) in enumerate(occ_list)}
 
     stack: list[tuple[OccurrenceId, Formula, int, str, Assignment]] = [
         ((), phi, -1, "", Assignment.empty())
@@ -284,16 +271,20 @@ def build_semantic_game(m: Structure, phi: Formula,
             winner = EXIST if tests[path](s) else UNIV
             game.add_node(parent, move, TERMINAL, s, path, winner=winner)
             continue
+        if isinstance(sub, (ChanceOr, ChanceQ)):
+            # the .nat key: the variable, or @occurrence for a chance-or
+            key = sub.var if isinstance(sub, ChanceQ) else "@" + occurrence_label(path)
+            node = game.add_node(parent, move, NATURE, s, path, key,
+                                 info_order=order[path])
+        else:
+            owner = EXIST if isinstance(sub, (Or, Exists)) else UNIV
+            node = game.add_node(parent, move, owner, s, path, slash=sub.slash,
+                                 info_order=order[path])
         if isinstance(sub, (Or, And, ChanceOr)):
-            owner = EXIST if isinstance(sub, Or) else UNIV if isinstance(sub, And) else NATURE
-            node = game.add_node(parent, move, owner, s, path)
             # reversed so children expand left-to-right in preorder
             stack.append((path + (1,), sub.right, node, "R", s))
             stack.append((path + (0,), sub.left, node, "L", s))
         else:
-            owner = (EXIST if isinstance(sub, Exists)
-                     else UNIV if isinstance(sub, Forall) else NATURE)
-            node = game.add_node(parent, move, owner, s, path)
             for el in reversed(m.universe):
                 stack.append((path + (0,), sub.body, node, el, s.extend(sub.var, el)))
         if len(game) > node_cap:

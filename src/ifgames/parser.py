@@ -54,7 +54,6 @@ from .formula import (
     Var,
     implies,
     negate,
-    occurrence_label,
 )
 from .game import (
     DEFAULT_NODE_CAP,
@@ -62,7 +61,6 @@ from .game import (
     NATURE,
     UNIV,
     ExtensiveGame,
-    SemanticGame,
     build_semantic_game,
 )
 from .strategy import (
@@ -544,15 +542,7 @@ def parse_nature_strategy(src: str, game: ExtensiveGame):
     to the uniform distribution.
     """
     rules = _parse_nature_rules(src)
-    keys: dict[int, str] = {}
-    for node in game.chance_nodes():
-        sub = game.subformula_at(node) if isinstance(game, SemanticGame) else None
-        if isinstance(sub, ChanceQ):
-            keys[node] = sub.var
-        elif game.occ[node] is not None:
-            keys[node] = "@" + occurrence_label(game.occ[node])
-        else:
-            keys[node] = game.info_label[node] or ""
+    keys = {node: game.info_label[node] for node in game.chance_nodes()}
     known = set(keys.values())
     for rule in rules:
         if rule.key not in known:
@@ -818,7 +808,7 @@ def parse_event(src: str, game: ExtensiveGame) -> EventPredicate:
     lacks fails the event unless an ``and``/``or`` was already decided by
     its left side.
     """
-    structure = game.structure if isinstance(game, SemanticGame) else None
+    structure = game.structure
     variables = set(game.variables())
     ts = _TokenStream(_tokenize(src, hash_is_op=True))
 

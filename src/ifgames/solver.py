@@ -39,7 +39,6 @@ from .game import (
     TERMINAL,
     UNIV,
     ExtensiveGame,
-    SemanticGame,
     build_semantic_game,
 )
 from .structure import Structure
@@ -383,11 +382,11 @@ def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
     forced to its owner's loss.  Returns the small game, its chance
     strategy and, per small node, its node in ``game``.
 
-    The small game keeps the node labels, so its information sets are
-    ``game``'s, less the members that are gone, and keep their order.
+    Each kept node copies its label fields, and its set's index in
+    ``game`` is its order key, so the small game's information sets are
+    ``game``'s, less the members that are gone, in the same order.
     """
-    small = (SemanticGame(game.structure, game.formula)
-             if isinstance(game, SemanticGame) else ExtensiveGame())
+    small = ExtensiveGame(game.structure)
     alone, infoset = _alone(game), game.infoset
     origin: list[int] = []
     new = {-1: -1}
@@ -401,11 +400,11 @@ def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
         owner = TERMINAL if forced[node] is not None else game.owner[node]
         new[node] = small.add_node(new[at], game.move[node], owner,
                                    game.assignment[node], game.occ[node],
-                                   game.info_label[node], forced[node])
+                                   game.info_label[node], forced[node],
+                                   game.slash[node], infoset[node])
         origin.append(node)
         if owner == NATURE:
             dists[new[node]] = lam.distribution(node)
-    small._occ_sort_index = lambda n: infoset[origin[n]]
     return small, BehavioralStrategy(small, dists), origin
 
 

@@ -54,12 +54,8 @@ class PlayerPlan:
 
 
 def player_plan(g: ExtensiveGame, player: int) -> PlayerPlan:
-    cache = getattr(g, "_player_plans", None)
-    if cache is None:
-        cache = {}
-        setattr(g, "_player_plans", cache)
-    if player in cache:
-        return cache[player]
+    if player in g.plans:
+        return g.plans[player]
     if player not in (EXIST, UNIV):
         raise GameError("reduced strategies exist for the two principal players only")
     infosets = g.information_partition(player)
@@ -90,7 +86,7 @@ def player_plan(g: ExtensiveGame, player: int) -> PlayerPlan:
         member_constraints,
         np.array([len(i.actions) for i in infosets], dtype=np.int64),
     )
-    cache[player] = plan
+    g.plans[player] = plan
     return plan
 
 

@@ -146,6 +146,16 @@ def test_nature_uniform_overrides_declared_chance(capsys, tmp_path):
     assert "value = 1/2" in out
 
 
+def test_nature_rule_keyed_by_declared_label(capsys, tmp_path):
+    game = tmp_path / "biased.game"
+    game.write_text(CHANCE_GAME)
+    nature = tmp_path / "c.nat"
+    nature.write_text("c : a -> 1/3, b -> 2/3\n")
+    code, out, _ = run(capsys, "value", str(game), "--nature", str(nature))
+    assert code == 0
+    assert "value = 2/3" in out
+
+
 def test_budget_error_exit_code_two(capsys):
     code, out, err = run(capsys, "value", corpus_path("phi_mh.if"),
                          corpus_path("doors3.struct"), "--budget", "1")

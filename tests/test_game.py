@@ -15,7 +15,16 @@ from ifgames import (
     export_dot,
     parse_formula,
 )
-from ifgames.formula import And, ChanceOr, ChanceQ, Exists, Forall, Literal, Or
+from ifgames.formula import (
+    And,
+    ChanceOr,
+    ChanceQ,
+    Exists,
+    Forall,
+    Literal,
+    Or,
+    occurrences,
+)
 from random_sentences import random_game
 
 
@@ -123,13 +132,14 @@ def test_prefix_closure(sb_game, mh_game):
             assert parent == -1 or parent < len(game)
 
 
-def test_assignment_recursion(mh_game):
+def test_assignment_recursion(mh_game, phi_mh):
     # recomputing s_h from the moves along the history matches the cache
+    subformula = dict(occurrences(phi_mh))
     for node in range(len(mh_game)):
         s = {}
         for at in mh_game.ancestors(node) + [node]:
             move = mh_game.move[at]
-            sub = mh_game.subformula_at(mh_game.parent[at]) if at > 0 else None
+            sub = subformula[mh_game.occ[mh_game.parent[at]]] if at > 0 else None
             if at > 0 and isinstance(sub, (Exists, Forall, ChanceQ)):
                 s[sub.var] = move
         assert mh_game.assignment[node].as_dict() == s
@@ -141,8 +151,10 @@ def _indistinguishable(game, a, b, slash):
     return {v for v in sa if sa[v] != sb[v]} <= slash
 
 
-def test_partition_matches_pairwise_relation(sb_game, mh_prime_game):
-    for game in (sb_game, mh_prime_game):
+def test_partition_matches_pairwise_relation(sb_game, phi_sb, mh_prime_game,
+                                              phi_mh_prime):
+    for game, phi in ((sb_game, phi_sb), (mh_prime_game, phi_mh_prime)):
+        subformula = dict(occurrences(phi))
         for player in (EXIST, UNIV):
             partition = game.information_partition(player)
             label_of = {}
@@ -153,7 +165,7 @@ def test_partition_matches_pairwise_relation(sb_game, mh_prime_game):
             for node in game.nonterminals(player):
                 by_occ.setdefault(game.occ[node], []).append(node)
             for occ, nodes in by_occ.items():
-                sub = game.subformula_at(nodes[0])
+                sub = subformula[occ]
                 slash = getattr(sub, "slash", frozenset())
                 for a in nodes:
                     for b in nodes:
@@ -184,9 +196,10 @@ def test_slash_free_same_infoset_same_assignment(sb_structure):
             assert len(dicts) == 1
 
 
-def test_terminal_iff_literal(mh_game):
+def test_terminal_iff_literal(mh_game, phi_mh):
+    subformula = dict(occurrences(phi_mh))
     for node in range(len(mh_game)):
-        is_lit = isinstance(mh_game.subformula_at(node), Literal)
+        is_lit = isinstance(subformula[mh_game.occ[node]], Literal)
         assert mh_game.is_terminal(node) == is_lit
 
 

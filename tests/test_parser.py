@@ -29,10 +29,12 @@ from ifgames import (
     parse_nature_strategy,
     parse_profile,
     parse_structure,
+    solve,
     uniform_nature,
 )
 from ifgames.corpus import corpus_text
 from ifgames.errors import NatureStrategyError
+from ifgames.parser import load_game
 from random_sentences import seeded_sentence
 
 
@@ -303,6 +305,27 @@ def test_nature_occurrence_key_on_chance_or(binary):
         assert lam.distribution(node) == (Fraction(1, 3), Fraction(2, 3))
     with pytest.raises(NatureStrategyError, match="keyed by '@/1'"):
         parse_nature_strategy("@/1 : L -> 1/3, R -> 2/3", game)
+
+
+# each chance point of a chance quantifier over a chance-or over a chance
+# quantifier has its own key: x, @/0, and z under a guard on x; a point
+# whose rules are dropped is uniform
+_NESTED_CHANCE_RULES = {
+    "x": ["x : 1 -> 1/3, 2 -> 2/3"],
+    "@/0": ["@/0 : L -> 1/4, R -> 3/4"],
+    "z": ["z | x=1 : 1 -> 1", "z | x=2 : 1 -> 1/2, 2 -> 1/2"],
+}
+
+
+@pytest.mark.parametrize("dropped, value", [
+    (None, Fraction(7, 12)), ("x", Fraction(11, 16)),
+    ("@/0", Fraction(1, 2)), ("z", Fraction(11, 24))])
+def test_nature_keys_of_nested_chance_points(dropped, value):
+    rules = [rule for key, lines in _NESTED_CHANCE_RULES.items()
+             if key != dropped for rule in lines]
+    game, lam = load_game("chance x (x = 1 >< chance z (z = x))",
+                          "universe 1 2", "\n".join(rules))
+    assert solve(game, lam).value == value
 
 
 TWO_LEVEL_GAME = """\

@@ -143,12 +143,44 @@ player=II info=r
 """
 
 
+def _check_settled_sets(game, lam):
+    """Each player's settled sets are ``game``'s restricted to the nodes
+    kept open: members mapped through ``origin``, with the same labels, in
+    the same order and, with two or more members, the same actions."""
+    small, _, origin = solver._settle(game, lam, solver._forced_winners(game, lam))
+    kept = {origin[n] for n in small.nonterminals()}
+
+    def sets(g, player, members_of):
+        out = []
+        for info in g.information_partition(player):
+            members = members_of(info.members)
+            if members:
+                out.append((info.label, members,
+                            info.actions if len(members) > 1 else None))
+        return out
+
+    for player in (EXIST, UNIV):
+        assert sets(small, player, lambda ms: tuple(origin[m] for m in ms)) == sets(
+            game, player, lambda ms: tuple(m for m in ms if m in kept))
+    return small
+
+
+_CORPUS_GAMES = sorted({(e.game or e.formula, c.structure, c.nature)
+                        for e in CORPUS for c in e.checks}, key=str)
+
+
 def test_settling_keeps_the_order_of_information_sets():
     game, lam = load_game(_REORDERING_GAME, None)
-    small, _, _ = solver._settle(game, lam, solver._forced_winners(game, lam))
+    small = _check_settled_sets(game, lam)
     assert len(small) == len(game) - 3
     labels = [info.label for info in small.information_partition(EXIST)]
     assert labels == [info.label for info in game.information_partition(EXIST)]
+    for source, structure, nature in _CORPUS_GAMES:
+        _check_settled_sets(*load_game(corpus_text(source),
+                                       structure and corpus_text(structure),
+                                       nature and corpus_text(nature)))
+    for seed in range(100):
+        _check_settled_sets(*load_game(*seeded_sentence(seed)))
     eq = solve(game, lam)
     assert eq.value == _unsettled(game, lam).value
     _check_lifted(game, lam, eq)
