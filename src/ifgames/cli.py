@@ -10,6 +10,7 @@ output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -193,7 +194,10 @@ def cmd_parse(args) -> int:
     return 0
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every parse starts
+    from a fresh namespace, so no call sees another's arguments."""
     top = argparse.ArgumentParser(
         prog="ifgames",
         description="equilibrium values and conditional win probabilities of "

@@ -600,32 +600,35 @@ class _Sampler:
     dropped, see :func:`_thresholds`).  ``kids[e]`` is the node of entry
     ``e``; ``bounds[e]`` is, at a chance node's child, the bound that a
     draw must exceed to pass on to the next child, and ``_NEVER``, which
-    no draw exceeds, elsewhere.  ``first[n]`` is node ``n``'s own entry,
-    or a chance node's first child's; ``column[n]`` is the index of its
-    information set in the strategy table, or the table's last column,
-    which holds 0, at chance nodes and terminals.
+    no draw exceeds, elsewhere.  A node's first entry is its own, or a
+    chance node's first child's.
 
-    ``actions[k * columns + c]`` is 1 plus the action of strategy ``k``
-    (the row mix's strategies first, then the column mix's) at information
-    set ``c``, or 0, the node's own entry, where the strategy is undefined,
-    so that the play stays at that decision node.
+    The decisions are folded in per strategy pair ``p = i * n_cols + j``
+    (row strategy ``i``, column strategy ``j``): a play under ``p`` lands,
+    from node ``n``, on the node it reaches by following the pair's
+    strategies through the decision nodes, stopping at a chance node, a
+    terminal or a set where its strategy is undefined.  The landing table
+    ``nxt[p * E + e]`` (``E`` entries) is the first entry of the node that
+    the play lands on from entry ``e``'s node, and ``start[p]`` that of
+    the root's; a terminal or a stuck node lands on itself.  It is built
+    from the deepest level up, one numpy step per level.
 
-    The flat list grows with the nodes, which the node cap bounds; more
-    than ``DEFAULT_CELL_BUDGET`` cells of the action table raise
-    :class:`BudgetError` before it is allocated.
+    The flat list grows with the nodes, which the node cap bounds.  More
+    than ``DEFAULT_CELL_BUDGET`` cells of the action table (strategies x
+    (1 + the larger player's count of sets)), or of the landing table
+    (pairs x entries), raise :class:`BudgetError` before that table is
+    allocated.
     """
 
     def __init__(self, g: ExtensiveGame, lam: BehavioralStrategy,
                  row_mix: MixedStrategy, col_mix: MixedStrategy):
         strategies = row_mix.support + col_mix.support
-        self.columns = 1 + max(len(g.information_partition(EXIST)),
-                               len(g.information_partition(UNIV)))
-        cells = len(strategies) * self.columns
+        columns = 1 + max(len(g.information_partition(EXIST)),
+                          len(g.information_partition(UNIV)))
+        cells = len(strategies) * columns
         if cells > DEFAULT_CELL_BUDGET:
             raise BudgetError("sampler cell", DEFAULT_CELL_BUDGET, cells)
         self.owner = np.array(g.owner, dtype=np.int8)
-        self.is_univ = self.owner == UNIV
-        self.is_chance = self.owner == NATURE
         first, kids, bounds = [], [], []
         depth, chance_moves = [0] * len(g), [0] * len(g)
         self.chance_steps = 0  # the bounds of the widest chance node
@@ -641,57 +644,68 @@ class _Sampler:
             for kid in g.children[node]:
                 depth[kid] = depth[node] + 1
                 chance_moves[kid] = chance_moves[node] + chance
-        self.first = np.array(first, dtype=np.intp)
+        first = np.array(first, dtype=np.intp)
         self.kids = np.array(kids, dtype=np.intp)
         self.bounds = np.array(bounds, dtype=np.uint64)
-        self.levels = max(depth)
         # a play's run of words: row pick, column pick and one per chance
         # move on the tree's path with the most of them
         self.words_per_play = 2 + max(chance_moves)
-        self.column = np.where(self.is_univ | (self.owner == EXIST),
-                               np.array(g.infoset), self.columns - 1)
-        actions = np.zeros((len(strategies), self.columns), dtype=np.intp)
+        # 1 plus each strategy's action at each set, 0 where it is undefined
+        actions = np.zeros((len(strategies), columns), dtype=np.intp)
         for k, (strategy, _) in enumerate(strategies):
             for index, act in strategy.actions:
                 actions[k, index] = act + 1
-        self.actions = actions.ravel()
         # a mix holds no zero mass, so its first strategy is never skipped
         _, row_bounds = _thresholds(tuple(w for _, w in row_mix))
         _, col_bounds = _thresholds(tuple(w for _, w in col_mix))
         self.row_bounds = np.array(row_bounds, dtype=np.uint64)
         self.col_bounds = np.array(col_bounds, dtype=np.uint64)
-        self.n_rows = len(row_mix.support)
+        n_rows, self.n_cols = len(row_mix.support), len(col_mix.support)
+        pairs = n_rows * self.n_cols
+        cells = pairs * len(kids)
+        if cells > DEFAULT_CELL_BUDGET:
+            raise BudgetError("sampler cell", DEFAULT_CELL_BUDGET, cells)
+        row_of = np.repeat(np.arange(n_rows), self.n_cols)[:, None]
+        col_of = n_rows + np.tile(np.arange(self.n_cols), n_rows)[:, None]
+        depth, infoset = np.array(depth), np.array(g.infoset)
+        decides = (self.owner == EXIST) | (self.owner == UNIV)
+        # deepest level first, so a child's landing is final when its parent
+        # reads it; an undefined action (0) picks the node's own entry, so
+        # the node lands on itself
+        land = np.tile(np.arange(len(g)), (pairs, 1))
+        for level in range(depth.max() - 1, -1, -1):
+            nodes = np.flatnonzero(decides & (depth == level))
+            who = np.where(self.owner[nodes] == UNIV, col_of, row_of)
+            to = self.kids[first[nodes] + actions[who, infoset[nodes]]]
+            land[:, nodes] = np.take_along_axis(land, to, axis=1)
+        self.nxt = first[land[:, self.kids]].ravel()
+        self.start = first[land[:, g.root]]
 
     def walk(self, words: np.ndarray) -> np.ndarray:
         """Play each row of the (plays x ``words_per_play``) ``words`` once.
 
-        A play picks its row strategy with its row's first word, its column
-        strategy with the second, and its chance moves with the words after
-        them, in play order; a play with fewer chance moves leaves the rest
-        of its row unread.  Returns each play's final node (not a terminal
-        when a strategy was undefined on the way).
-        Every step gathers from 1-d arrays, which numpy does several times
-        faster than from rows of 2-d ones.  A chance step passes each child
-        whose bound the draw exceeds; the bounds rise along the children.
+        A play picks its row strategy with its row's first word and its
+        column strategy with the second, which fix its strategy pair; it
+        starts where the pair lands from the root.  Each later word drives
+        one chance move, in play order: a chance step passes each child
+        whose bound the draw exceeds (the bounds rise along the children),
+        and the play then jumps to where the pair lands from that child.
+        A play at a terminal or a stuck node sits at its own entry, whose
+        bound is ``_NEVER`` and which lands on itself, so a play with fewer
+        chance moves ignores the rest of its row.  Returns each play's
+        final node (not a terminal when a strategy was undefined on the
+        way).  Every step gathers from 1-d arrays, which numpy does several
+        times faster than from rows of 2-d ones.
         """
-        plays = len(words)
-        row = self.columns * np.searchsorted(self.row_bounds, words[:, 0])
-        col = self.columns * (
-            self.n_rows + np.searchsorted(self.col_bounds, words[:, 1]))
-        words = words.ravel()
-        node = np.zeros(plays, dtype=np.intp)
-        pos = np.arange(2, plays * self.words_per_play + 2, self.words_per_play)
-        for _ in range(self.levels):
-            # a play past its last chance move reads a word it never uses
-            # (the next row's first); the clip keeps the last play's in range
-            draw = words.take(pos, mode="clip")
-            at = self.first[node] + self.actions[
-                np.where(self.is_univ[node], col, row) + self.column[node]]
+        pair = self.n_cols * np.searchsorted(self.row_bounds, words[:, 0]) \
+            + np.searchsorted(self.col_bounds, words[:, 1])
+        base = pair * len(self.kids)
+        at = self.start[pair]
+        for draw in words[:, 2:].T:
             for _ in range(self.chance_steps):
                 at += draw > self.bounds[at]
-            pos += self.is_chance[node]
-            node = self.kids[at]
-        return node
+            at = self.nxt[base + at]
+        return self.kids[at]
 
 
 def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
@@ -712,9 +726,10 @@ def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
 
     The draws are taken in bulk (:func:`_draw_words`), identical to
     per-play draws in that order.  Each block of about
-    ``_SAMPLE_BLOCK_WORDS`` of them, one row per play, walks down the
-    compiled game (:class:`_Sampler`) at once, so memory grows neither
-    with ``plays`` nor with the tree's depth.  ``numpy.random`` is
+    ``_SAMPLE_BLOCK_WORDS`` of them, one row per play, is played at once
+    on the compiled game (:class:`_Sampler`), one step per chance move,
+    with the decisions of each strategy pair folded in, so memory grows
+    neither with ``plays`` nor with the tree's depth.  ``numpy.random`` is
     deliberately not imported: the stdlib generator already gives these
     draws, and importing that module alone adds about 6 MB to the resident
     memory of a process (Python 3.11, numpy 2.4).

@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from ifgames import BudgetError, solver
-from ifgames.cli import main
+from ifgames.cli import build_arg_parser, main
 from ifgames.corpus import corpus_text
 from ifgames.parser import load_game
 
@@ -216,6 +216,20 @@ def test_sampler_cell_budget_exit_code_two(capsys, monkeypatch):
                          "--profile", corpus_path("sb_tails.profile"))
     assert (code, out) == (2, "")
     assert "sampler cell budget exceeded: limit 11, reached 12" in err
+
+
+def test_sampler_landing_budget_exit_code_two(capsys, monkeypatch):
+    # the action table holds 12 cells; the landing table 1 pair x 45 entries
+    args = ("simulate", corpus_path("phi_sb.if"),
+            corpus_path("sleeping_beauty.struct"),
+            "--profile", corpus_path("sb_tails.profile"), "--plays", "10")
+    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 44)
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert "sampler cell budget exceeded: limit 44, reached 45" in err
+    monkeypatch.setattr(solver, "DEFAULT_CELL_BUDGET", 45)
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
 
 
 def _wide_set(tmp_path, n):
@@ -441,6 +455,23 @@ def test_simulate_structured_stable(capsys):
     payload = json.loads(out1)
     assert payload["plays"] == 500
     assert payload["events"]["Awake(x,t)"]["hits"] > 0
+
+
+def test_parser_reused_without_events(capsys):
+    # one parser serves every call in a process; a call without --event
+    # tallies no event that an earlier call asked for
+    assert build_arg_parser() is build_arg_parser()
+    args = ("simulate", corpus_path("phi_sb.if"),
+            corpus_path("sleeping_beauty.struct"),
+            "--profile", corpus_path("sb_tails.profile"),
+            "--plays", "50", "--format", "structured")
+    code, out, _ = run(capsys, *args, "--event", "Awake(x,t)",
+                       "--event", "t = 1")
+    assert code == 0
+    assert sorted(json.loads(out)["events"]) == ["Awake(x,t)", "t = 1"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["events"] == {}
 
 
 def test_value_structured_stable(capsys):

@@ -1133,6 +1133,75 @@ def test_simulate_matches_scalar_loop(entry, check, profile):
                 (want.wins, want.event_counts), (seed, plays)
 
 
+# both players move between the two chance moves, and after the second
+_ALTERNATING = ("chance x exists y forall u chance z exists v "
+                "((x = y /\\ z = v) \\/ u = v)")
+
+
+def _alternating_game_and_mixes():
+    """The game of ``_ALTERNATING`` on three elements, with a three-strategy
+    verifier mix and a two-strategy falsifier mix of seeded rules."""
+    game = build_semantic_game(Structure(("1", "2", "3")),
+                               parse_formula(_ALTERNATING))
+    rng = random.Random(7)
+
+    def pick(info):
+        return rng.randrange(len(info.actions))
+
+    rows = [reduced_from_rules(game, EXIST, pick) for _ in range(3)]
+    cols = [reduced_from_rules(game, UNIV, pick) for _ in range(2)]
+    row_mix = MixedStrategy(EXIST, list(zip(rows, (F(1, 2), F(1, 3), F(1, 6)))))
+    col_mix = MixedStrategy(UNIV, list(zip(cols, (F(3, 4), F(1, 4)))))
+    return game, uniform_nature(game), row_mix, col_mix
+
+
+def test_simulate_alternating_players_matches_scalar_loop():
+    # every pair of a 3 x 2 profile, each stretch of decisions folded in
+    # per pair, against the per-play loop around the block boundaries
+    game, lam, row_mix, col_mix = _alternating_game_and_mixes()
+    assert len({s.actions for s, _ in row_mix.support}) == 3
+    assert len({s.actions for s, _ in col_mix.support}) == 2
+    events = {"x = y": parse_event("x = y", game)}
+    assert _words_per_play(game) == 4
+    block = solver._SAMPLE_BLOCK_WORDS // 4
+    counts = (1, block - 1, block, block + 1, 2 * block + 3)
+    for seed in range(1, 6):
+        terminals = list(_scalar_plays(game, lam, row_mix, col_mix,
+                                       max(counts), random.Random(seed)))
+        for plays in counts:
+            got = simulate(game, lam, row_mix, col_mix, plays, seed, events)
+            want = _scalar_report(game, terminals[:plays], seed, events)
+            assert (got.wins, got.event_counts) == \
+                (want.wins, want.event_counts), (seed, plays)
+
+
+def test_simulate_stuck_between_chance_moves_as_scalar_loop():
+    # the second falsifier strategy is undefined on the sets after x = 2:
+    # a play that picks it there follows the verifier's y and then sticks
+    # before the second chance move; simulate raises exactly when the
+    # scalar loop does
+    game, lam, row_mix, col_mix = _alternating_game_and_mixes()
+    infosets = game.information_partition(UNIV)
+    (full, _), (other, _) = col_mix.support
+    partial = ReducedStrategy(game, UNIV, tuple(
+        (k, act) for k, act in other.actions if "x=2" not in infosets[k].label))
+    col_mix = MixedStrategy(UNIV, [(full, F(1, 2)), (partial, F(1, 2))])
+    outcomes = set()
+    for seed in range(1, 41):
+        try:
+            want = _scalar_simulate(game, lam, row_mix, col_mix, 3, seed)
+        except GameError:
+            with pytest.raises(GameError,
+                               match="profile strategy undefined on a reached set"):
+                simulate(game, lam, row_mix, col_mix, 3, seed)
+            outcomes.add("raised")
+            continue
+        got = simulate(game, lam, row_mix, col_mix, 3, seed)
+        assert (got.wins, got.event_counts) == (want.wins, want.event_counts)
+        outcomes.add("played")
+    assert outcomes == {"raised", "played"}
+
+
 def test_bulk_draws_equal_single_draws():
     for k in (1, 2, 7, solver._SAMPLE_BLOCK_WORDS + 5):
         bulk, single = random.Random(k), random.Random(k)
