@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -270,7 +271,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_arg_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except SystemExit as exc:
         # argparse exits 2 on a usage error, after printing it; here 2
         # means an exceeded budget, so a usage error exits 1 (--help, 0)
@@ -280,6 +283,13 @@ def main(argv=None) -> int:
         return 2
     except IfGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone, as under ``| head``: point stdout at devnull so
+        # the flush at exit stays quiet, and exit 1 with nothing said
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

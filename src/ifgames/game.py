@@ -86,8 +86,8 @@ class ExtensiveGame:
         self.embedded_chance: dict[int, tuple[Fraction, ...]] = {}
         self._partitions: dict[int, tuple[InfoSet, ...]] = {}
         self._infoset: list[int] = []
-        # strategy.player_plan's result, per player
-        self.plans: dict = {}
+        # strategy.own_histories's result, per player
+        self.own_histories: dict[int, list] = {}
 
     # ---------------------------------------------------------- tree access
 
@@ -157,17 +157,28 @@ class ExtensiveGame:
     # -------------------------------------------------------- information
 
     def information_partition(self, player: int) -> tuple[InfoSet, ...]:
+        """The player's information sets in canonical order: the first
+        member's order key, then that member.  A set's actions are its
+        first member's; :meth:`validate` checks that the others share them."""
         if not self._partitions:
             self._infoset = [-1] * len(self)
-            # one scan groups the nonterminals by owner and class label
+            # one scan groups the nonterminals by owner and class label, each
+            # group in node order
             groups: dict[int, dict[str, list[int]]] = {
                 p: {} for p in (EXIST, UNIV, NATURE)}
             for node in range(len(self)):
                 if not self.is_terminal(node):
                     groups[self.owner[node]].setdefault(
                         self._class_label(node), []).append(node)
-            self._partitions = {p: self._compute_partition(p, groups[p])
-                                for p in (EXIST, UNIV, NATURE)}
+            for p, by_label in groups.items():
+                ordered = sorted(by_label.items(), key=lambda kv: (
+                    self.info_order[kv[1][0]], kv[1][0]))
+                for index, (_, members) in enumerate(ordered):
+                    for m in members:
+                        self._infoset[m] = index
+                self._partitions[p] = tuple(
+                    InfoSet(p, label, tuple(members), self.actions(members[0]), index)
+                    for index, (label, members) in enumerate(ordered))
         return self._partitions[player]
 
     @property
@@ -176,32 +187,6 @@ class ExtensiveGame:
         partition (-1 at terminals)."""
         self.information_partition(EXIST)
         return self._infoset
-
-    def _compute_partition(self, player: int,
-                           groups: dict[str, list[int]]) -> tuple[InfoSet, ...]:
-        # groups: the player's nodes by class label, each in node order;
-        # canonical order: the first member's order key, then that member
-        def sort_key(kv):
-            first = kv[1][0]
-            return (self.info_order[first], first)
-
-        infosets: list[InfoSet] = []
-        for label, members in sorted(groups.items(), key=sort_key):
-            action_sets = {self.actions(m) for m in members}
-            if len(action_sets) != 1:
-                raise GameError(
-                    f"information set {label} members have differing action sets"
-                )
-            member_set = set(members)
-            for m in members:
-                if not member_set.isdisjoint(self.ancestors(m)):
-                    raise GameError(
-                        f"information set {label} contains a history and its prefix"
-                    )
-                self._infoset[m] = len(infosets)
-            infosets.append(InfoSet(player, label, tuple(members),
-                                    next(iter(action_sets)), len(infosets)))
-        return tuple(infosets)
 
     def _class_label(self, node: int) -> str:
         if self.occ[node] is None:
@@ -215,9 +200,24 @@ class ExtensiveGame:
     # -------------------------------------------------------------- checks
 
     def validate(self):
-        """Raise on violations of the extensive-game definition clauses."""
+        """Raise on violations of the extensive-game definition clauses.
+
+        The first two, that a set's members share their actions and that no
+        member is a prefix of another, only a ``.game`` file can break: the
+        members of a semantic game's set share an occurrence, so they lie at
+        one depth with one action list, and settling drops children only at
+        sets of one member."""
         for player in (EXIST, UNIV, NATURE):
-            self.information_partition(player)
+            for info in self.information_partition(player):
+                if any(self.actions(m) != info.actions for m in info.members):
+                    raise GameError(
+                        f"information set {info.label} members have differing action sets"
+                    )
+                members = set(info.members)
+                if any(not members.isdisjoint(self.ancestors(m)) for m in info.members):
+                    raise GameError(
+                        f"information set {info.label} contains a history and its prefix"
+                    )
         for info in self.information_partition(NATURE):
             if len(info.members) != 1:
                 raise GameError(

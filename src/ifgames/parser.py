@@ -69,7 +69,6 @@ from .strategy import (
     ReducedStrategy,
     embedded_nature,
     own_reachable_closure,
-    player_plan,
     uniform_nature,
 )
 from .structure import Assignment, Structure, chain_test, relation_test
@@ -718,8 +717,8 @@ def parse_profile(src: str, game: ExtensiveGame):
         raise ProfileError(f"unexpected text {text[pos:].strip()!r}")
 
     def build_side(player: int, side: str) -> MixedStrategy:
-        plan = player_plan(game, player)
-        label_to_infoset = {info.label: info for info in plan.infosets}
+        infosets = game.information_partition(player)
+        label_to_infoset = {info.label: info for info in infosets}
         support = []
         for kind, mass, body in blocks:
             if kind != side:
@@ -748,13 +747,13 @@ def parse_profile(src: str, game: ExtensiveGame):
                         f"strategy line missing for reachable set {info.label}")
                 return chosen[info.index]
 
-            extra = set(chosen) - set(own_reachable_closure(plan, listed))
+            extra = set(chosen) - set(own_reachable_closure(game, player, listed))
             if extra:
-                labels = [plan.infosets[k].label for k in sorted(extra)]
+                labels = [infosets[k].label for k in sorted(extra)]
                 raise ProfileError(f"lines for unreachable information sets {labels}")
             support.append((ReducedStrategy(game, player, chosen), mass))
         if not support:
-            if plan.infosets:
+            if infosets:
                 raise ProfileError(
                     f"profile gives no {side} strategies but that player has "
                     f"decision points")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,31 +33,21 @@ DEFAULT_STRATEGY_BUDGET = 10**6
 DEFAULT_CELL_BUDGET = 10**8
 
 
-# ------------------------------------------------------------ player plans
+# ------------------------------------------------------------ own histories
 
 Constraints = tuple[tuple[int, int], ...]
 
 
-@dataclass
-class PlayerPlan:
-    """Per-player enumeration data: information sets in canonical order plus,
-    for every history, the (information set, action) pairs the player
-    fixed on the way there; a strategy follows a history iff it matches
-    all of them."""
-
-    player: int
-    infosets: tuple[InfoSet, ...]
-    own: list[Constraints]  # per node
-    member_constraints: list[list[Constraints]]  # per infoset, per member
-    action_counts: np.ndarray
-
-
-def player_plan(g: ExtensiveGame, player: int) -> PlayerPlan:
-    if player in g.plans:
-        return g.plans[player]
+def own_histories(g: ExtensiveGame, player: int) -> list[Constraints]:
+    """Per node, the (information set, action) pairs ``player`` fixed on
+    the way there; a strategy follows a history iff it matches all of them.
+    Cached on ``g`` per player.  Raises :class:`GameError` when a member of
+    a set depends on that set or a later one, which only a ``.game`` file
+    can declare."""
+    if player in g.own_histories:
+        return g.own_histories[player]
     if player not in (EXIST, UNIV):
         raise GameError("reduced strategies exist for the two principal players only")
-    infosets = g.information_partition(player)
     infoset = g.infoset
     # node ids are assigned parent-first, so one forward pass fills the table
     own: list[Constraints] = [()]
@@ -68,26 +57,14 @@ def player_plan(g: ExtensiveGame, player: int) -> PlayerPlan:
             own.append(own[at] + ((infoset[at], g.edge[node]),))
         else:
             own.append(own[at])
-    member_constraints = []
-    for info in infosets:
-        rows = [own[m] for m in info.members]
-        for row in rows:
-            for ci, _ in row:
-                if ci >= info.index:
-                    raise GameError(
-                        "information structure not supported: a decision point "
-                        "depends on a later information set"
-                    )
-        member_constraints.append(rows)
-    plan = PlayerPlan(
-        player,
-        infosets,
-        own,
-        member_constraints,
-        np.array([len(i.actions) for i in infosets], dtype=np.int64),
-    )
-    g.plans[player] = plan
-    return plan
+    for info in g.information_partition(player):
+        if any(ci >= info.index for m in info.members for ci, _ in own[m]):
+            raise GameError(
+                "information structure not supported: a decision point "
+                "depends on a later information set"
+            )
+    g.own_histories[player] = own
+    return own
 
 
 # -------------------------------------------------------------- strategies
@@ -153,18 +130,17 @@ class StrategyList(Sequence):
 def _smallest_int_dtype(max_value: int):
     """The narrowest signed integer type that holds ``0..max_value``: the
     one width rule for the integer tables of strategies.  Action counts and
-    walk positions stay below 2**63 (see :func:`follow_classes`); a wider
-    value raises :class:`GameError`."""
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
+    walk positions stay below 2**63 (see :func:`follow_classes`)."""
+    for dtype in (np.int8, np.int16, np.int32):
         if max_value <= np.iinfo(dtype).max:
             return dtype
-    raise GameError("integer table values exceed 64-bit integers")
+    return np.int64
 
 
-def _reachable_rows(plan: PlayerPlan, k: int, table: np.ndarray) -> np.ndarray:
+def _reachable_rows(histories: list[Constraints], table: np.ndarray) -> np.ndarray:
     n = len(table)
     reach = np.zeros(n, dtype=bool)
-    for constraints in plan.member_constraints[k]:
+    for constraints in histories:
         ok = np.ones(n, dtype=bool)
         for ci, ai in constraints:
             ok &= table[:, ci] == ai
@@ -181,13 +157,14 @@ def enumerate_reduced(g: ExtensiveGame, player: int,
     Raises :class:`BudgetError` as soon as the running count passes
     ``budget`` (the count reached is reported).
     """
-    plan = player_plan(g, player)
-    k_total = len(plan.infosets)
-    dtype = _smallest_int_dtype(int(plan.action_counts.max(initial=0)))
-    table = np.full((1, k_total), -1, dtype=dtype)
-    for k in range(k_total):
-        reach = _reachable_rows(plan, k, table)
-        n_act = int(plan.action_counts[k])
+    own = own_histories(g, player)
+    infosets = g.information_partition(player)
+    widest = max((len(info.actions) for info in infosets), default=0)
+    dtype = _smallest_int_dtype(widest)
+    table = np.full((1, len(infosets)), -1, dtype=dtype)
+    for k, info in enumerate(infosets):
+        reach = _reachable_rows([own[m] for m in info.members], table)
+        n_act = len(info.actions)
         counts = np.where(reach, n_act, 1).astype(np.int64)
         total = int(counts.sum())
         if total > budget:
@@ -217,10 +194,10 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
     "frontier cell" :class:`BudgetError` before they are allocated.
 
     A frontier walk over the information sets in canonical order.  An
-    *item* is a constraint tuple (``plan.own``) of a member of a set or of
-    a node in ``nodes``; the state of a partial strategy is the bitmask of
-    the items its choices so far allow, less the members of the sets
-    already walked.  The completions of a partial strategy and the nodes
+    *item* is the own history (:func:`own_histories`) of a member of a set
+    or of a node in ``nodes``; the state of a partial strategy is the
+    bitmask of the items its choices so far allow, less the members of the
+    sets already walked.  The completions of a partial strategy and the nodes
     they follow depend on its state alone.  At set k a state that allows a
     member of k branches into one child per action, in action order, and
     any other state passes through, as the ``-1`` of the enumeration
@@ -232,22 +209,23 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
     states are the classes; walking back from them through the sets gives
     their first members' rows.
     """
-    plan = player_plan(g, player)
-    k_total = len(plan.infosets)
+    own = own_histories(g, player)
+    infosets = g.information_partition(player)
+    k_total = len(infosets)
     # per item, the last set that reads it (nodes are read at the end); bits
     # go to items in order of last use, latest first, so that the items a
     # state still holds after set k fill its first ``words[k]`` words
     last: dict[Constraints, int] = {}
-    for k, rows in enumerate(plan.member_constraints):
-        for constraints in rows:
-            last[constraints] = k
+    for info in infosets:
+        for m in info.members:
+            last[own[m]] = info.index
     for node in nodes:
-        last[plan.own[node]] = k_total
+        last[own[node]] = k_total
     items = sorted(last, key=last.get, reverse=True)
     bit = {constraints: i for i, constraints in enumerate(items)}
     words = [sum(1 for c in items if last[c] > k) // 64 + 1
              for k in range(k_total)]
-    widest = int(plan.action_counts.max(initial=0))
+    widest = max((len(info.actions) for info in infosets), default=0)
     reach = np.zeros((k_total, len(bit)), dtype=bool)
     # keep[k, a]: the items that action a at set k allows and that later sets
     # or the nodes still read; row ``widest`` is for states that pass through
@@ -257,8 +235,8 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
         for ci, ai in c:
             keep[ci, :ai, i] = False
             keep[ci, ai + 1:widest, i] = False
-    for k, rows in enumerate(plan.member_constraints):
-        reach[k, [bit[c] for c in rows]] = True
+    for info in infosets:
+        reach[info.index, [bit[own[m]] for m in info.members]] = True
 
     def pack(bits: np.ndarray) -> np.ndarray:
         """Bits along the last axis to ``uint64`` words along the first."""
@@ -280,7 +258,7 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
         live = np.zeros(states.shape[1], dtype=bool)
         for row, mask in zip(states, reach[:, k]):
             live |= (row & mask) != 0
-        widths = np.where(live, plan.action_counts[k], 1)
+        widths = np.where(live, len(infosets[k].actions), 1)
         total = int(counts @ widths)
         if total > limit:
             raise BudgetError("strategy", limit, total)
@@ -309,7 +287,7 @@ def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
         at = up[at]
     follow = np.empty((len(nodes), states.shape[1]), dtype=bool)
     for row, node in zip(follow, nodes):
-        word, shift = divmod(bit[plan.own[node]], 64)
+        word, shift = divmod(bit[own[node]], 64)
         row[:] = (states[word] >> np.uint64(shift)) & np.uint64(1)
     return StrategyList(g, player, table.T), follow.T, int(counts.sum())
 
@@ -354,15 +332,16 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def own_reachable_closure(plan: PlayerPlan, choose) -> dict[int, int]:
-    """Walk ``plan``'s information sets in canonical order and ask
+def own_reachable_closure(g: ExtensiveGame, player: int, choose) -> dict[int, int]:
+    """Walk ``player``'s information sets in canonical order and ask
     ``choose(InfoSet) -> action index`` at each one the choices made so far
     leave reachable; returns the choices, keyed by information set index."""
+    own = own_histories(g, player)
     chosen: dict[int, int] = {}
-    for k, info in enumerate(plan.infosets):
-        if any(all(chosen.get(ci) == ai for ci, ai in constraints)
-               for constraints in plan.member_constraints[k]):
-            chosen[k] = choose(info)
+    for info in g.information_partition(player):
+        if any(all(chosen.get(ci) == ai for ci, ai in own[m])
+               for m in info.members):
+            chosen[info.index] = choose(info)
     return chosen
 
 
@@ -381,13 +360,12 @@ def reduced_from_rules(g: ExtensiveGame, player: int, choose) -> ReducedStrategy
             raise GameError(f"bad action for {info.label}")
         return act
 
-    return ReducedStrategy(g, player,
-                           own_reachable_closure(player_plan(g, player), action))
+    return ReducedStrategy(g, player, own_reachable_closure(g, player, action))
 
 
 def follows(node: int, sigma) -> bool:
     """True iff the owner of ``sigma`` follows it along the history ``node``."""
-    own = player_plan(sigma.game, sigma.player).own[node]
+    own = own_histories(sigma.game, sigma.player)[node]
     return all(sigma.action_at(k) == act for k, act in own)
 
 

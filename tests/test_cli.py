@@ -1,6 +1,8 @@
 """End-to-end command-line checks: subcommands, exit codes, stable output."""
 
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -303,6 +305,25 @@ def test_missing_structure_is_diagnostic(capsys):
     code, _, err = run(capsys, "value", corpus_path("phi_mh.if"))
     assert code == 1
     assert "structure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("value", corpus_path("phi_mh.if"), corpus_path("doors3.struct")),
+    ("parse", corpus_path("phi_mh.if")),
+])
+def test_closed_stdout_exits_one_quietly(argv):
+    with subprocess.Popen([sys.executable, "-m", "ifgames.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as p:
+        p.stdout.close()
+        err = p.stderr.read()
+    assert (p.returncode, err) == (1, b"")
+
+
+def test_missing_input_file_is_diagnostic(capsys, tmp_path):
+    code, out, err = run(capsys, "value", str(tmp_path / "absent.if"),
+                         corpus_path("doors3.struct"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_game_input_refuses_a_structure(capsys):

@@ -15,6 +15,8 @@ from ifgames import (
     export_dot,
     parse_formula,
 )
+from ifgames import solver
+from ifgames.corpus import CORPUS, corpus_text
 from ifgames.formula import (
     And,
     ChanceOr,
@@ -25,7 +27,9 @@ from ifgames.formula import (
     Or,
     occurrences,
 )
-from random_sentences import random_game
+from ifgames.parser import load_game
+from ifgames.strategy import own_histories
+from random_sentences import random_game, seeded_sentence
 
 
 @pytest.fixture(scope="module")
@@ -173,11 +177,29 @@ def test_partition_matches_pairwise_relation(sb_game, phi_sb, mh_prime_game,
                         assert same == _indistinguishable(game, a, b, slash)
 
 
+_CORPUS_GAMES = sorted({(e.game or e.formula, c.structure, c.nature)
+                        for e in CORPUS for c in e.checks}, key=str)
+
+
 def test_infoset_members_share_actions(mh_game, sb_game, fig1_game):
+    """Semantic games and their settled copies meet the set checks of
+    ``validate`` by construction, so they skip them: every game of the
+    corpus and of seeds 0-399, and the settled copy of each, passes
+    ``validate`` and gives I's and II's own histories."""
     for game in (mh_game, sb_game, fig1_game):
         for player in (EXIST, UNIV, NATURE):
             for info in game.information_partition(player):
                 assert len({game.actions(m) for m in info.members}) == 1
+    loaded = [load_game(corpus_text(source), structure and corpus_text(structure),
+                        nature and corpus_text(nature))
+              for source, structure, nature in _CORPUS_GAMES]
+    loaded += [load_game(*seeded_sentence(seed), None) for seed in range(400)]
+    for game, lam in loaded:
+        small, _, _ = solver._settle(game, lam, solver._forced_winners(game, lam))
+        for g in (game, small):
+            g.validate()
+            for player in (EXIST, UNIV):
+                assert len(own_histories(g, player)) == len(g)
 
 
 def test_nature_infosets_singletons(sb_game, mh_chance_game):

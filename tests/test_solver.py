@@ -55,7 +55,7 @@ from ifgames.solver import (
     _simplex_max,
     _solve_int_matrix,
 )
-from ifgames.strategy import play_masses, player_plan
+from ifgames.strategy import own_histories, play_masses
 from random_sentences import seeded_sentence
 
 F = Fraction
@@ -206,7 +206,7 @@ def _follow_matrix(strats, nodes):
     """Reference for the follow tables: boolean (strategies x nodes), does
     the strategy follow the history, read off the enumeration table."""
     columns = np.ascontiguousarray(strats.table.T)
-    own = player_plan(strats.game, strats.player).own
+    own = own_histories(strats.game, strats.player)
     out = np.ones((len(nodes), len(strats)), dtype=bool)
     for j, node in enumerate(nodes):
         for ci, ai in own[node]:

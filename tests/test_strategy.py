@@ -303,8 +303,3 @@ def test_strategy_lines_round_trip_identity(fig1_game):
 ])
 def test_smallest_int_dtype(max_value, dtype):
     assert _smallest_int_dtype(max_value) is dtype
-
-
-def test_smallest_int_dtype_beyond_int64():
-    with pytest.raises(GameError):
-        _smallest_int_dtype(2**63)
