@@ -4,9 +4,9 @@ Histories are nodes of an explicit tree; a node id *is* the history (the
 tree is prefix-closed by construction, and each node caches its induced
 assignment and current subformula occurrence).  One class hosts both the
 semantic game of a sentence and a hand-built game read from a ``.game``
-file: each node is added with what fixes its information set (its
-occurrence and slash set, or a declared label) and the key that orders
-the sets, so the partition is a grouping of the nonterminals by label.
+file: each player's node is added with its information set's label and
+the key that orders the sets, and is filed under that label then, so the
+partition only sorts the filed groups.  Chance nodes have no sets.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ DEFAULT_NODE_CAP = 10**6
 
 @dataclass(frozen=True)
 class InfoSet:
-    """An information set: histories its owner cannot tell apart.
+    """An information set of I or II: histories its owner cannot tell apart.
 
     ``label`` is the canonical identity used by the strategy pretty-printer:
     the occurrence path plus the assignment class (the bindings the player
     is allowed to see), or the declared label for hand-built games.
     """
 
-    player: int
     label: str
     members: tuple[int, ...]
     actions: tuple[str, ...]
@@ -56,20 +55,22 @@ class InfoSet:
 class ExtensiveGame:
     """Win-lose extensive game with imperfect information and chance moves.
 
-    A node of a semantic game carries its occurrence ``occ`` and ``slash``,
-    the variables its owner may not see; its set's label is the occurrence
-    and the bindings outside ``slash``, and a chance node sees every binding
-    and is a set of its own.  A node of a ``.game`` file carries no
-    occurrence, and its set's label is its declared ``info_label``.  A
-    chance node's ``info_label`` is the key that ``.nat`` rules name: its
-    chance quantifier's variable, ``@occurrence`` for a chance-or, or its
-    declared label.  Sets are ordered by ``info_order`` of their first
-    member, then by that member.  ``structure`` is the structure a sentence
-    is played on, None for a ``.game`` file.
+    Only I and II have information sets: a node of theirs is added with its
+    set's label (:meth:`add_node`), and chance sees the whole history.  A
+    node of a semantic game carries its occurrence ``occ``; a node of a
+    ``.game`` file carries none, and its ``info_label`` is its declared
+    label.  A chance node's ``info_label`` is the key that ``.nat`` rules
+    name: its chance quantifier's variable, ``@occurrence`` for a
+    chance-or, or its declared label.  Sets are ordered by ``info_order``
+    of their first member, then by that member.  ``structure`` is the
+    structure a sentence is played on, None for a ``.game`` file; the game
+    never grows past ``node_cap`` nodes.
     """
 
-    def __init__(self, structure: Structure | None = None):
+    def __init__(self, structure: Structure | None = None,
+                 node_cap: int = DEFAULT_NODE_CAP):
         self.structure = structure
+        self.node_cap = node_cap
         self.parent: list[int] = []
         self.children: list[list[int]] = []
         # position of each node among its parent's children (-1 at the root)
@@ -80,10 +81,11 @@ class ExtensiveGame:
         self.assignment: list[Assignment] = []
         self.occ: list[OccurrenceId | None] = []
         self.info_label: list[str | None] = []
-        self.slash: list[frozenset[str]] = []
         self.info_order: list[int] = []
         # chance probabilities embedded in a .game file, per chance node
         self.embedded_chance: dict[int, tuple[Fraction, ...]] = {}
+        # per player, each set label's members in node order
+        self._filed: dict[int, dict[str, list[int]]] = {EXIST: {}, UNIV: {}}
         self._partitions: dict[int, tuple[InfoSet, ...]] = {}
         self._infoset: list[int] = []
         # strategy.own_histories's result, per player
@@ -94,8 +96,12 @@ class ExtensiveGame:
     def add_node(self, parent: int, move: str, owner: int,
                  assignment: Assignment, occ: OccurrenceId | None = None,
                  info_label: str | None = None, winner: int | None = None,
-                 slash: frozenset[str] = frozenset(), info_order: int = 0) -> int:
+                 label: str | None = None, info_order: int = 0) -> int:
+        """Add a node and return its id; one of I or II joins the set named
+        ``label``.  Raises :class:`BudgetError` rather than pass ``node_cap``."""
         node = len(self.parent)
+        if node == self.node_cap:
+            raise BudgetError("game node", self.node_cap, self.node_cap + 1)
         self.parent.append(parent)
         self.children.append([])
         self.edge.append(len(self.children[parent]) if parent >= 0 else -1)
@@ -105,10 +111,11 @@ class ExtensiveGame:
         self.assignment.append(assignment)
         self.occ.append(occ)
         self.info_label.append(info_label)
-        self.slash.append(slash)
         self.info_order.append(info_order)
         if parent >= 0:
             self.children[parent].append(node)
+        if owner in self._filed:
+            self._filed[owner].setdefault(label, []).append(node)
         return node
 
     def __len__(self) -> int:
@@ -157,57 +164,42 @@ class ExtensiveGame:
     # -------------------------------------------------------- information
 
     def information_partition(self, player: int) -> tuple[InfoSet, ...]:
-        """The player's information sets in canonical order: the first
-        member's order key, then that member.  A set's actions are its
-        first member's; :meth:`validate` checks that the others share them."""
+        """I's or II's information sets, as :meth:`add_node` filed them, in
+        canonical order: the first member's order key, then that member.  A
+        set's actions are its first member's; :meth:`validate` checks that
+        the others share them."""
         if not self._partitions:
             self._infoset = [-1] * len(self)
-            # one scan groups the nonterminals by owner and class label, each
-            # group in node order
-            groups: dict[int, dict[str, list[int]]] = {
-                p: {} for p in (EXIST, UNIV, NATURE)}
-            for node in range(len(self)):
-                if not self.is_terminal(node):
-                    groups[self.owner[node]].setdefault(
-                        self._class_label(node), []).append(node)
-            for p, by_label in groups.items():
+            for p, by_label in self._filed.items():
                 ordered = sorted(by_label.items(), key=lambda kv: (
                     self.info_order[kv[1][0]], kv[1][0]))
                 for index, (_, members) in enumerate(ordered):
                     for m in members:
                         self._infoset[m] = index
                 self._partitions[p] = tuple(
-                    InfoSet(p, label, tuple(members), self.actions(members[0]), index)
+                    InfoSet(label, tuple(members), self.actions(members[0]), index)
                     for index, (label, members) in enumerate(ordered))
         return self._partitions[player]
 
     @property
     def infoset(self) -> list[int]:
         """Per node, the index of its information set in its owner's
-        partition (-1 at terminals)."""
+        partition (-1 at terminals and at chance nodes)."""
         self.information_partition(EXIST)
         return self._infoset
-
-    def _class_label(self, node: int) -> str:
-        if self.occ[node] is None:
-            return f"@{self.info_label[node]}[]"
-        items = ",".join(f"{v}={x}" for v, x in
-                         self.assignment[node].restricted_items(self.slash[node]))
-        label = f"@{occurrence_label(self.occ[node])}[{items}]"
-        # all chance information sets are singletons
-        return f"{label}#{node}" if self.owner[node] == NATURE else label
 
     # -------------------------------------------------------------- checks
 
     def validate(self):
         """Raise on violations of the extensive-game definition clauses.
 
-        The first two, that a set's members share their actions and that no
-        member is a prefix of another, only a ``.game`` file can break: the
-        members of a semantic game's set share an occurrence, so they lie at
-        one depth with one action list, and settling drops children only at
-        sets of one member."""
-        for player in (EXIST, UNIV, NATURE):
+        The first three, that a set's members share their actions, that no
+        member is a prefix of another and that chance labels are distinct,
+        only a ``.game`` file can break: a semantic game's set members share
+        an occurrence, so they lie at one depth with one action list,
+        settling drops children only at sets of one member, and a sentence's
+        chance nodes declare no label."""
+        for player in (EXIST, UNIV):
             for info in self.information_partition(player):
                 if any(self.actions(m) != info.actions for m in info.members):
                     raise GameError(
@@ -218,11 +210,12 @@ class ExtensiveGame:
                     raise GameError(
                         f"information set {info.label} contains a history and its prefix"
                     )
-        for info in self.information_partition(NATURE):
-            if len(info.members) != 1:
-                raise GameError(
-                    f"chance information set {info.label} is not a singleton"
-                )
+        declared: set[str] = set()
+        for node in self.chance_nodes():
+            if self.occ[node] is None and self.info_label[node] in declared:
+                raise GameError(f"chance information set "
+                                f"@{self.info_label[node]}[] is not a singleton")
+            declared.add(self.info_label[node])
         for node in range(len(self)):
             if self.is_terminal(node):
                 if self.winner_of[node] not in (EXIST, UNIV):
@@ -247,13 +240,14 @@ def build_semantic_game(m: Structure, phi: Formula,
     literals, where the winner is decided by the literal's compiled truth
     test under the induced assignment.  Every literal occurrence is compiled,
     in preorder, before any node is built, so an unsuitable structure is
-    reported before the node cap can fire.  A node's sets are ordered by its
-    occurrence's place in preorder.
+    reported before the node cap can fire.  A player's node is added with
+    its set's label, ``@occurrence[v=x,...]`` over the bindings outside its
+    slash set, and sets are ordered by their occurrence's place in preorder.
     """
     fv = free_variables(phi)
     if fv:
         raise GameError(f"not a sentence: free variables {sorted(fv)}")
-    game = ExtensiveGame(m)
+    game = ExtensiveGame(m, node_cap)
     occ_list = occurrences(phi)
     try:
         tests = {path: compile_literal(m, sub) for path, sub in occ_list
@@ -274,11 +268,12 @@ def build_semantic_game(m: Structure, phi: Formula,
         if isinstance(sub, (ChanceOr, ChanceQ)):
             # the .nat key: the variable, or @occurrence for a chance-or
             key = sub.var if isinstance(sub, ChanceQ) else "@" + occurrence_label(path)
-            node = game.add_node(parent, move, NATURE, s, path, key,
-                                 info_order=order[path])
+            node = game.add_node(parent, move, NATURE, s, path, key)
         else:
             owner = EXIST if isinstance(sub, (Or, Exists)) else UNIV
-            node = game.add_node(parent, move, owner, s, path, slash=sub.slash,
+            items = ",".join(f"{v}={x}" for v, x in s.restricted_items(sub.slash))
+            node = game.add_node(parent, move, owner, s, path,
+                                 label=f"@{occurrence_label(path)}[{items}]",
                                  info_order=order[path])
         if isinstance(sub, (Or, And, ChanceOr)):
             # reversed so children expand left-to-right in preorder
@@ -287,10 +282,6 @@ def build_semantic_game(m: Structure, phi: Formula,
         else:
             for el in reversed(m.universe):
                 stack.append((path + (0,), sub.body, node, el, s.extend(sub.var, el)))
-        if len(game) > node_cap:
-            raise BudgetError("game node", node_cap, len(game))
-    if len(game) > node_cap:
-        raise BudgetError("game node", node_cap, len(game))
     return game
 
 

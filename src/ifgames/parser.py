@@ -585,14 +585,15 @@ def parse_nature_strategy(src: str, game: ExtensiveGame):
 
 # ------------------------------------------------------------- game files
 
-def parse_extensive_game(src: str) -> ExtensiveGame:
+def parse_extensive_game(src: str, node_cap: int = DEFAULT_NODE_CAP) -> ExtensiveGame:
     """Read a ``.game`` file: one node per line, two-space indentation.
 
     Internal nodes carry ``player=`` and ``info=``; non-root nodes carry the
     ``action=`` that leads to them; terminals carry ``win=``; children of
-    chance nodes carry ``p=``.
+    chance nodes carry ``p=``.  A node of I or II joins the set ``@info[]``,
+    and a node past ``node_cap`` raises :class:`BudgetError`.
     """
-    game = ExtensiveGame()
+    game = ExtensiveGame(node_cap=node_cap)
     player_codes = {"I": EXIST, "II": UNIV, "chance": NATURE}
     # stack of (depth, node id); node ids per depth
     stack: list[tuple[int, int]] = []
@@ -649,7 +650,8 @@ def parse_extensive_game(src: str) -> ExtensiveGame:
             if info is None:
                 raise ParseError("internal node needs info=", lineno, 1)
             node = game.add_node(parent, move, player_codes[player],
-                                 Assignment.empty(), info_label=info)
+                                 Assignment.empty(), info_label=info,
+                                 label=f"@{info}[]")
         if parent >= 0 and game.owner[parent] == NATURE:
             if "p" not in fields:
                 raise ParseError("children of chance nodes need p=", lineno, 1)
@@ -676,17 +678,16 @@ def load_game(source: str, structure: str | None, nature: str | None = None,
     """The (game, chance strategy) pair described by input texts.
 
     ``source`` is a formula played on ``structure``, or a ``.game`` file when
-    ``structure`` is None.  ``nature`` is a ``.nat`` text; without one, chance
-    is uniform in a semantic game and as declared in a game file.
+    ``structure`` is None, each refused past ``node_cap`` nodes.  ``nature``
+    is a ``.nat`` text; without one, chance is as a game file declares it,
+    and uniform where nothing is declared, as in every semantic game.
     """
     if structure is None:
-        game = parse_extensive_game(source)
-        default = embedded_nature
+        game = parse_extensive_game(source, node_cap)
     else:
         phi = parse_formula(source)
         game = build_semantic_game(parse_structure(structure), phi, node_cap)
-        default = uniform_nature
-    lam = default(game) if nature is None else parse_nature_strategy(nature, game)
+    lam = embedded_nature(game) if nature is None else parse_nature_strategy(nature, game)
     return game, lam
 
 

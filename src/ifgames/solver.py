@@ -382,12 +382,14 @@ def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
     forced to its owner's loss.  Returns the small game, its chance
     strategy and, per small node, its node in ``game``.
 
-    Each kept node copies its label fields, and its set's index in
-    ``game`` is its order key, so the small game's information sets are
-    ``game``'s, less the members that are gone, in the same order.
+    Each kept player's node copies its set's label, and that set's index
+    in ``game`` is its order key, so the small game's information sets are
+    ``game``'s, less the members that are gone, in the same order.  It
+    keeps ``game``'s node cap, which it cannot pass.
     """
-    small = ExtensiveGame(game.structure)
+    small = ExtensiveGame(game.structure, game.node_cap)
     alone, infoset = _alone(game), game.infoset
+    sets = {p: game.information_partition(p) for p in (EXIST, UNIV)}
     origin: list[int] = []
     new = {-1: -1}
     dists = {}
@@ -398,10 +400,11 @@ def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
                 or alone[at] and forced[node] not in (None, game.owner[at])):
             continue
         owner = TERMINAL if forced[node] is not None else game.owner[node]
+        label = sets[owner][infoset[node]].label if owner in sets else None
         new[node] = small.add_node(new[at], game.move[node], owner,
                                    game.assignment[node], game.occ[node],
                                    game.info_label[node], forced[node],
-                                   game.slash[node], infoset[node])
+                                   label, infoset[node])
         origin.append(node)
         if owner == NATURE:
             dists[new[node]] = lam.distribution(node)
@@ -722,7 +725,8 @@ def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
     a word for each chance move on the tree's path with the most, so where
     plays meet fewer the samples differ from those of a loop that reads
     only the draws it needs.  Bit-for-bit reproducible for a fixed (game,
-    profile, plays, seed).
+    profile, plays, seed).  A negative ``seed`` raises :class:`GameError`,
+    as ``random.Random`` would replay the plays of its absolute value.
 
     The draws are taken in bulk (:func:`_draw_words`), identical to
     per-play draws in that order.  Each block of about
@@ -736,6 +740,8 @@ def simulate(g: ExtensiveGame, lam: BehavioralStrategy,
     """
     if plays < 1:
         raise GameError("plays must be at least 1")
+    if seed < 0:
+        raise GameError("seed must be non-negative")
     sampler = _Sampler(g, lam, row_mix, col_mix)
     rng = random.Random(seed)
     visits = np.zeros(len(g), dtype=np.int64)

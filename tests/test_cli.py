@@ -126,6 +126,29 @@ def test_suitability_is_checked_before_the_node_cap(capsys):
     assert err == "error: structure not suitable: relation Awake uninterpreted\n"
 
 
+def test_game_file_node_cap(capsys):
+    # --node-cap acts on a .game file too: monty_hall.game has 49 nodes
+    game = corpus_path("monty_hall.game")
+    code, out, err = run(capsys, "value", game, "--node-cap", "48")
+    assert (code, out) == (2, "")
+    assert err == "error: game node budget exceeded: limit 48, reached 49\n"
+    code, out, _ = run(capsys, "value", game, "--node-cap", "49")
+    assert code == 0
+    assert "value = 2/3" in out.splitlines()
+
+
+def test_simulate_negative_seed(capsys):
+    args = ("simulate", corpus_path("phi_mh_prime_chance.if"),
+            corpus_path("doors3.struct"),
+            "--profile", corpus_path("mh_prime_chance_paper.profile"),
+            "--plays", "1000")
+    code, out, err = run(capsys, *args, "--seed=-5")
+    assert (code, out, err) == (1, "", "error: seed must be non-negative\n")
+    code, out, _ = run(capsys, *args, "--seed", "5")
+    assert code == 0
+    assert "plays = 1000, seed = 5" in out.splitlines()
+
+
 CHANCE_GAME = """\
 player=chance info=c
   action=a p=1/4 player=I info=i

@@ -6,7 +6,6 @@ import pytest
 
 from ifgames import (
     EXIST,
-    NATURE,
     UNIV,
     BudgetError,
     GameError,
@@ -54,7 +53,8 @@ def test_rejects_open_formulas_and_unsuitable_structures(sb_structure):
 def test_node_cap(doors3, phi_mh):
     with pytest.raises(BudgetError) as err:
         build_semantic_game(doors3, phi_mh, node_cap=10)
-    assert err.value.reached > 10
+    # the cap is checked at every node added, so it fires at the first one past it
+    assert (err.value.limit, err.value.reached) == (10, 11)
 
 
 def test_matching_pennies_terminals(mp_game):
@@ -187,7 +187,7 @@ def test_infoset_members_share_actions(mh_game, sb_game, fig1_game):
     corpus and of seeds 0-399, and the settled copy of each, passes
     ``validate`` and gives I's and II's own histories."""
     for game in (mh_game, sb_game, fig1_game):
-        for player in (EXIST, UNIV, NATURE):
+        for player in (EXIST, UNIV):
             for info in game.information_partition(player):
                 assert len({game.actions(m) for m in info.members}) == 1
     loaded = [load_game(corpus_text(source), structure and corpus_text(structure),
@@ -202,10 +202,15 @@ def test_infoset_members_share_actions(mh_game, sb_game, fig1_game):
                 assert len(own_histories(g, player)) == len(g)
 
 
-def test_nature_infosets_singletons(sb_game, mh_chance_game):
+def test_chance_nodes_have_no_information_set(sb_game, mh_chance_game):
+    # chance sees the whole history: only I and II have information sets
     for game in (sb_game, mh_chance_game):
-        for info in game.information_partition(NATURE):
-            assert len(info.members) == 1
+        chance = game.chance_nodes()
+        assert chance
+        assert all(game.infoset[node] == -1 for node in chance)
+        for player in (EXIST, UNIV):
+            for info in game.information_partition(player):
+                assert set(info.members).isdisjoint(chance)
 
 
 def test_slash_free_same_infoset_same_assignment(sb_structure):

@@ -7,6 +7,7 @@ import pytest
 from ifgames import (
     EXIST,
     App,
+    BudgetError,
     ChainAtom,
     ChanceQ,
     Const,
@@ -409,6 +410,17 @@ def test_game_node_under_terminal_rejected():
     with pytest.raises(ParseError) as err:
         parse_extensive_game(bad)
     assert "unreachable" in str(err.value)
+
+
+def test_game_file_node_cap():
+    # monty_hall.game has 49 nodes; the cap is checked as each one is added
+    text = corpus_text("monty_hall.game")
+    assert len(parse_extensive_game(text, node_cap=49)) == 49
+    with pytest.raises(BudgetError) as err:
+        parse_extensive_game(text, node_cap=48)
+    assert str(err.value) == "game node budget exceeded: limit 48, reached 49"
+    with pytest.raises(BudgetError):
+        load_game(text, None, node_cap=48)
 
 
 def test_game_chance_infosets_must_be_singletons():

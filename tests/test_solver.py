@@ -974,6 +974,16 @@ def test_simulate_deterministic_game(fig1_game):
     assert report.win_frequency == exact
 
 
+def test_simulate_rejects_a_negative_seed(fig1_game):
+    # random.Random(-5) seeds like random.Random(5), so -5 would replay 5
+    lam = uniform_nature(fig1_game)
+    sigma = MixedStrategy.pure(enumerate_reduced(fig1_game, EXIST)[0])
+    tau = MixedStrategy.pure(enumerate_reduced(fig1_game, UNIV)[0])
+    with pytest.raises(GameError, match="^seed must be non-negative$"):
+        simulate(fig1_game, lam, sigma, tau, plays=50, seed=-5)
+    assert simulate(fig1_game, lam, sigma, tau, plays=50, seed=0).plays == 50
+
+
 def test_simulate_reproducible(sb_game):
     lam = uniform_nature(sb_game)
     tau = MixedStrategy.pure(enumerate_reduced(sb_game, UNIV)[0])
