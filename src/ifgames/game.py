@@ -197,8 +197,8 @@ class ExtensiveGame:
         member is a prefix of another and that chance labels are distinct,
         only a ``.game`` file can break: a semantic game's set members share
         an occurrence, so they lie at one depth with one action list,
-        settling drops children only at sets of one member, and a sentence's
-        chance nodes declare no label."""
+        settling drops an action at every open member of a set at once, and
+        a sentence's chance nodes declare no label."""
         for player in (EXIST, UNIV):
             for info in self.information_partition(player):
                 if any(self.actions(m) != info.actions for m in info.members):

@@ -10,8 +10,9 @@ classes follow, computed only for the cells a restricted LP needs.  The
 chance weights, the tree certificate and conditioning all read one integer
 pass, :func:`~ifgames.strategy.play_masses`.  The
 cell budgets count the strategies, not the classes.  :func:`solve` always
-first settles the nodes whose winner is already fixed (weak dominance,
-applied on the tree).  The LP is one column-generation (double-oracle)
+first settles the tree to a fixpoint by weak dominance, certifying each
+pass: nodes whose winner is already fixed, and actions dominated at a
+whole information set.  The LP is one column-generation (double-oracle)
 loop: its restricted problems run a fraction-free integer simplex (Bareiss
 pivoting, Bland's rule) and its best-response pricing is exact integer
 arithmetic over every class, straight from the follow tables.  Within
@@ -36,6 +37,7 @@ from .game import (
     DEFAULT_NODE_CAP,
     EXIST,
     NATURE,
+    PLAYER_NAMES,
     TERMINAL,
     UNIV,
     ExtensiveGame,
@@ -51,7 +53,6 @@ from .strategy import (
     StrategyList,
     follow_classes,
     play_masses,
-    reduced_from_rules,
     uniform_nature,
 )
 
@@ -337,58 +338,140 @@ def verify_equilibrium(m: PayoffMatrix, eq: Equilibrium) -> bool:
 
 # ----------------------------------------------------------- truth values
 
-def _alone(g: ExtensiveGame) -> list[bool]:
-    """Per node, whether it is a player's node in a set of its own."""
-    sizes = {p: [len(info.members) for info in g.information_partition(p)]
-             for p in (EXIST, UNIV)}
-    return [owner in sizes and sizes[owner][k] == 1
-            for owner, k in zip(g.owner, g.infoset)]
+def _forced_winners(g: ExtensiveGame, lam: BehavioralStrategy):
+    """One settling pass over ``g``: ``(forced, choice, drops)``.
 
+    ``forced`` gives per node the player who wins there whatever the other
+    does, or None, from one backward pass: a terminal is forced to its
+    winner; a chance node to the winner that all its children of positive
+    mass are forced to; the only member of a player's set to that player
+    when some child is forced to it, and ``choice`` maps the node to the
+    first such child's edge (choosing it is weakly dominant); any player's
+    node to the winner all its children share.
 
-def _forced_winners(g: ExtensiveGame, lam: BehavioralStrategy
-                    ) -> list[int | None]:
-    """Per node, the player who wins there whatever the other does, or None.
-
-    One backward pass: a terminal is forced to its winner; a chance node to
-    the winner that all its children of positive mass are forced to; a
-    player's node in a set of its own to that player when some child is
-    forced to it (choosing that child is weakly dominant), else to the
-    winner all its children share; a node in a larger set to the winner
-    all its children share.  The forcing player's moves on the way are at
-    singleton sets below the node, so they combine into one strategy.
+    ``drops`` maps ``(player, set index)`` to the actions dropped at that
+    set, each to a kept action that weakly dominates it at every open
+    (unmarked) member: there the dropped action's child is forced to the
+    owner's loss, or the dominating action's child to the owner's win.  Of
+    actions that dominate each other the first is kept.  The drops are
+    decided once the whole pass is marked, since a set's members lie in
+    different subtrees; at a set of one member they are the children
+    forced to its owner's loss.
     """
-    alone = _alone(g)
+    sets = {p: g.information_partition(p) for p in (EXIST, UNIV)}
+    infoset, children = g.infoset, g.children
     forced: list[int | None] = [None] * len(g)
+    choice: dict[int, int] = {}
+    candidates = set()  # the sets with an open member that has a forced child
     for node in reversed(range(len(g))):  # children come after their parents
         owner = g.owner[node]
         if owner == TERMINAL:
             forced[node] = g.winner_of[node]
             continue
-        kids = [forced[c] for c in g.children[node]]
+        kids = [forced[c] for c in children[node]]
         if owner == NATURE:
             kids = [w for w, p in zip(kids, lam.distribution(node)) if p]
-        elif alone[node] and owner in kids:
+        elif owner in kids and len(sets[owner][infoset[node]].members) == 1:
             forced[node] = owner
+            choice[node] = kids.index(owner)
             continue
         if kids.count(kids[0]) == len(kids):
             forced[node] = kids[0]
-    return forced
+        elif owner != NATURE and kids.count(None) < len(kids):
+            candidates.add((owner, infoset[node]))
+    drops: dict[tuple[int, int], dict[int, int]] = {}
+    for owner, index in candidates:
+        members = [m for m in sets[owner][index].members if forced[m] is None]
+        acts = range(len(children[members[0]]))
+        # per action, a bit per open member where the owner loses (wins) its
+        # child; b dominates a where b wins at every member a is not lost at
+        lost, won = [0] * len(acts), [0] * len(acts)
+        for bit, m in enumerate(members):
+            for a, c in enumerate(children[m]):
+                if forced[c] is not None:
+                    (won if forced[c] == owner else lost)[a] |= 1 << bit
+        need = [~x & ((1 << len(members)) - 1) for x in lost]
+        kept, dropped = [], []
+        for a in acts:
+            for b in acts:
+                if (b != a and not need[a] & ~won[b]
+                        and (b < a or need[b] & ~won[a])):
+                    dropped.append(a)
+                    break
+            else:
+                kept.append(a)
+        if dropped:
+            drops[owner, index] = {
+                a: next(b for b in kept if not need[a] & ~won[b])
+                for a in dropped}
+    return forced, choice, drops
+
+
+def _certify(g: ExtensiveGame, lam: BehavioralStrategy,
+             forced: list[int | None], choice: dict[int, int],
+             drops: dict[tuple[int, int], dict[int, int]]):
+    """Check a settling pass over ``g`` (:func:`_forced_winners`) without
+    trusting it; raise :class:`GameError` where it fails.
+
+    Every terminal must be marked with its winner, and every other mark
+    must be its children's: at a chance node, every child's of positive
+    mass; at a node with a recorded choice, which must be marked for its
+    owner and be the only member of its set, the chosen child's; at any
+    other player's node, every child's.  So, by induction from the
+    terminals, every play from a marked node ends in its marked winner
+    when the recorded choices are followed, whatever the other player and
+    chance do.  Each drop is then checked at every open member of its set
+    against those marks, with a dominating action that is kept.
+    """
+    sets = {p: g.information_partition(p) for p in (EXIST, UNIV)}
+    infoset, children = g.infoset, g.children
+    if any(forced[node] is None for node in choice):
+        raise GameError("settling recorded a choice at an open node")
+    for node in reversed(range(len(g))):
+        won, owner, kids = forced[node], g.owner[node], children[node]
+        if owner == TERMINAL:
+            ok = won == g.winner_of[node]
+        elif won is None:
+            continue
+        elif owner == NATURE:
+            ok = all(forced[c] == won
+                     for c, p in zip(kids, lam.distribution(node)) if p)
+        elif node in choice:
+            ok = (won == owner and forced[kids[choice[node]]] == won
+                  and len(sets[owner][infoset[node]].members) == 1)
+        else:
+            ok = all(forced[c] == won for c in kids)
+        if not ok:
+            raise GameError(f"settling marked node {node} won by "
+                            f"{PLAYER_NAMES.get(won)} without forcing it")
+    for (owner, index), dropped in drops.items():
+        info, other = sets[owner][index], UNIV if owner == EXIST else EXIST
+        for a, b in dropped.items():
+            if b == a or b in dropped or not all(
+                    forced[children[m][a]] == other
+                    or forced[children[m][b]] == owner
+                    for m in info.members if forced[m] is None):
+                raise GameError(f"settling dropped action {a} at "
+                                f"{info.label} undominated")
 
 
 def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
-            forced: list[int | None]):
-    """The game rebuilt by one forward pass over ``forced``: a forced node
-    becomes a terminal, and a node in a set of its own drops the children
-    forced to its owner's loss.  Returns the small game, its chance
-    strategy and, per small node, its node in ``game``.
+            forced: list[int | None],
+            drops: dict[tuple[int, int], dict[int, int]]):
+    """The game rebuilt by one forward pass over a settling pass's marks
+    and drops (:func:`_forced_winners`): a forced node becomes a terminal,
+    and each open member of a set loses the children of the actions
+    dropped there.  Returns the small game, its chance strategy and, per
+    small node, its node in ``game``.
 
     Each kept player's node copies its set's label, and that set's index
     in ``game`` is its order key, so the small game's information sets are
-    ``game``'s, less the members that are gone, in the same order.  It
-    keeps ``game``'s node cap, which it cannot pass.
+    ``game``'s, less the members that are gone, in the same order; a set's
+    open members drop the same actions, so they still share their actions.
+    It keeps ``game``'s node cap, which it cannot pass.
     """
     small = ExtensiveGame(game.structure, game.node_cap)
-    alone, infoset = _alone(game), game.infoset
+    infoset = game.infoset
     sets = {p: game.information_partition(p) for p in (EXIST, UNIV)}
     origin: list[int] = []
     new = {-1: -1}
@@ -396,8 +479,8 @@ def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
     for node in range(len(game)):
         at = game.parent[node]
         if at not in new or at >= 0 and (
-                forced[at] is not None
-                or alone[at] and forced[node] not in (None, game.owner[at])):
+                forced[at] is not None or game.edge[node]
+                in drops.get((game.owner[at], infoset[at]), ())):
             continue
         owner = TERMINAL if forced[node] is not None else game.owner[node]
         label = sets[owner][infoset[node]].label if owner in sets else None
@@ -411,34 +494,44 @@ def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
     return small, BehavioralStrategy(small, dists), origin
 
 
-def _lift(game: ExtensiveGame, small: ExtensiveGame, origin: list[int],
-          forced: list[int | None], mix: MixedStrategy) -> MixedStrategy:
-    """A mix of :func:`_settle`'s small game as a mix of ``game``.
+def _lift(game: ExtensiveGame, passes, mix: MixedStrategy) -> MixedStrategy:
+    """A mix of the last settled game as a mix of ``game``.
 
-    Each strategy keeps its action at the sets the small game has, mapped
-    through ``origin``; at a set of its own that is forced to its owner it
-    takes the first child forced to the owner, and anywhere else action 0,
-    since the winner there is already fixed.
+    ``passes`` lists, first pass first, each pass's game, its ``origin``
+    (per node, its node in ``game``) and its recorded choices; the last
+    game is the one the mix plays.  Each strategy keeps its action at the
+    sets the last game has, mapped through ``origin``.  Any other set
+    takes an action of the last game it is in: its recorded choice where
+    that game's pass forced it by one, else that game's first action,
+    which every earlier pass kept.
     """
     player = mix.player
-    where = {}
-    for info in small.information_partition(player):
-        first = info.members[0]
-        where[game.infoset[origin[first]]] = (
-            info.index, [game.edge[origin[c]] for c in small.children[first]])
+    fallback = {}
+    for g, origin, choice in passes:
+        where = {}  # per set of ``game`` in ``g``: its index there, its edges
+        for info in g.information_partition(player):
+            first = info.members[0]
+            edges = [game.edge[origin[c]] for c in g.children[first]]
+            k = game.infoset[origin[first]]
+            where[k] = info.index, edges
+            fallback[k] = edges[choice.get(first, 0)]
 
     def lift(sigma: ReducedStrategy) -> ReducedStrategy:
-        chosen = dict(sigma.actions)
-
-        def choose(info) -> int:
-            index, edges = where.get(info.index, (None, None))
-            if index in chosen:
-                return edges[chosen[index]]
-            node = info.members[0]
-            if len(info.members) == 1 and forced[node] == player:
-                return [forced[c] for c in game.children[node]].index(player)
-            return 0
-        return reduced_from_rules(game, player, choose)
+        chosen, actions = dict(sigma.actions), {}
+        stack = [game.root]
+        while stack:  # the nodes the strategy's own choices reach
+            node = stack.pop()
+            kids = game.children[node]
+            if game.owner[node] != player:
+                stack += kids
+                continue
+            k = game.infoset[node]
+            if k not in actions:
+                index, edges = where.get(k, (None, None))
+                actions[k] = (edges[chosen[index]] if index in chosen
+                              else fallback[k])
+            stack.append(kids[actions[k]])
+        return ReducedStrategy(game, player, actions)
 
     return MixedStrategy(player, [(lift(s), w) for s, w in mix])
 
@@ -466,28 +559,51 @@ def _tree_reply(g: ExtensiveGame, masses: list[int], player: int) -> int:
     return value[0]
 
 
+def _settled(game: ExtensiveGame, lam: BehavioralStrategy):
+    """``game`` settled to a fixpoint: ``(small, small_lam, passes)``.
+
+    Each pass (:func:`_forced_winners`) marks the nodes whose winner is
+    already fixed and drops the actions that another dominates at a whole
+    information set; :func:`_certify` checks it before :func:`_settle`
+    rebuilds the game for the next pass, and the first pass that marks no
+    new node and drops nothing ends the loop without a rebuild.
+    ``passes`` lists, first pass first, each pass's game, its origin (per
+    node, its node in ``game``) and its recorded choices, for
+    :func:`_lift`; the last is ``small``'s.
+    """
+    passes = []
+    g, g_lam, origin = game, lam, range(len(game))
+    while True:
+        forced, choice, drops = _forced_winners(g, g_lam)
+        _certify(g, g_lam, forced, choice, drops)
+        passes.append((g, origin, choice))
+        if not drops and forced.count(None) + g.owner.count(TERMINAL) == len(g):
+            return g, g_lam, passes
+        g, g_lam, kept = _settle(g, g_lam, forced, drops)
+        origin = [origin[n] for n in kept]
+
+
 def solve(game: ExtensiveGame, lam: BehavioralStrategy,
           budget: int = DEFAULT_STRATEGY_BUDGET) -> Equilibrium:
     """Equilibrium of a game: settle the tree, build the payoff matrix,
     solve it, lift the witness and check it on the tree.
 
-    :func:`_forced_winners` first settles every node whose winner is
-    already fixed (weak dominance, the only dominance there is), and the
-    matrix is built on the small game that :func:`_settle` rebuilds.  The
-    witness mixes refer to that matrix's classes (``eq.matrix``), and
-    :func:`solve_zero_sum` has already checked them exactly against every
-    class.  The settling is checked too: each mix, lifted to ``game``
-    (``eq.row_strategies()``, ``eq.col_strategies()``), must guarantee the
-    value on ``game``'s tree (:func:`_tree_reply`) wherever the other
-    player's information sets are all singletons, or :class:`GameError` is
-    raised; the log's last line names the check each side passed.
+    :func:`_settled` first removes weakly dominated play, pass by pass,
+    which keeps a zero-sum game's value, and the matrix is built on the
+    game it ends with.  The witness mixes refer to that matrix's classes
+    (``eq.matrix``), and :func:`solve_zero_sum` has already checked them
+    exactly against every class.  Each mix, lifted to ``game`` back
+    through the passes (``eq.row_strategies()``, ``eq.col_strategies()``),
+    must also guarantee the value on ``game``'s tree (:func:`_tree_reply`)
+    wherever the other player's information sets are all singletons, or
+    :class:`GameError` is raised; the log's last line names the check each
+    side passed.
     """
-    forced = _forced_winners(game, lam)
-    small, small_lam, origin = _settle(game, lam, forced)
+    small, small_lam, passes = _settled(game, lam)
     matrix = build_matrix(small, small_lam, budget)
     matrix.log.append(f"tree: {len(game)} -> {len(small)} nodes")
     eq = solve_zero_sum(matrix)
-    eq.lifted = tuple(_lift(game, small, origin, forced, mix)
+    eq.lifted = tuple(_lift(game, passes, mix)
                       for mix in (eq.row_strategies(), eq.col_strategies()))
     checks = []
     for side, mix, other in zip(("I", "II"), eq.lifted, (UNIV, EXIST)):

@@ -193,7 +193,7 @@ def test_strategy_budget_diagnostics(capsys):
     code, out, err = run(capsys, "value", corpus_path("phi_mh.if"),
                          corpus_path("doors3.struct"), "--budget", "5")
     assert (code, out) == (2, "")
-    assert err == "error: strategy budget exceeded: limit 5, reached 11\n"
+    assert err == "error: strategy budget exceeded: limit 5, reached 6\n"
     # on the unsettled trees: the falsifier of the chance Monty Hall
     # sentence passes the default budget at its last information set;
     # phi_mh's verifier passes 1000 part way through its enumeration

@@ -184,8 +184,8 @@ _CORPUS_GAMES = sorted({(e.game or e.formula, c.structure, c.nature)
 def test_infoset_members_share_actions(mh_game, sb_game, fig1_game):
     """Semantic games and their settled copies meet the set checks of
     ``validate`` by construction, so they skip them: every game of the
-    corpus and of seeds 0-399, and the settled copy of each, passes
-    ``validate`` and gives I's and II's own histories."""
+    corpus and of seeds 0-399, and the copy each settling pass returns,
+    passes ``validate`` and gives I's and II's own histories."""
     for game in (mh_game, sb_game, fig1_game):
         for player in (EXIST, UNIV):
             for info in game.information_partition(player):
@@ -195,8 +195,7 @@ def test_infoset_members_share_actions(mh_game, sb_game, fig1_game):
               for source, structure, nature in _CORPUS_GAMES]
     loaded += [load_game(*seeded_sentence(seed), None) for seed in range(400)]
     for game, lam in loaded:
-        small, _, _ = solver._settle(game, lam, solver._forced_winners(game, lam))
-        for g in (game, small):
+        for g, _, _ in solver._settled(game, lam)[2]:
             g.validate()
             for player in (EXIST, UNIV):
                 assert len(own_histories(g, player)) == len(g)

@@ -41,7 +41,7 @@ COMMANDS = [
     ["export", "phi_mh_chance.if", "doors3.struct"],
     # no verifier-win terminal: one class a side and no terminal to follow
     ["value", "golden/irreflexive.if", "pennies_2.struct", "--format", "structured"],
-    # the players swap roles: settled, 6 x 27 classes, more columns than rows
+    # the players swap roles: settled, 6 x 12 classes, more columns than rows
     ["value", "golden/phi_mh_negated.if", "doors3.struct", "--format", "structured"],
     # the seeded Monte Carlo runs: the benchmark's stick/switch request,
     ["simulate", "phi_mh_prime_chance.if", "doors3.struct",

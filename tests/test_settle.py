@@ -1,11 +1,14 @@
-"""Settling the nodes whose winner is already fixed, before strategies exist.
+"""Settling the tree by weak dominance, before strategies exist.
 
-``solve`` always settles the tree (``solver._forced_winners``,
-``solver._settle``).  The value must equal the unsettled one, which the
-public stages give when composed directly on the game as built, and each
-witness mix, lifted to the original game, must hold the value there:
-checked here exactly, by backward induction where the other player's sets
-are singletons and over its class list of the original game otherwise.
+``solve`` always settles the tree to a fixpoint (``solver._settled``):
+each pass (``solver._forced_winners``) marks the nodes whose winner is
+already fixed and drops dominated actions at whole information sets, is
+checked (``solver._certify``) and rebuilds the game (``solver._settle``).
+The value must equal the unsettled one, which the public stages give when
+composed directly on the game as built, and each witness mix, lifted to
+the original game, must hold the value there: checked here exactly, by
+backward induction where the other player's sets are singletons and over
+its class list of the original game otherwise.
 """
 
 from fractions import Fraction
@@ -90,20 +93,22 @@ def test_random_sentences_settled_equals_unsettled():
             continue
         assert unsettled.value == eq.value, seed
     assert over_budget == 11
-    assert widest == 95  # classes on one side of a settled matrix
+    assert widest == 27  # classes on one side of a settled matrix
 
 
 def _force_first_open_verifier_node(monkeypatch):
-    """Patch the pass to force the first verifier node it leaves open to the
-    verifier, a fault no matrix certificate of the small game can see."""
+    """Patch each pass to force the first verifier node it leaves open, if
+    any, to the verifier, a fault no matrix certificate of the small game
+    can see."""
     honest = solver._forced_winners
 
     def faulty(g, lam):
-        forced = honest(g, lam)
-        node = next(n for n in range(len(g))
-                    if g.owner[n] == EXIST and forced[n] is None)
-        forced[node] = EXIST
-        return forced
+        forced, choice, drops = honest(g, lam)
+        node = next((n for n in range(len(g))
+                     if g.owner[n] == EXIST and forced[n] is None), None)
+        if node is not None:
+            forced[node] = EXIST
+        return forced, choice, drops
 
     monkeypatch.setattr(solver, "_forced_winners", faulty)
     return faulty
@@ -114,13 +119,59 @@ def _force_first_open_verifier_node(monkeypatch):
 def test_faulty_settling_fails_the_tree_check(monkeypatch, name, faulty_value):
     game, lam = load_game(corpus_text(name), corpus_text("doors3.struct"))
     faulty = _force_first_open_verifier_node(monkeypatch)
-    small, small_lam, _ = solver._settle(game, lam, faulty(game, lam))
+    forced, _, drops = faulty(game, lam)
+    small, small_lam, _ = solver._settle(game, lam, forced, drops)
     # the small game's own certificate passes on every class
     matrix = solver.build_matrix(small, small_lam)
     eq = solver.solve_zero_sum(matrix)
     assert eq.value == faulty_value
     assert solver.verify_equilibrium(matrix, eq)
+    with pytest.raises(GameError, match="won by I without forcing it"):
+        solve(game, lam)
+    # without the pass's certificate, the tree check still sees the fault
+    monkeypatch.setattr(solver, "_certify", lambda *args: None)
     with pytest.raises(GameError, match="the witness of I fails on the game tree"):
+        solve(game, lam)
+
+
+@pytest.mark.parametrize("name", ["phi_mh.if", "phi_mh_prime.if"])
+def test_settling_fault_forced_to_the_falsifier_fails(monkeypatch, name):
+    """Each of the 42 verifier nodes that the first pass leaves open,
+    marked as forced to II instead, fails that pass's certificate; without
+    it, 15 of these faults print a wrong value on either sentence."""
+    game, lam = load_game(corpus_text(name), corpus_text("doors3.struct"))
+    honest = solver._forced_winners
+    forced = honest(game, lam)[0]
+    open_nodes = [n for n in range(len(game))
+                  if game.owner[n] == EXIST and forced[n] is None]
+    assert len(open_nodes) == 42
+    for node in open_nodes:
+        def faulty(g, lam, node=node):
+            forced, choice, drops = honest(g, lam)
+            if g is game:
+                forced[node] = UNIV
+            return forced, choice, drops
+
+        monkeypatch.setattr(solver, "_forced_winners", faulty)
+        with pytest.raises(GameError, match=f"settling marked node {node} "
+                                            "won by II without forcing it"):
+            solve(game, lam)
+
+
+def test_undominated_drop_fails(monkeypatch):
+    """II's first choice in phi_mh is open under each of its actions, so
+    no action of it dominates another."""
+    game, lam = load_game(corpus_text("phi_mh.if"), corpus_text("doors3.struct"))
+    honest = solver._forced_winners
+
+    def faulty(g, lam):
+        forced, choice, drops = honest(g, lam)
+        assert (UNIV, 0) not in drops
+        drops[UNIV, 0] = {1: 0}
+        return forced, choice, drops
+
+    monkeypatch.setattr(solver, "_forced_winners", faulty)
+    with pytest.raises(GameError, match=r"dropped action 1 at @/\[\] undominated"):
         solve(game, lam)
 
 
@@ -144,25 +195,32 @@ player=II info=r
 
 
 def _check_settled_sets(game, lam):
-    """Each player's settled sets are ``game``'s restricted to the nodes
-    kept open: members mapped through ``origin``, with the same labels, in
-    the same order and, with two or more members, the same actions."""
-    small, _, origin = solver._settle(game, lam, solver._forced_winners(game, lam))
-    kept = {origin[n] for n in small.nonterminals()}
+    """Settle ``game`` pass by pass to the fixpoint.  After each pass, each
+    player's sets are the last game's restricted to the nodes kept open:
+    members mapped through ``origin``, with the same labels, in the same
+    order and with the same actions, less those dropped at the set."""
+    while True:
+        forced, _, drops = solver._forced_winners(game, lam)
+        small, small_lam, origin = solver._settle(game, lam, forced, drops)
+        kept = {origin[n] for n in small.nonterminals()}
 
-    def sets(g, player, members_of):
-        out = []
-        for info in g.information_partition(player):
-            members = members_of(info.members)
-            if members:
-                out.append((info.label, members,
-                            info.actions if len(members) > 1 else None))
-        return out
+        def sets(g, player, members_of, actions_of):
+            out = []
+            for info in g.information_partition(player):
+                members = members_of(info.members)
+                if members:
+                    out.append((info.label, members, actions_of(info)))
+            return out
 
-    for player in (EXIST, UNIV):
-        assert sets(small, player, lambda ms: tuple(origin[m] for m in ms)) == sets(
-            game, player, lambda ms: tuple(m for m in ms if m in kept))
-    return small
+        for player in (EXIST, UNIV):
+            assert sets(small, player, lambda ms: tuple(origin[m] for m in ms),
+                        lambda info: info.actions) == sets(
+                game, player, lambda ms: tuple(m for m in ms if m in kept),
+                lambda info: tuple(a for k, a in enumerate(info.actions)
+                                   if k not in drops.get((player, info.index), ())))
+        if len(small) == len(game):
+            return small
+        game, lam = small, small_lam
 
 
 _CORPUS_GAMES = sorted({(e.game or e.formula, c.structure, c.nature)
@@ -172,7 +230,7 @@ _CORPUS_GAMES = sorted({(e.game or e.formula, c.structure, c.nature)
 def test_settling_keeps_the_order_of_information_sets():
     game, lam = load_game(_REORDERING_GAME, None)
     small = _check_settled_sets(game, lam)
-    assert len(small) == len(game) - 3
+    assert len(small) == len(game) - 4
     labels = [info.label for info in small.information_partition(EXIST)]
     assert labels == [info.label for info in game.information_partition(EXIST)]
     for source, structure, nature in _CORPUS_GAMES:
@@ -196,9 +254,10 @@ _MONTY_HALL_ON_N_DOORS = {
     "phi_mh_chance.if": lambda n: F(3 * n - 2, n * n),
     "phi_mh_prime_chance.if": lambda n: F(1, n),
 }
-# phi_mh on five doors is left out: it takes over a minute
-_FAMILY = [(n, name) for n in (4, 5) for name in _MONTY_HALL_ON_N_DOORS
-           if (n, name) != (5, "phi_mh.if")]
+# phi_mh on five doors is left out: it takes about 35 s; the other three
+# sentences settle to small games on six doors too
+_FAMILY = [(n, name) for n in (4, 5, 6) for name in _MONTY_HALL_ON_N_DOORS
+           if n == 4 or name != "phi_mh.if"]
 
 
 @pytest.mark.parametrize("n, name", _FAMILY, ids=[f"{name}-{n}" for n, name in _FAMILY])
@@ -206,3 +265,22 @@ def test_monty_hall_on_n_doors(n, name):
     universe = "universe " + " ".join(str(d) for d in range(1, n + 1))
     game, lam = load_game(corpus_text(name), universe)
     assert solve(game, lam).value == _MONTY_HALL_ON_N_DOORS[name](n)
+
+
+# on three doors: the nodes of the tree as built and as settled, and the
+# classes (I x II) of the settled matrix
+_SETTLED_ON_THREE_DOORS = [
+    ("phi_mh.if", 229, 61, (12, 6)),
+    ("phi_mh_prime.if", 283, 13, (3, 3)),
+    ("phi_mh_chance.if", 229, 76, (12, 1)),
+    ("phi_mh_prime_chance.if", 283, 88, (12, 1)),
+]
+
+
+@pytest.mark.parametrize("name, nodes, settled, classes", _SETTLED_ON_THREE_DOORS,
+                         ids=[row[0] for row in _SETTLED_ON_THREE_DOORS])
+def test_settled_sizes_on_three_doors(name, nodes, settled, classes):
+    game, lam = load_game(corpus_text(name), corpus_text("doors3.struct"))
+    eq = solve(game, lam)
+    assert eq.matrix.log[0] == f"tree: {nodes} -> {settled} nodes"
+    assert eq.matrix.shape == classes
