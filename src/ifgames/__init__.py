@@ -73,7 +73,6 @@ from .strategy import (
     StrategyList,
     embedded_nature,
     enumerate_reduced,
-    follow_classes,
     follows,
     play_masses,
     reduced_from_rules,

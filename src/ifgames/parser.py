@@ -69,7 +69,7 @@ from .strategy import (
     ReducedStrategy,
     embedded_nature,
     own_reachable_closure,
-    uniform_nature,
+    uniform_dists,
 )
 from .structure import Assignment, Structure, chain_test, relation_test
 
@@ -549,7 +549,7 @@ def parse_nature_strategy(src: str, game: ExtensiveGame):
                 f"rule at line {rule.lineno} is keyed by {rule.key!r}, which "
                 f"names no chance point of the game"
             )
-    dists = dict(uniform_nature(game).dists)
+    dists = uniform_dists(game)
     for node, key in keys.items():
         actions = game.actions(node)
         assignment = game.assignment[node].as_dict()

@@ -3,13 +3,14 @@
 Every value-path computation is exact.  A payoff matrix is held as the
 win-terminal follow tables of both players' follow classes of reduced
 strategies (those that follow the same verifier-win terminals, and so have
-equal payoffs; :func:`~ifgames.strategy.follow_classes` finds them without
-enumerating the strategies) and the terminals' integer chance weights over
-one common denominator; a cell is the weighted count of the terminals both
-classes follow, computed only for the cells a restricted LP needs.  The
-chance weights, the tree certificate and conditioning all read one integer
-pass, :func:`~ifgames.strategy.play_masses`.  The
-cell budgets count the strategies, not the classes.  :func:`solve` always
+equal payoffs; found by grouping the rows of each side's enumeration,
+:func:`~ifgames.strategy.enumerate_reduced`) and the terminals' integer
+chance weights over one common denominator; a cell is the weighted count
+of the terminals both classes follow, computed only for the cells a
+restricted LP needs.  The chance weights, the tree certificate and
+conditioning all read one integer pass,
+:func:`~ifgames.strategy.play_masses`.  The cell budgets count the
+strategies, not the classes.  :func:`solve` always
 first settles the tree to a fixpoint by weak dominance, certifying each
 pass: nodes whose winner is already fixed, and actions dominated at a
 whole information set.  The LP is one column-generation (double-oracle)
@@ -51,7 +52,8 @@ from .strategy import (
     MixedStrategy,
     ReducedStrategy,
     StrategyList,
-    follow_classes,
+    enumerate_reduced,
+    own_histories,
     play_masses,
     uniform_nature,
 )
@@ -106,24 +108,26 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
     A cell sums the chance masses of the verifier-win terminals that both
     strategies follow, so strategies that follow the same win terminals
     have equal payoffs: one row (column) per such class, listed in
-    ``rows`` (``cols``) as its first member in enumeration order.  The
-    classes and their follow tables come from
-    :func:`~ifgames.strategy.follow_classes`, which does not enumerate the
-    strategies; no cell is computed here.  Raises :class:`BudgetError`
-    when the strategies would give more than ``DEFAULT_CELL_BUDGET``
-    payoff cells, or follow cells on one side, and :class:`GameError` when
-    the common denominator exceeds 64-bit integers.
+    ``rows`` (``cols``) as its first member in enumeration order.  Each
+    side is enumerated (:func:`~ifgames.strategy.enumerate_reduced`) and
+    its strategies grouped by their follow rows; no cell is computed here.
+    Raises :class:`BudgetError` when the strategies would give more than
+    ``DEFAULT_CELL_BUDGET`` payoff cells, or follow cells on one side,
+    before any follow table is taken, and :class:`GameError` when the
+    common denominator exceeds 64-bit integers.
     """
     win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
-    rows, f_row, count_rows = follow_classes(g, EXIST, win_nodes, budget)
-    cols, f_col, count_cols = follow_classes(g, UNIV, win_nodes, budget)
-    cells = count_rows * count_cols
+    rows = enumerate_reduced(g, EXIST, budget)
+    cols = enumerate_reduced(g, UNIV, budget)
+    cells = len(rows) * len(cols)
     if cells > DEFAULT_CELL_BUDGET:
         raise BudgetError("payoff cell", DEFAULT_CELL_BUDGET, cells)
-    for count in (count_rows, count_cols):
-        cells = count * len(win_nodes)
+    for strats in (rows, cols):
+        cells = len(strats) * len(win_nodes)
         if cells > DEFAULT_CELL_BUDGET:
             raise BudgetError("follow cell", DEFAULT_CELL_BUDGET, cells)
+    rows, f_row = _classes(rows, win_nodes)
+    cols, f_col = _classes(cols, win_nodes)
     masses, scale = play_masses(g, lam)
     masses = [masses[t] for t in win_nodes]
     common = math.gcd(scale, *masses)
@@ -132,6 +136,32 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
         raise GameError("payoff denominators exceed 64-bit integers")
     weights = np.array([m // common for m in masses], dtype=np.int64)
     return PayoffMatrix(rows, cols, f_row, f_col, weights, den)
+
+
+def _classes(strats: StrategyList, nodes: list[int]
+             ) -> tuple[StrategyList, np.ndarray]:
+    """The classes of ``strats`` that follow the same histories among
+    ``nodes``: the first member of each, in enumeration order, and the
+    boolean (classes x nodes) follow table of those members."""
+    own = own_histories(strats.game, strats.player)
+    columns = np.ascontiguousarray(strats.table.T)
+    follow = np.ones((len(nodes), len(strats)), dtype=bool)
+    for row, node in zip(follow, nodes):
+        for ci, ai in own[node]:
+            row &= columns[ci] == ai
+    first = np.zeros(1, dtype=np.intp)  # no node: every strategy is one class
+    if nodes:
+        # a stable sort by the packed columns lists each class in
+        # enumeration order, so the first of each run of equal columns is
+        # its first member
+        packed = np.packbits(follow, axis=0)
+        order = np.lexsort(packed)
+        ordered = packed[:, order]
+        start = np.ones(len(order), dtype=bool)
+        start[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        first = np.sort(order[start])
+    classes = StrategyList(strats.game, strats.player, strats.table[first])
+    return classes, follow[:, first].T
 
 
 # ------------------------------------------------------------------ the LP

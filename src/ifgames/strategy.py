@@ -7,9 +7,7 @@ canonical information-set order, so strategy indices are reproducible; the
 whole enumeration is carried as one integer table (one row per strategy,
 one column per information set, ``-1`` marking unreachable sets) because
 interesting semantic games have strategy counts in the hundreds of
-thousands.  :func:`follow_classes` reaches the classes of strategies that
-follow the same histories, one row per class (its first member), without
-that table.  :func:`play_masses` gives, per node, the probability that play
+thousands.  :func:`play_masses` gives, per node, the probability that play
 under a chance strategy and any mixes reaches it, in integers over one
 scale.
 """
@@ -26,7 +24,7 @@ from .errors import BudgetError, GameError, NatureStrategyError
 from .game import EXIST, NATURE, UNIV, ExtensiveGame, InfoSet
 
 DEFAULT_STRATEGY_BUDGET = 10**6
-# cells of one table: a frontier step's 64-bit words here; in solver.py the
+# cells of one table: the enumeration's strategy table here; in solver.py the
 # payoff cells (a guard before the double-oracle loop, whose exact LPs would
 # run for hours on phi_mh on six doors), one side's follow cells and the
 # sampler's action table
@@ -129,8 +127,7 @@ class StrategyList(Sequence):
 
 def _smallest_int_dtype(max_value: int):
     """The narrowest signed integer type that holds ``0..max_value``: the
-    one width rule for the integer tables of strategies.  Action counts and
-    walk positions stay below 2**63 (see :func:`follow_classes`)."""
+    one width rule for the integer tables of strategies."""
     for dtype in (np.int8, np.int16, np.int32):
         if max_value <= np.iinfo(dtype).max:
             return dtype
@@ -155,7 +152,8 @@ def enumerate_reduced(g: ExtensiveGame, player: int,
     """Every reduced strategy of ``player``, in depth-first choice order.
 
     Raises :class:`BudgetError` as soon as the running count passes
-    ``budget`` (the count reached is reported).
+    ``budget`` (the count reached is reported), or the table would pass
+    ``DEFAULT_CELL_BUDGET`` cells, before that table is allocated.
     """
     own = own_histories(g, player)
     infosets = g.information_partition(player)
@@ -169,6 +167,9 @@ def enumerate_reduced(g: ExtensiveGame, player: int,
         total = int(counts.sum())
         if total > budget:
             raise BudgetError("strategy", budget, total)
+        cells = total * len(infosets)
+        if cells > DEFAULT_CELL_BUDGET:  # the next table's cells, not yet taken
+            raise BudgetError("strategy cell", DEFAULT_CELL_BUDGET, cells)
         src = np.repeat(np.arange(len(table), dtype=np.int64), counts)
         new = table[src]
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -176,160 +177,6 @@ def enumerate_reduced(g: ExtensiveGame, player: int,
         new[:, k] = np.where(reach[src], pos, -1).astype(dtype)
         table = new
     return StrategyList(g, player, table)
-
-
-def follow_classes(g: ExtensiveGame, player: int, nodes: Sequence[int],
-                   budget: int = DEFAULT_STRATEGY_BUDGET
-                   ) -> tuple[StrategyList, np.ndarray, int]:
-    """The classes of ``player``'s reduced strategies that follow the same
-    histories among ``nodes``, without enumerating the strategies.
-
-    Returns a :class:`StrategyList` with one row per class, the row of its
-    first member, in enumeration order; the boolean (classes x nodes)
-    follow table of those members; and the number of strategies.  Raises
-    :class:`BudgetError` where :func:`enumerate_reduced` would, with the
-    same count reached; a budget too large for exact 64-bit counts acts
-    as the largest one that keeps them exact.  A set whose children would
-    take more than ``DEFAULT_CELL_BUDGET`` state words raises the
-    "frontier cell" :class:`BudgetError` before they are allocated.
-
-    A frontier walk over the information sets in canonical order.  An
-    *item* is the own history (:func:`own_histories`) of a member of a set
-    or of a node in ``nodes``; the state of a partial strategy is the
-    bitmask of the items its choices so far allow, less the members of the
-    sets already walked.  The completions of a partial strategy and the nodes
-    they follow depend on its state alone.  At set k a state that allows a
-    member of k branches into one child per action, in action order, and
-    any other state passes through, as the ``-1`` of the enumeration
-    does.  Children in the same state merge into the first of them and add
-    up the partial strategies they stand for, so depth-first order, which
-    is enumeration order, keeps each state's first partial strategy; their
-    running count is enumeration's row count at every set, and it bounds
-    the frontier.  After the last set only node bits are left, and the
-    states are the classes; walking back from them through the sets gives
-    their first members' rows.
-    """
-    own = own_histories(g, player)
-    infosets = g.information_partition(player)
-    k_total = len(infosets)
-    # per item, the last set that reads it (nodes are read at the end); bits
-    # go to items in order of last use, latest first, so that the items a
-    # state still holds after set k fill its first ``words[k]`` words
-    last: dict[Constraints, int] = {}
-    for info in infosets:
-        for m in info.members:
-            last[own[m]] = info.index
-    for node in nodes:
-        last[own[node]] = k_total
-    items = sorted(last, key=last.get, reverse=True)
-    bit = {constraints: i for i, constraints in enumerate(items)}
-    words = [sum(1 for c in items if last[c] > k) // 64 + 1
-             for k in range(k_total)]
-    widest = max((len(info.actions) for info in infosets), default=0)
-    reach = np.zeros((k_total, len(bit)), dtype=bool)
-    # keep[k, a]: the items that action a at set k allows and that later sets
-    # or the nodes still read; row ``widest`` is for states that pass through
-    keep = np.ones((k_total, widest + 1, len(bit)), dtype=bool)
-    for c, i in bit.items():
-        keep[last[c]:, :, i] = False
-        for ci, ai in c:
-            keep[ci, :ai, i] = False
-            keep[ci, ai + 1:widest, i] = False
-    for info in infosets:
-        reach[info.index, [bit[own[m]] for m in info.members]] = True
-
-    def pack(bits: np.ndarray) -> np.ndarray:
-        """Bits along the last axis to ``uint64`` words along the first."""
-        padded = np.zeros(bits.shape[:-1] + (len(bit) // 64 * 64 + 64,), dtype=bool)
-        padded[..., :len(bit)] = bits
-        return np.moveaxis(
-            np.packbits(padded, axis=-1, bitorder="little").view("<u8"), -1, 0)
-
-    reach, keep = pack(reach), pack(keep)  # (words, sets), (words, sets, actions)
-    states = pack(np.ones((1, len(bit)), dtype=bool))  # (words, states)
-    counts = np.ones(1, dtype=np.int64)
-    # a count grows at most ``widest``-fold per set, so int64 counts stay
-    # exact below this limit; positions stay below it too
-    limit = min(budget, (2**63 - 1) // max(widest, 1))
-    position = _smallest_int_dtype(limit)
-    dtype = _smallest_int_dtype(widest)
-    steps = []
-    for k in range(k_total):
-        live = np.zeros(states.shape[1], dtype=bool)
-        for row, mask in zip(states, reach[:, k]):
-            live |= (row & mask) != 0
-        widths = np.where(live, len(infosets[k].actions), 1)
-        total = int(counts @ widths)
-        if total > limit:
-            raise BudgetError("strategy", limit, total)
-        kept = words[k]
-        cells = kept * int(widths.sum())
-        if cells > DEFAULT_CELL_BUDGET:  # the children's words, not yet taken
-            raise BudgetError("frontier cell", DEFAULT_CELL_BUDGET, cells)
-        offsets = np.zeros(len(widths) + 1, dtype=position)
-        np.cumsum(widths, out=offsets[1:])
-        parent = np.repeat(np.arange(len(widths), dtype=position), widths)
-        action = np.where(live[parent],
-                          np.arange(offsets[-1]) - offsets[parent], widest)
-        children = (np.take(states[:kept], parent, axis=1)
-                    & np.take(keep[:kept, k], action, axis=1))
-        first, counts = _merge(children, counts[parent])
-        states = np.take(children, first, axis=1)
-        # the first partial strategy of each state: its parent's plus one
-        # action, or none at a set it passes through
-        up = parent[first]
-        steps.append((up, np.where(live[up], action[first], -1).astype(dtype)))
-    at = np.arange(states.shape[1], dtype=position)
-    table = np.empty((k_total, states.shape[1]), dtype=dtype)
-    for k in reversed(range(k_total)):
-        up, chosen = steps[k]
-        table[k] = chosen[at]
-        at = up[at]
-    follow = np.empty((len(nodes), states.shape[1]), dtype=bool)
-    for row, node in zip(follow, nodes):
-        word, shift = divmod(bit[own[node]], 64)
-        row[:] = (states[word] >> np.uint64(shift)) & np.uint64(1)
-    return StrategyList(g, player, table.T), follow.T, int(counts.sum())
-
-
-def _merge(columns: np.ndarray, counts: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal columns of a (words x n) ``uint64`` array.
-
-    Returns the first column of each group, ascending, and the sum of
-    ``counts`` over each group.  Columns are sorted by a 64-bit key, and
-    equal keys are accepted as one group only once the columns under them
-    are seen to be equal; another key is drawn otherwise.
-    """
-    n = columns.shape[1]
-    salt = 0
-    while True:
-        # one word is its own key; a salt changes the mixing of several
-        key = columns[0] ^ np.uint64(salt)
-        for word in columns[1:]:
-            key = _mix(key) ^ word
-        order = np.argsort(key)
-        ordered = key[order]
-        start = np.ones(n, dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
-        if start.all():  # no two keys alike, so no two columns either
-            return np.arange(n), counts
-        same = ~start[1:]
-        later, earlier = order[1:][same], order[:-1][same]
-        if all(np.array_equal(word[later], word[earlier]) for word in columns):
-            break
-        salt += 1
-    starts = np.flatnonzero(start)
-    first = np.minimum.reduceat(order, starts)
-    in_order = np.argsort(first)
-    return first[in_order], np.add.reduceat(counts[order], starts)[in_order]
-
-
-def _mix(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, a bijection of ``uint64``."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 def own_reachable_closure(g: ExtensiveGame, player: int, choose) -> dict[int, int]:
@@ -413,19 +260,24 @@ class BehavioralStrategy:
         return self.dists[node]
 
 
-def uniform_nature(g: ExtensiveGame) -> BehavioralStrategy:
-    """The uniform behavioral strategy at every chance decision point."""
+def uniform_dists(g: ExtensiveGame) -> dict[int, tuple[Fraction, ...]]:
+    """The uniform distribution at every chance decision point, by node."""
     dists = {}
     for node in g.chance_nodes():
         n = len(g.children[node])
         dists[node] = tuple(Fraction(1, n) for _ in range(n))
-    return BehavioralStrategy(g, dists)
+    return dists
+
+
+def uniform_nature(g: ExtensiveGame) -> BehavioralStrategy:
+    """The uniform behavioral strategy at every chance decision point."""
+    return BehavioralStrategy(g, uniform_dists(g))
 
 
 def embedded_nature(g: ExtensiveGame) -> BehavioralStrategy:
     """The behavioral strategy a ``.game`` file declared inline (uniform at
     chance points it gives no probabilities for)."""
-    return BehavioralStrategy(g, {**uniform_nature(g).dists, **g.embedded_chance})
+    return BehavioralStrategy(g, {**uniform_dists(g), **g.embedded_chance})
 
 
 def play_masses(g: ExtensiveGame, lam: BehavioralStrategy,

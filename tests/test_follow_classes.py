@@ -1,12 +1,12 @@
-"""Follow classes by the frontier walk against the enumeration they replace.
+"""Follow classes of the payoff matrix against the enumeration they group.
 
-``follow_classes`` must give what enumerating every reduced strategy and
+``build_matrix`` must give what enumerating every reduced strategy and
 grouping the follow table gives (``_follow_classes(_follow_matrix(...))`` in
-``test_solver.py``): the same strategy count, the same number of classes,
-the action row of each class's first member in enumeration order, the same
-follow bits, and the same ``BudgetError`` at the same count.  Checked on
-every corpus game, on the negated Monty Hall sentence (whose falsifier has
-the 823,875 strategies) and on seeded random sentences.
+``test_solver.py``): per side, the action row of each class's first member
+in enumeration order and the same follow bits, and the enumeration's
+``BudgetError`` at the same count.  Checked on every corpus game, on the
+negated Monty Hall sentence (whose falsifier has the 823,875 strategies)
+and on seeded random sentences.
 """
 
 import random
@@ -19,16 +19,15 @@ from ifgames import (
     EXIST,
     UNIV,
     BudgetError,
-    ReducedStrategy,
     build_matrix,
-    solve,
+    embedded_nature,
     uniform_nature,
 )
-from ifgames import strategy
+from ifgames import solver, strategy
 from ifgames.cli import main
 from ifgames.corpus import CORPUS, corpus_text
 from ifgames.parser import load_game
-from ifgames.strategy import enumerate_reduced, follow_classes
+from ifgames.strategy import enumerate_reduced
 from random_sentences import random_game
 from test_solver import _follow_classes, _follow_matrix
 
@@ -57,39 +56,48 @@ def _wins(game):
     return [t for t in game.terminals() if game.winner_of[t] == EXIST]
 
 
-def assert_classes_match(game, player, nodes, budget=strategy.DEFAULT_STRATEGY_BUDGET):
-    """Check ``follow_classes`` against the enumeration; returns the class
-    list, the enumerated list and the enumeration index of each class's
-    first member (``None`` when both raised the same BudgetError)."""
-    want = _outcome(lambda: enumerate_reduced(game, player, budget))
-    got = _outcome(lambda: follow_classes(game, player, nodes, budget))
-    if isinstance(want, tuple):
-        assert got == want
-        return None
-    classes, follow, count = got
+def assert_side_matches(classes, follow, want, nodes):
+    """Check one side's class list and follow table against the
+    enumeration ``want``; returns the enumeration index of each class's
+    first member."""
     table = _follow_matrix(want, nodes)
     first = _follow_classes(table)
-    assert count == len(want)
     assert len(classes) == len(first)
     assert np.array_equal(classes.table, want.table[first])
     assert np.array_equal(follow, table[first])
-    return classes, want, first
+    return first
+
+
+def assert_matrix_matches(game, lam, budget=strategy.DEFAULT_STRATEGY_BUDGET):
+    """Check ``build_matrix``'s classes against the enumeration; returns,
+    per side, the class list, the enumerated list and the enumeration index
+    of each class's first member (nothing when both raised the same
+    BudgetError, the enumeration's of I, then of II)."""
+    want = [_outcome(lambda: enumerate_reduced(game, player, budget))
+            for player in (EXIST, UNIV)]
+    got = _outcome(lambda: build_matrix(game, lam, budget))
+    errors = [w for w in want if isinstance(w, tuple)]
+    if errors:
+        assert got == errors[0]
+        return []
+    wins = _wins(game)
+    return [(classes, strats, assert_side_matches(classes, follow, strats, wins))
+            for classes, follow, strats in ((got.rows, got.f_row, want[0]),
+                                             (got.cols, got.f_col, want[1]))]
 
 
 @pytest.mark.parametrize("source, structure, nature", _GAMES,
                          ids=[s if not t else f"{s}/{t}" + (f"/{n}" if n else "")
                               for s, t, n in _GAMES])
 def test_corpus_classes_equal_enumeration(source, structure, nature):
-    game, _ = _load(source, structure, nature)
-    for player in (EXIST, UNIV):
-        found = assert_classes_match(game, player, _wins(game))
-        if found is not None and len(found[1]) <= 10**4:
-            got, want, first = found
+    game, lam = _load(source, structure, nature)
+    for got, want, first in assert_matrix_matches(game, lam):
+        if len(want) <= 10**4:
             assert list(got) == [want[int(i)] for i in first]
 
 
 def test_strategy_rows_equal_enumeration(mh_game):
-    got, want, first = assert_classes_match(mh_game, EXIST, _wins(mh_game))
+    (got, want, first), _ = assert_matrix_matches(mh_game, uniform_nature(mh_game))
     # every class row is the enumerated strategy at its first member
     assert len(got) == 4_114
     assert all(got[k] == want[int(i)] for k, i in enumerate(first))
@@ -121,7 +129,7 @@ def test_budget_error_at_every_running_total(request, name):
             assert len(totals) > 2
         for total in totals:
             for budget in (total - 1, total):
-                assert_classes_match(game, player, _wins(game), budget)
+                assert_matrix_matches(game, embedded_nature(game), budget)
 
 
 def test_random_sentences_classes_equal_enumeration():
@@ -130,100 +138,56 @@ def test_random_sentences_classes_equal_enumeration():
         game = random_game(seed)
         terminals = game.terminals()
         subset = random.Random(seed).sample(terminals, len(terminals) // 2)
+        found = assert_matrix_matches(game, uniform_nature(game), budget=10**4)
         for player in (EXIST, UNIV):
-            for nodes in (_wins(game), subset):
-                got = assert_classes_match(game, player, nodes, budget=10**4)
-                if got is not None:
-                    checked += 1
-                    merged += len(got[1]) > len(got[0])
+            want = _outcome(lambda: enumerate_reduced(game, player, 10**4))
+            if not isinstance(want, tuple):
+                classes, follow = solver._classes(want, subset)
+                first = assert_side_matches(classes, follow, want, subset)
+                found.append((classes, want, first))
+        checked += len(found)
+        merged += sum(len(want) > len(got) for got, want, _ in found)
     assert checked >= 800
     assert merged >= 150
 
 
-def test_value_path_does_not_enumerate(monkeypatch, capsys, mh_game):
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_reduced called")
+def test_value_path_enumerates_the_settled_game(monkeypatch, capsys):
+    real, calls = solver.enumerate_reduced, []
 
-    monkeypatch.setattr(strategy, "enumerate_reduced", refuse)
-    matrix = build_matrix(mh_game, uniform_nature(mh_game))
-    assert matrix.shape == (4_114, 81)
-    eq = solve(mh_game, uniform_nature(mh_game))
-    assert [s.lines() for s, _ in eq.row_strategies()]
+    def record(game, player, *args):
+        strats = real(game, player, *args)
+        calls.append((len(game), player, len(strats)))
+        return strats
+
+    monkeypatch.setattr(solver, "enumerate_reduced", record)
     corpus = resources.files("ifgames") / "corpus"
     assert main(["value", str(corpus / "phi_mh.if"), str(corpus / "doors3.struct")]) == 0
     assert "value = 2/3" in capsys.readouterr().out
+    assert calls == [(61, EXIST, 12), (61, UNIV, 6)]
 
 
-def test_class_lists_read_without_enumerating(monkeypatch, mh_game):
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_reduced called")
-
-    monkeypatch.setattr(strategy, "enumerate_reduced", refuse)
-    matrix = build_matrix(mh_game, uniform_nature(mh_game))
-    read = list(matrix.rows) + list(matrix.cols)
-    assert len(read) == 4_114 + 81
-    assert all(isinstance(s, ReducedStrategy) for s in read)
-
-
-def test_merge_draws_another_key_on_a_collision(monkeypatch):
-    rng = np.random.default_rng(3)
-    columns = rng.integers(0, 4, size=(2, 200)).astype(np.uint64)
-    want = strategy._merge(columns, np.arange(200))
-    real, calls = strategy._mix, []
-
-    def colliding(x):
-        calls.append(len(x))
-        # the first key is the second word alone, which columns share
-        return np.zeros_like(x) if len(calls) == 1 else real(x)
-
-    monkeypatch.setattr(strategy, "_mix", colliding)
-    got = strategy._merge(columns, np.arange(200))
-    assert len(calls) == 2
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
-    first, summed = want
-    _, first_ref, inverse = np.unique(columns.T, axis=0, return_index=True,
-                                      return_inverse=True)
-    assert first.tolist() == sorted(first_ref.tolist())
-    # per column, its group, the groups numbered in order of their first column
-    group = np.argsort(np.argsort(first_ref))[inverse.ravel()]
-    assert np.array_equal(columns[:, first][:, group], columns)
-    assert summed.tolist() == [int(np.arange(200)[group == g].sum())
-                               for g in range(len(first))]
-
-
-def test_counts_beyond_int64_stop_at_the_exact_limit():
-    # the verifier picks y in each of 64 sets (one per x); its 64**64
-    # strategies fall into few enough states that only the counts grow
-    universe = " ".join(str(i) for i in range(64))
-    game, _ = load_game("forall x exists y (x = y)", f"universe {universe}\n", None)
-    with pytest.raises(BudgetError) as info:
-        follow_classes(game, EXIST, _wins(game), budget=10**30)
-    limit = (2**63 - 1) // 64
-    assert (info.value.limit, info.value.reached) == (limit, 64**10)
-    assert follow_classes(game, UNIV, _wins(game), budget=10**30)[2] == 64
-
-
-def test_frontier_cell_budget_exits_two(monkeypatch, tmp_path, capsys):
-    # the verifier's last set branches 625 states into 3,125 children of one
-    # word each: a budget of one word less stops the walk before they are
-    # taken, and the exact count lets it pass
+def test_strategy_cell_budget_exits_two(monkeypatch, tmp_path, capsys):
+    # the verifier's 3,125 strategies over its 5 sets take 15,625 cells at
+    # the last set: a budget of one cell less stops the enumeration before
+    # that table is taken, and the exact count lets it pass
     sentence = "forall x forall z (exists y/{x}) (x = y)"
     game, _ = load_game(sentence, "universe 1 2 3 4 5\n", None)
-    monkeypatch.setattr(strategy, "DEFAULT_CELL_BUDGET", 3124)
+    monkeypatch.setattr(strategy, "DEFAULT_CELL_BUDGET", 15_624)
     with pytest.raises(BudgetError) as info:
-        follow_classes(game, EXIST, _wins(game))
+        enumerate_reduced(game, EXIST)
     assert (info.value.what, info.value.limit, info.value.reached) == \
-        ("frontier cell", 3124, 3125)
+        ("strategy cell", 15_624, 15_625)
     (tmp_path / "phi.if").write_text(sentence + "\n")
     (tmp_path / "five.struct").write_text("universe 1 2 3 4 5\n")
-    code = main(["value", str(tmp_path / "phi.if"), str(tmp_path / "five.struct")])
+    args = ["value", str(tmp_path / "phi.if"), str(tmp_path / "five.struct")]
+    code = main(args)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == \
-        "error: frontier cell budget exceeded: limit 3124, reached 3125\n"
-    monkeypatch.setattr(strategy, "DEFAULT_CELL_BUDGET", 3125)
-    assert follow_classes(game, EXIST, _wins(game))[2] == 3125
+        "error: strategy cell budget exceeded: limit 15624, reached 15625\n"
+    monkeypatch.setattr(strategy, "DEFAULT_CELL_BUDGET", 15_625)
+    assert len(enumerate_reduced(game, EXIST)) == 3_125
+    assert main(args) == 0
 
 
 @pytest.mark.parametrize("n", [129, 32_769])
@@ -231,8 +195,10 @@ def test_wide_set_keeps_its_last_action(n):
     # one verifier set of n actions; only the last one wins, and a table
     # too narrow for n - 1 would lose it
     universe = " ".join(str(i) for i in range(1, n + 1))
-    game, _ = load_game(f"exists y (y = {n})", f"universe {universe}\n", None)
-    rows, follow, count = follow_classes(game, EXIST, _wins(game))
-    assert count == n
-    assert rows.table[follow[:, 0], 0].tolist() == [n - 1]
-    assert enumerate_reduced(game, EXIST).table[n - 1].tolist() == [n - 1]
+    game, lam = load_game(f"exists y (y = {n})", f"universe {universe}\n", None)
+    matrix = build_matrix(game, lam)
+    assert matrix.shape == (2, 1)
+    assert matrix.rows.table[matrix.f_row[:, 0], 0].tolist() == [n - 1]
+    strats = enumerate_reduced(game, EXIST)
+    assert len(strats) == n
+    assert strats.table[n - 1].tolist() == [n - 1]

@@ -7,6 +7,7 @@ import pytest
 from ifgames import (
     EXIST,
     App,
+    BehavioralStrategy,
     BudgetError,
     ChainAtom,
     ChanceQ,
@@ -296,6 +297,27 @@ def test_nature_guard_matching_no_history_is_allowed(smp_game):
     uniform = uniform_nature(smp_game)
     for node in smp_game.chance_nodes():
         assert lam.distribution(node) == uniform.distribution(node)
+
+
+@pytest.mark.parametrize("source, structure, nature", [
+    ("monty_hall.game", None, None),
+    ("stochastic_matching_pennies.if", "binary.struct", None),
+    ("stochastic_matching_pennies.if", "binary.struct", "biased_coin.nat"),
+], ids=["game-file", "formula", "nat-file"])
+def test_each_load_builds_one_chance_strategy(monkeypatch, source, structure, nature):
+    # the uniform defaults are read as plain distributions, so the one
+    # strategy load_game returns is the only one it builds and validates
+    built, real = [], BehavioralStrategy.__init__
+
+    def record(self, game, dists):
+        built.append(game)
+        real(self, game, dists)
+
+    monkeypatch.setattr(BehavioralStrategy, "__init__", record)
+    game, lam = load_game(corpus_text(source), structure and corpus_text(structure),
+                          nature and corpus_text(nature))
+    assert built == [game]
+    assert lam.game is game
 
 
 def test_nature_occurrence_key_on_chance_or(binary):

@@ -20,8 +20,9 @@ from ifgames import EXIST, UNIV, BudgetError, GameError, solve
 from ifgames import solver
 from ifgames.corpus import CORPUS, corpus_text
 from ifgames.parser import load_game
-from ifgames.strategy import DEFAULT_STRATEGY_BUDGET, follow_classes, play_masses
+from ifgames.strategy import DEFAULT_STRATEGY_BUDGET, enumerate_reduced, play_masses
 from random_sentences import seeded_sentence
+from test_solver import _follow_matrix
 
 F = Fraction
 
@@ -35,7 +36,7 @@ def _exact_reply(game, lam, mix) -> Fraction:
         return Fraction(solver._tree_reply(game, masses, mix.player), scale)
     wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
     nums = np.array([masses[t] for t in wins], dtype=object)
-    _, table, _ = follow_classes(game, other, wins)
+    table = _follow_matrix(enumerate_reduced(game, other), wins)
     scores = table.astype(object) @ nums
     best = min if mix.player == EXIST else max
     return Fraction(int(best(scores)), scale)
