@@ -78,6 +78,6 @@ from .strategy import (
     reduced_from_rules,
     uniform_nature,
 )
-from .structure import Assignment, Structure, compile_literal
+from .structure import Structure, compile_literal
 
 __version__ = "0.1.0"

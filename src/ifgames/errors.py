@@ -24,7 +24,8 @@ class StructureError(IfGameError):
 
 
 class EvaluationError(IfGameError):
-    """A compiled literal read a variable its assignment leaves unbound.
+    """A compiled literal read a variable that the assignment it was given,
+    a dict from variables to elements, leaves unbound.
 
     A symbol the structure does not interpret is found when the literal is
     compiled, as a :class:`StructureError`; a game's literals are all

@@ -1,12 +1,14 @@
 """Extensive games and the semantic game of a sentence on a structure.
 
 Histories are nodes of an explicit tree; a node id *is* the history (the
-tree is prefix-closed by construction, and each node caches its induced
-assignment and current subformula occurrence).  One class hosts both the
-semantic game of a sentence and a hand-built game read from a ``.game``
-file: each player's node is added with its information set's label and
-the key that orders the sets, and is filed under that label then, so the
-partition only sorts the filed groups.  Chance nodes have no sets.
+tree is prefix-closed by construction).  Each node keeps its subformula
+occurrence and the variable its moves bind, if any, so a history's
+quantifier moves are read off its path (:meth:`ExtensiveGame.bindings`).
+One class hosts both the semantic game of a sentence and a hand-built game
+read from a ``.game`` file: each player's node is added with its
+information set's label and the key that orders the sets, and is filed
+under that label then, so the partition only sorts the filed groups.
+Chance nodes have no sets.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from fractions import Fraction
 
 from .errors import BudgetError, GameError, StructureError
 from .formula import (
-    And,
     ChanceOr,
     ChanceQ,
     Exists,
+    Forall,
     Formula,
     Literal,
     OccurrenceId,
@@ -28,7 +30,7 @@ from .formula import (
     occurrence_label,
     occurrences,
 )
-from .structure import Assignment, Structure, compile_literal
+from .structure import Structure, compile_literal
 
 EXIST, UNIV, NATURE = 0, 1, 2
 TERMINAL = -1
@@ -57,8 +59,9 @@ class ExtensiveGame:
 
     Only I and II have information sets: a node of theirs is added with its
     set's label (:meth:`add_node`), and chance sees the whole history.  A
-    node of a semantic game carries its occurrence ``occ``; a node of a
-    ``.game`` file carries none, and its ``info_label`` is its declared
+    node of a semantic game carries its occurrence ``occ`` and, at a
+    quantifier or chance quantifier, the variable it ``binds``; a node of a
+    ``.game`` file carries neither, and its ``info_label`` is its declared
     label.  A chance node's ``info_label`` is the key that ``.nat`` rules
     name: its chance quantifier's variable, ``@occurrence`` for a
     chance-or, or its declared label.  Sets are ordered by ``info_order``
@@ -78,7 +81,7 @@ class ExtensiveGame:
         self.move: list[str] = []
         self.owner: list[int] = []
         self.winner_of: list[int | None] = []
-        self.assignment: list[Assignment] = []
+        self.binds: list[str | None] = []
         self.occ: list[OccurrenceId | None] = []
         self.info_label: list[str | None] = []
         self.info_order: list[int] = []
@@ -94,7 +97,7 @@ class ExtensiveGame:
     # ---------------------------------------------------------- tree access
 
     def add_node(self, parent: int, move: str, owner: int,
-                 assignment: Assignment, occ: OccurrenceId | None = None,
+                 binds: str | None = None, occ: OccurrenceId | None = None,
                  info_label: str | None = None, winner: int | None = None,
                  label: str | None = None, info_order: int = 0) -> int:
         """Add a node and return its id; one of I or II joins the set named
@@ -108,7 +111,7 @@ class ExtensiveGame:
         self.move.append(move)
         self.owner.append(owner)
         self.winner_of.append(winner)
-        self.assignment.append(assignment)
+        self.binds.append(binds)
         self.occ.append(occ)
         self.info_label.append(info_label)
         self.info_order.append(info_order)
@@ -152,14 +155,23 @@ class ExtensiveGame:
             node = self.parent[node]
         return list(reversed(out))
 
+    def bindings(self, node: int) -> tuple[tuple[str, str], ...]:
+        """The quantifier moves along ``node``'s history, as (variable,
+        element) pairs, first move first.  A variable bound twice appears
+        twice, so ``dict(game.bindings(node))`` is the history's assignment,
+        its later value masking the earlier one."""
+        moves = []
+        at = self.parent[node]
+        while at >= 0:
+            if self.binds[at] is not None:
+                moves.append((self.binds[at], self.move[node]))
+            node, at = at, self.parent[at]
+        return tuple(reversed(moves))
+
     def variables(self) -> tuple[str, ...]:
-        """Variables assigned by quantifier moves anywhere in the game, in
-        the order of the nodes that first bind them.  A node's last binding
-        was made by the node or by an ancestor, which comes before it, so
-        the last bindings alone give every name in that order."""
-        names = dict.fromkeys(s.var for s in self.assignment)
-        names.pop(None, None)
-        return tuple(names)
+        """Variables bound by quantifier moves anywhere in the game, in the
+        order of the nodes that first bind them."""
+        return tuple(dict.fromkeys(v for v in self.binds if v is not None))
 
     # -------------------------------------------------------- information
 
@@ -238,11 +250,14 @@ def build_semantic_game(m: Structure, phi: Formula,
     Quantifier and chance-quantifier nodes branch once per universe element;
     connective nodes branch to their two child occurrences; play ends at
     literals, where the winner is decided by the literal's compiled truth
-    test under the induced assignment.  Every literal occurrence is compiled,
-    in preorder, before any node is built, so an unsuitable structure is
-    reported before the node cap can fire.  A player's node is added with
-    its set's label, ``@occurrence[v=x,...]`` over the bindings outside its
-    slash set, and sets are ordered by their occurrence's place in preorder.
+    test under the history's assignment, a dict carried down the build (a
+    later binding of a variable masks an earlier one).  Every literal
+    occurrence is compiled, in preorder, before any node is built, so an
+    unsuitable structure is reported before the node cap can fire.  A
+    player's node is added with its set's label, ``@occurrence[v=x,...]``
+    over the bindings outside its slash set, and sets are ordered by their
+    occurrence's place in preorder; each occurrence's label is formatted
+    once, with that place.
     """
     fv = free_variables(phi)
     if fv:
@@ -254,34 +269,37 @@ def build_semantic_game(m: Structure, phi: Formula,
                  if isinstance(sub, Literal)}
     except StructureError as exc:
         raise GameError(f"structure not suitable: {exc}") from exc
-    order = {path: i for i, (path, _) in enumerate(occ_list)}
+    order = {path: (i, occurrence_label(path))
+             for i, (path, _) in enumerate(occ_list)}
 
-    stack: list[tuple[OccurrenceId, Formula, int, str, Assignment]] = [
-        ((), phi, -1, "", Assignment.empty())
+    stack: list[tuple[OccurrenceId, Formula, int, str, dict[str, str]]] = [
+        ((), phi, -1, "", {})
     ]
     while stack:
         path, sub, parent, move, s = stack.pop()
         if isinstance(sub, Literal):
             winner = EXIST if tests[path](s) else UNIV
-            game.add_node(parent, move, TERMINAL, s, path, winner=winner)
+            game.add_node(parent, move, TERMINAL, occ=path, winner=winner)
             continue
+        index, name = order[path]
+        binds = sub.var if isinstance(sub, (Exists, Forall, ChanceQ)) else None
         if isinstance(sub, (ChanceOr, ChanceQ)):
             # the .nat key: the variable, or @occurrence for a chance-or
-            key = sub.var if isinstance(sub, ChanceQ) else "@" + occurrence_label(path)
-            node = game.add_node(parent, move, NATURE, s, path, key)
+            key = sub.var if isinstance(sub, ChanceQ) else "@" + name
+            node = game.add_node(parent, move, NATURE, binds, path, key)
         else:
             owner = EXIST if isinstance(sub, (Or, Exists)) else UNIV
-            items = ",".join(f"{v}={x}" for v, x in s.restricted_items(sub.slash))
-            node = game.add_node(parent, move, owner, s, path,
-                                 label=f"@{occurrence_label(path)}[{items}]",
-                                 info_order=order[path])
-        if isinstance(sub, (Or, And, ChanceOr)):
+            items = ",".join(f"{v}={x}" for v, x in sorted(s.items())
+                             if v not in sub.slash)
+            node = game.add_node(parent, move, owner, binds, path,
+                                 label=f"@{name}[{items}]", info_order=index)
+        if binds is None:
             # reversed so children expand left-to-right in preorder
             stack.append((path + (1,), sub.right, node, "R", s))
             stack.append((path + (0,), sub.left, node, "L", s))
         else:
             for el in reversed(m.universe):
-                stack.append((path + (0,), sub.body, node, el, s.extend(sub.var, el)))
+                stack.append((path + (0,), sub.body, node, el, {**s, binds: el}))
     return game
 
 

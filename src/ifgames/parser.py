@@ -20,7 +20,7 @@ which the structure reads as a constant, a 0-ary function or an element
 
 Conditioning events (``not``, ``and``, ``or`` over relation atoms and
 equality chains of any length) are compiled by ``parse_event`` as they are
-parsed, into a test of a terminal's assignment.
+parsed, into a test of a terminal's quantifier moves.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .strategy import (
     own_reachable_closure,
     uniform_dists,
 )
-from .structure import Assignment, Structure, chain_test, relation_test
+from .structure import Structure, chain_test, relation_test
 
 _QUANT_KEYWORDS = ("forall", "exists", "chance")
 
@@ -552,7 +552,7 @@ def parse_nature_strategy(src: str, game: ExtensiveGame):
     dists = uniform_dists(game)
     for node, key in keys.items():
         actions = game.actions(node)
-        assignment = game.assignment[node].as_dict()
+        assignment = dict(game.bindings(node))
         chosen: _NatureRule | None = None
         for rule in rules:
             if rule.key != key:
@@ -638,8 +638,7 @@ def parse_extensive_game(src: str, node_cap: int = DEFAULT_NODE_CAP) -> Extensiv
                 raise ParseError("win must be I or II", lineno, 1)
             if "player" in fields or "info" in fields:
                 raise ParseError("terminal lines carry only action/win/p", lineno, 1)
-            node = game.add_node(parent, move, -1, Assignment.empty(),
-                                 winner=player_codes[win])
+            node = game.add_node(parent, move, -1, winner=player_codes[win])
         else:
             if "player" not in fields:
                 raise ParseError("internal node needs player=", lineno, 1)
@@ -650,8 +649,7 @@ def parse_extensive_game(src: str, node_cap: int = DEFAULT_NODE_CAP) -> Extensiv
             if info is None:
                 raise ParseError("internal node needs info=", lineno, 1)
             node = game.add_node(parent, move, player_codes[player],
-                                 Assignment.empty(), info_label=info,
-                                 label=f"@{info}[]")
+                                 info_label=info, label=f"@{info}[]")
         if parent >= 0 and game.owner[parent] == NATURE:
             if "p" not in fields:
                 raise ParseError("children of chance nodes need p=", lineno, 1)
@@ -778,8 +776,8 @@ class EventPredicate:
     """Quantifier-free condition over a terminal history.
 
     :func:`parse_event` compiles the event into a test of the terminal's
-    assignment; a history in which a referenced binding is missing fails
-    the event.
+    quantifier moves (:meth:`ExtensiveGame.bindings`); a history in which a
+    referenced binding is missing fails the event.
     """
 
     def __init__(self, test, text: str):
@@ -788,7 +786,7 @@ class EventPredicate:
 
     def holds(self, game: ExtensiveGame, node: int) -> bool:
         try:
-            return self._test(game.assignment[node])
+            return self._test(game.bindings(node))
         except _EventMiss:
             return False
 
@@ -835,9 +833,9 @@ def parse_event(src: str, game: ExtensiveGame) -> EventPredicate:
         return parse_atom()
 
     def reader(name: str, k: int):
-        def value(s: Assignment) -> str:
+        def value(bindings: tuple[tuple[str, str], ...]) -> str:
             try:
-                return s.values_of(name)[k]
+                return [x for v, x in bindings if v == name][k]
             except IndexError:
                 raise _EventMiss(name) from None
         return value
@@ -845,7 +843,8 @@ def parse_event(src: str, game: ExtensiveGame) -> EventPredicate:
     def parse_eterm():
         tok = ts.next()
         if tok.kind not in ("name", "num"):
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
+            raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}",
+                             tok.line, tok.col)
         name = tok.text
         if ts.peek().text == "#":
             if tok.kind == "num":

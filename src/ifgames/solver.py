@@ -515,7 +515,7 @@ def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
         owner = TERMINAL if forced[node] is not None else game.owner[node]
         label = sets[owner][infoset[node]].label if owner in sets else None
         new[node] = small.add_node(new[at], game.move[node], owner,
-                                   game.assignment[node], game.occ[node],
+                                   game.binds[node], game.occ[node],
                                    game.info_label[node], forced[node],
                                    label, infoset[node])
         origin.append(node)

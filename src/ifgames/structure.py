@@ -1,4 +1,4 @@
-"""Finite first-order structures, assignments, and the literal compiler.
+"""Finite first-order structures and the literal compiler.
 
 A structure interprets relation, constant and function symbols over a finite
 universe of named elements.  Universe elements are plain strings; numerals
@@ -7,20 +7,24 @@ declared relation.  A bare name denotes a constant's or a 0-ary function's
 value, else the element of that name (:meth:`Structure.element`).
 
 :func:`compile_literal` resolves a literal's symbols in a structure once and
-returns its Tarskian truth test of an :class:`Assignment`; the conditioning
-events of ``parser.parse_event`` are built from the same two tests.
+returns its Tarskian truth test of an assignment, a dict from variables to
+elements; the conditioning events of ``parser.parse_event`` are built from
+the same two tests, over a history's tuple of (variable, element) moves.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 from .errors import EvaluationError, StructureError
 from .formula import EQ, Const, Literal, RelAtom, Term, Var
 
-Value = Callable[["Assignment"], str]
-Test = Callable[["Assignment"], bool]
+# a compiled term's value and a compiled test, read off a history: a
+# literal's from its assignment, an event's from its tuple of moves
+Value = Callable[[Any], str]
+Test = Callable[[Any], bool]
 
 
 @dataclass
@@ -75,77 +79,6 @@ class Structure:
         return self._names.get(name)
 
 
-class Assignment:
-    """Partial variable assignment induced by a history.
-
-    Persistent: extending returns a new assignment sharing this one as its
-    prefix.  Later bindings mask earlier ones for the same variable, but the
-    full binding order is kept (a requantified variable has several values
-    in sequence, which conditioning events may reference).
-    """
-
-    __slots__ = ("_parent", "_var", "_value", "_map")
-
-    def __init__(self, parent: "Assignment | None" = None,
-                 var: str | None = None, value: str | None = None):
-        self._parent = parent
-        self._var = var
-        self._value = value
-        self._map: dict[str, str] | None = None
-
-    @staticmethod
-    def empty() -> "Assignment":
-        return _EMPTY_ASSIGNMENT
-
-    def extend(self, var: str, value: str) -> "Assignment":
-        return Assignment(self, var, value)
-
-    @property
-    def var(self) -> str | None:
-        """The variable of the last binding (None when there is none)."""
-        return self._var
-
-    def as_dict(self) -> dict[str, str]:
-        if self._map is None:
-            if self._parent is None:
-                self._map = {}
-            else:
-                self._map = dict(self._parent.as_dict())
-                self._map[self._var] = self._value  # type: ignore[index]
-        return self._map
-
-    def value(self, var: str) -> str | None:
-        return self.as_dict().get(var)
-
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.as_dict())
-
-    def bindings(self) -> tuple[tuple[str, str], ...]:
-        """All (variable, value) moves in binding order, masks included."""
-        if self._parent is None:
-            return ()
-        return self._parent.bindings() + ((self._var, self._value),)  # type: ignore[arg-type]
-
-    def values_of(self, var: str) -> tuple[str, ...]:
-        """All values bound to ``var`` in order (requantification history)."""
-        return tuple(v for x, v in self.bindings() if x == var)
-
-    def restricted_items(self, exclude: frozenset[str]) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            (var, val) for var, val in sorted(self.as_dict().items())
-            if var not in exclude
-        )
-
-    def __repr__(self):
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.as_dict().items()))
-        return f"Assignment({inner})"
-
-
-_EMPTY_ASSIGNMENT = Assignment()
-
-
-
-
 def relation_test(tuples: frozenset[tuple[str, ...]], args: Sequence[Value]) -> Test:
     """The test that the argument values form a tuple of a relation."""
     return lambda s: tuple(arg(s) for arg in args) in tuples
@@ -154,14 +87,15 @@ def relation_test(tuples: frozenset[tuple[str, ...]], args: Sequence[Value]) -> 
 def chain_test(terms: Sequence[Value], equal: Sequence[bool]) -> Test:
     """The test that consecutive terms are equal where ``equal`` says so and
     unequal elsewhere.  Every term is read before any pair is compared."""
-    def test(s: Assignment) -> bool:
+    def test(s) -> bool:
         values = [term(s) for term in terms]
         return all((a == b) == eq for a, b, eq in zip(values, values[1:], equal))
     return test
 
 
 def compile_literal(m: Structure, lit: Literal) -> Test:
-    """The Tarskian truth test of ``lit`` under an assignment.
+    """The Tarskian truth test of ``lit`` under an assignment, a mapping
+    from variables to elements.
 
     Every symbol is resolved in ``m`` once, reading the atom left to right;
     the first one that ``m`` leaves uninterpreted, or interprets at another
@@ -186,8 +120,8 @@ def _compile_term(m: Structure, term: Term) -> Value:
     if isinstance(term, Var):
         name = term.name
 
-        def value(s: Assignment) -> str:
-            val = s.value(name)
+        def value(s: Mapping[str, str]) -> str:
+            val = s.get(name)
             if val is None:
                 raise EvaluationError(f"unbound variable {name}")
             return val

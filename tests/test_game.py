@@ -64,7 +64,7 @@ def test_matching_pennies_terminals(mp_game):
     # Eloise wins exactly the two histories with matching values
     assert len(wins) == 2
     for t in wins:
-        s = mp_game.assignment[t].as_dict()
+        s = dict(mp_game.bindings(t))
         assert s["x"] == s["y"]
 
 
@@ -137,20 +137,26 @@ def test_prefix_closure(sb_game, mh_game):
 
 
 def test_assignment_recursion(mh_game, phi_mh):
-    # recomputing s_h from the moves along the history matches the cache
-    subformula = dict(occurrences(phi_mh))
-    for node in range(len(mh_game)):
-        s = {}
-        for at in mh_game.ancestors(node) + [node]:
-            move = mh_game.move[at]
-            sub = subformula[mh_game.occ[mh_game.parent[at]]] if at > 0 else None
-            if at > 0 and isinstance(sub, (Exists, Forall, ChanceQ)):
-                s[sub.var] = move
-        assert mh_game.assignment[node].as_dict() == s
+    # recomputing s_h move by move, from the subformula each move leaves,
+    # matches the bindings read off the tree, on Monty Hall and 200 seeds
+    games = [(mh_game, phi_mh)] + [
+        (random_game(seed), parse_formula(seeded_sentence(seed)[0]))
+        for seed in range(200)]
+    for game, phi in games:
+        subformula = dict(occurrences(phi))
+        for node in range(len(game)):
+            moves, s = [], {}
+            for at in (game.ancestors(node) + [node])[1:]:
+                sub = subformula[game.occ[game.parent[at]]]
+                if isinstance(sub, (Exists, Forall, ChanceQ)):
+                    moves.append((sub.var, game.move[at]))
+                    s[sub.var] = game.move[at]
+            assert game.bindings(node) == tuple(moves)
+            assert dict(game.bindings(node)) == s
 
 
 def _indistinguishable(game, a, b, slash):
-    sa, sb = game.assignment[a].as_dict(), game.assignment[b].as_dict()
+    sa, sb = dict(game.bindings(a)), dict(game.bindings(b))
     assert sa.keys() == sb.keys()
     return {v for v in sa if sa[v] != sb[v]} <= slash
 
@@ -217,7 +223,7 @@ def test_slash_free_same_infoset_same_assignment(sb_structure):
     game = build_semantic_game(sb_structure, phi)
     for player in (EXIST, UNIV):
         for info in game.information_partition(player):
-            dicts = {tuple(sorted(game.assignment[m].as_dict().items()))
+            dicts = {tuple(sorted(dict(game.bindings(m)).items()))
                      for m in info.members}
             assert len(dicts) == 1
 
@@ -236,9 +242,15 @@ def test_variables_in_first_binding_order(mh_prime_chance_game, sb_game,
     for game in games + [random_game(seed) for seed in range(200)]:
         seen = {}
         for node in range(len(game)):
-            for var, _ in game.assignment[node].bindings():
+            for var, _ in game.bindings(node):
                 seen.setdefault(var)
         assert game.variables() == tuple(seen)
+
+
+def test_game_file_binds_nothing(fig1_game):
+    # a .game file has no quantifier moves: no node binds a variable
+    assert all(fig1_game.bindings(n) == () for n in range(len(fig1_game)))
+    assert fig1_game.variables() == ()
 
 
 def _dot_node_count(dot):

@@ -246,7 +246,7 @@ def test_nature_empty_file_is_uniform(sb_game):
 def test_nature_lambda_prime(sb_game):
     lam = parse_nature_strategy(corpus_text("sb_lambda_prime.nat"), sb_game)
     for node in sb_game.chance_nodes():
-        s = sb_game.assignment[node].as_dict()
+        s = dict(sb_game.bindings(node))
         if not s:
             assert lam.distribution(node) == (Fraction(1, 2), Fraction(1, 2))
         elif s["x"] == "1":
@@ -531,12 +531,16 @@ def _holding(game, text):
     return {t for t in game.terminals() if event.holds(game, t)}
 
 
+def _values_of(game, t, var):
+    """Every value bound to ``var`` along ``t``'s history, in order."""
+    return tuple(x for v, x in game.bindings(t) if v == var)
+
+
 def test_event_missing_binding_semantics(mh_prime_chance_game):
     # only plays that reach the second (exists y/{x}) bind y twice
     game = mh_prime_chance_game
     terminals = set(game.terminals())
-    values = {t: {v: game.assignment[t].values_of(v) for v in "xyz"}
-              for t in terminals}
+    values = {t: {v: _values_of(game, t, v) for v in "xyz"} for t in terminals}
     assert all(len(values[t]["z"]) == 1 for t in terminals)
     twice = {t for t in terminals if len(values[t]["y"]) == 2}
     y2_is_1 = {t for t in twice if values[t]["y"][1] == "1"}
@@ -558,7 +562,7 @@ def test_event_chains_have_no_length_cap(mh_prime_chance_game):
     game = mh_prime_chance_game
 
     def last(t, v):
-        return game.assignment[t].values_of(v)[-1]
+        return _values_of(game, t, v)[-1]
 
     assert _holding(game, "x != y != z != x") == {
         t for t in game.terminals()
@@ -569,9 +573,9 @@ def test_event_chains_have_no_length_cap(mh_prime_chance_game):
 
 
 def test_event_relations_and_parentheses(sb_game):
-    awake = {t for t in sb_game.terminals()
-             if (sb_game.assignment[t].value("x"), sb_game.assignment[t].value("t"))
-             in sb_game.structure.relations["Awake"][1]}
+    assignment = {t: dict(sb_game.bindings(t)) for t in sb_game.terminals()}
+    awake = {t for t, s in assignment.items()
+             if (s.get("x"), s.get("t")) in sb_game.structure.relations["Awake"][1]}
     assert awake
     assert _holding(sb_game, "Awake(x,t)") == awake
     assert _holding(sb_game, "not Awake(x,t)") == set(sb_game.terminals()) - awake
@@ -596,6 +600,16 @@ def test_event_errors(sb_game, text, error, message):
     with pytest.raises(error) as err:
         parse_event(text, sb_game)
     assert message in str(err.value)
+
+
+def test_event_names_the_end_of_input(sb_game):
+    # as the formula parser does at the same place
+    with pytest.raises(ParseError) as err:
+        parse_event("x = ", sb_game)
+    assert str(err.value) == "1:5: expected a term, found 'end of input'"
+    with pytest.raises(ParseError) as err:
+        parse_formula("forall x (x = ")
+    assert str(err.value) == "1:15: expected a term, found 'end of input'"
 
 
 def test_event_names_no_element_on_a_game_input(fig1_game):

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from ifgames import (
-    Assignment,
+    EXIST,
     ChainAtom,
     Const,
     Literal,
@@ -13,6 +13,7 @@ from ifgames import (
     Structure,
     StructureError,
     Var,
+    build_semantic_game,
     compile_literal,
     negate,
     occurrences,
@@ -38,10 +39,7 @@ def diagnostic(m, phi):
 
 
 def assign(**bindings):
-    s = Assignment.empty()
-    for var, val in bindings.items():
-        s = s.extend(var, val)
-    return s
+    return dict(bindings)
 
 
 def chain(*terms, rels):
@@ -62,11 +60,19 @@ def test_structure_validation():
 
 
 def test_assignment_masking_and_history():
-    s = assign(x="1").extend("y", "2").extend("y", "3")
-    assert s.value("y") == "3"
-    assert s.values_of("y") == ("2", "3")
-    assert s.domain() == {"x", "y"}
-    assert s.bindings() == (("x", "1"), ("y", "2"), ("y", "3"))
+    # a requantified y keeps both moves, in order; the later one masks the
+    # earlier in the assignment, which the literal reads
+    game = build_semantic_game(Structure(("1", "2", "3")),
+                               parse_formula("forall x exists y exists y (x = y)"))
+    node = game.root
+    for move in ("1", "2", "3"):
+        node = next(c for c in game.children[node] if game.move[c] == move)
+    assert game.is_terminal(node)
+    assert game.bindings(node) == (("x", "1"), ("y", "2"), ("y", "3"))
+    assert dict(game.bindings(node)) == {"x": "1", "y": "3"}
+    for t in game.terminals():
+        s = dict(game.bindings(t))
+        assert (game.winner_of[t] == EXIST) == (s["x"] == s["y"])
 
 
 def test_eval_awake_literal(sb_structure):
