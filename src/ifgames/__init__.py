@@ -73,9 +73,7 @@ from .strategy import (
     StrategyList,
     embedded_nature,
     enumerate_reduced,
-    follows,
     play_masses,
-    reduced_from_rules,
     uniform_nature,
 )
 from .structure import Structure, compile_literal

@@ -1,22 +1,20 @@
 """Exact zero-sum solving: payoff matrices, LP, conditioning, simulation.
 
 Every value-path computation is exact.  A payoff matrix is held as the
-win-terminal follow tables of both players' follow classes of reduced
-strategies (those that follow the same verifier-win terminals, and so have
-equal payoffs; found by grouping the rows of each side's enumeration,
-:func:`~ifgames.strategy.enumerate_reduced`) and the terminals' integer
+win-terminal follow tables of both players' reduced strategies, one row
+per strategy of each side's enumeration
+(:func:`~ifgames.strategy.enumerate_reduced`), and the terminals' integer
 chance weights over one common denominator; a cell is the weighted count
-of the terminals both classes follow, computed only for the cells a
+of the terminals both strategies follow, computed only for the cells a
 restricted LP needs.  The chance weights, the tree certificate and
 conditioning all read one integer pass,
-:func:`~ifgames.strategy.play_masses`.  The cell budgets count the
-strategies, not the classes.  :func:`solve` always
-first settles the tree to a fixpoint by weak dominance, certifying each
-pass: nodes whose winner is already fixed, and actions dominated at a
-whole information set.  The LP is one column-generation (double-oracle)
+:func:`~ifgames.strategy.play_masses`.  :func:`solve` always first
+settles the tree to a fixpoint by weak dominance, certifying each pass:
+nodes whose winner is already fixed, and actions dominated at a whole
+information set.  The LP is one column-generation (double-oracle)
 loop: its restricted problems run a fraction-free integer simplex (Bareiss
 pivoting, Bland's rule) and its best-response pricing is exact integer
-arithmetic over every class, straight from the follow tables.  Within
+arithmetic over every strategy, straight from the follow tables.  Within
 ``DEFAULT_SIMPLEX_CAP`` cells the loop starts from the whole matrix, so its
 first restricted LP is the game's LP; a larger matrix starts from one row
 and one column and grows.
@@ -67,15 +65,16 @@ DEFAULT_SIMPLEX_CAP = 4_000  # matrix cells
 # ----------------------------------------------------------- payoff matrix
 
 class PayoffMatrix:
-    """Expected payoffs for the maximizer over the follow classes of
-    reduced strategies, held as follow tables.
+    """Expected payoffs for the maximizer over reduced strategies, held
+    as follow tables.
 
-    ``rows`` (``cols``) lists one strategy per row (column), the first
-    member of its class; ``f_row`` (``f_col``) is the boolean (classes x
-    win terminals) table of the terminals each class follows, and
-    ``weights`` the terminals' chance masses times ``den``, as int64.  Cell
-    (i, j) is ``sum_t weights[t] * f_row[i, t] * f_col[j, t] / den``;
-    :meth:`cells` computes those of a restricted set.
+    ``rows`` (``cols``) lists one strategy per row (column); ``f_row``
+    (``f_col``) is the boolean (strategies x win terminals) table of the
+    terminals each strategy follows, and ``weights`` the terminals' chance
+    masses times ``den``, as int64, or as Python integers when ``den``
+    exceeds 64-bit integers.  Cell (i, j) is
+    ``sum_t weights[t] * f_row[i, t] * f_col[j, t] / den``; :meth:`cells`
+    computes those of a restricted set.
     """
 
     def __init__(self, rows: StrategyList, cols: StrategyList,
@@ -94,7 +93,7 @@ class PayoffMatrix:
         return len(self.f_row), len(self.f_col)
 
     def cells(self, rset, cset) -> np.ndarray:
-        """The int64 numerators of the cells in rows ``rset`` and columns
+        """The integer numerators of the cells in rows ``rset`` and columns
         ``cset``.  The terms of a cell are non-negative and sum to at most
         ``den``, so no partial sum overflows."""
         return (self.f_row[rset] * self.weights) @ self.f_col[cset].T
@@ -102,19 +101,17 @@ class PayoffMatrix:
 
 def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
                  budget: int = DEFAULT_STRATEGY_BUDGET) -> PayoffMatrix:
-    """Payoff matrix over the follow classes of both players' reduced
-    strategies.
+    """Payoff matrix over both players' reduced strategies.
 
     A cell sums the chance masses of the verifier-win terminals that both
-    strategies follow, so strategies that follow the same win terminals
-    have equal payoffs: one row (column) per such class, listed in
-    ``rows`` (``cols``) as its first member in enumeration order.  Each
-    side is enumerated (:func:`~ifgames.strategy.enumerate_reduced`) and
-    its strategies grouped by their follow rows; no cell is computed here.
-    Raises :class:`BudgetError` when the strategies would give more than
-    ``DEFAULT_CELL_BUDGET`` payoff cells, or follow cells on one side,
-    before any follow table is taken, and :class:`GameError` when the
-    common denominator exceeds 64-bit integers.
+    strategies follow.  Each side is enumerated
+    (:func:`~ifgames.strategy.enumerate_reduced`), one row (column) per
+    strategy in enumeration order, and its follow table taken; no cell is
+    computed here.  Raises :class:`BudgetError` when the strategies would
+    give more than ``DEFAULT_CELL_BUDGET`` payoff cells, or follow cells on
+    one side, before any follow table is taken.  The weights are int64
+    when the common denominator fits 64-bit integers, and Python integers
+    otherwise.
     """
     win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
     rows = enumerate_reduced(g, EXIST, budget)
@@ -126,42 +123,26 @@ def build_matrix(g: ExtensiveGame, lam: BehavioralStrategy,
         cells = len(strats) * len(win_nodes)
         if cells > DEFAULT_CELL_BUDGET:
             raise BudgetError("follow cell", DEFAULT_CELL_BUDGET, cells)
-    rows, f_row = _classes(rows, win_nodes)
-    cols, f_col = _classes(cols, win_nodes)
     masses, scale = play_masses(g, lam)
     masses = [masses[t] for t in win_nodes]
     common = math.gcd(scale, *masses)
     den = scale // common
-    if den > np.iinfo(np.int64).max:
-        raise GameError("payoff denominators exceed 64-bit integers")
-    weights = np.array([m // common for m in masses], dtype=np.int64)
-    return PayoffMatrix(rows, cols, f_row, f_col, weights, den)
+    dtype = np.int64 if den <= np.iinfo(np.int64).max else object
+    weights = np.array([m // common for m in masses], dtype=dtype)
+    return PayoffMatrix(rows, cols, _follow_table(rows, win_nodes),
+                        _follow_table(cols, win_nodes), weights, den)
 
 
-def _classes(strats: StrategyList, nodes: list[int]
-             ) -> tuple[StrategyList, np.ndarray]:
-    """The classes of ``strats`` that follow the same histories among
-    ``nodes``: the first member of each, in enumeration order, and the
-    boolean (classes x nodes) follow table of those members."""
+def _follow_table(strats: StrategyList, nodes: list[int]) -> np.ndarray:
+    """The boolean (strategies x nodes) table of the histories among
+    ``nodes`` that each of ``strats`` follows."""
     own = own_histories(strats.game, strats.player)
     columns = np.ascontiguousarray(strats.table.T)
     follow = np.ones((len(nodes), len(strats)), dtype=bool)
     for row, node in zip(follow, nodes):
         for ci, ai in own[node]:
             row &= columns[ci] == ai
-    first = np.zeros(1, dtype=np.intp)  # no node: every strategy is one class
-    if nodes:
-        # a stable sort by the packed columns lists each class in
-        # enumeration order, so the first of each run of equal columns is
-        # its first member
-        packed = np.packbits(follow, axis=0)
-        order = np.lexsort(packed)
-        ordered = packed[:, order]
-        start = np.ones(len(order), dtype=bool)
-        start[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-        first = np.sort(order[start])
-    classes = StrategyList(strats.game, strats.player, strats.table[first])
-    return classes, follow[:, first].T
+    return follow.T
 
 
 # ------------------------------------------------------------------ the LP
@@ -170,9 +151,8 @@ def _classes(strats: StrategyList, nodes: list[int]
 class Equilibrium:
     """Exact value plus one optimal mixed strategy per side.
 
-    Mixes are supports over the matrix's classes (its rows and columns);
-    the helpers read them as each class's first member, or return
-    ``lifted``, the mixes of the game that :func:`solve` was given, lifted
+    Mixes are supports over the matrix's rows and columns; the helpers
+    read them as the matrix's strategies, or return ``lifted``, the mixes of the game that :func:`solve` was given, lifted
     from the settled copy it solved.
     """
 
@@ -279,9 +259,9 @@ def _solve_int_matrix(num: list[list[int]], den: int):
 
 def _exact_mix_scores(mine: np.ndarray, other: np.ndarray,
                       weights: np.ndarray, den: int, mix):
-    """Exact expected payoffs of a mix over the classes of the follow table
-    ``mine`` against every class of the other side's table ``other``;
-    returns (integer vector, scale) with score = vec/scale.
+    """Exact expected payoffs of a mix over the strategies of the follow
+    table ``mine`` against every strategy of the other side's table
+    ``other``; returns (integer vector, scale) with score = vec/scale.
 
     With ``x`` the mix's masses times ``q``, their common denominator, the
     vector is ``other @ (weights * (x @ mine))``: per terminal, the mass of
@@ -300,11 +280,11 @@ def solve_zero_sum(m: PayoffMatrix) -> Equilibrium:
 
     A column-generation (double-oracle) loop: solve the restricted matrix
     on the integer tableau, add each side's exact best response over every
-    class that beats the restricted value, and stop when neither does.  A
-    matrix of at most ``DEFAULT_SIMPLEX_CAP`` cells starts with every row
+    strategy that beats the restricted value, and stop when neither does.
+    A matrix of at most ``DEFAULT_SIMPLEX_CAP`` cells starts with every row
     and column, so its first restricted LP is the whole matrix; a larger
     one starts from its first row and column.  A best response is the
-    first class of the extreme score, the one a merge of equal rows
+    first strategy of the extreme score, the one a merge of equal rows
     (columns) would keep.  The result always passes
     :func:`verify_equilibrium`; a failure raises :class:`GameError`.
     """
@@ -347,7 +327,7 @@ def solve_zero_sum(m: PayoffMatrix) -> Equilibrium:
 
 
 def verify_equilibrium(m: PayoffMatrix, eq: Equilibrium) -> bool:
-    """Exact maximin check over every class: the row mix guarantees at
+    """Exact maximin check over every strategy: the row mix guarantees at
     least the value against every column and the column mix at most the
     value against every row."""
     if not eq.row_mix or not eq.col_mix:
@@ -620,9 +600,9 @@ def solve(game: ExtensiveGame, lam: BehavioralStrategy,
 
     :func:`_settled` first removes weakly dominated play, pass by pass,
     which keeps a zero-sum game's value, and the matrix is built on the
-    game it ends with.  The witness mixes refer to that matrix's classes
+    game it ends with.  The witness mixes refer to that matrix's strategies
     (``eq.matrix``), and :func:`solve_zero_sum` has already checked them
-    exactly against every class.  Each mix, lifted to ``game`` back
+    exactly against every strategy.  Each mix, lifted to ``game`` back
     through the passes (``eq.row_strategies()``, ``eq.col_strategies()``),
     must also guarantee the value on ``game``'s tree (:func:`_tree_reply`)
     wherever the other player's information sets are all singletons, or

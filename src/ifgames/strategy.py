@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, GameError, NatureStrategyError
-from .game import EXIST, NATURE, UNIV, ExtensiveGame, InfoSet
+from .game import EXIST, NATURE, UNIV, ExtensiveGame
 
 DEFAULT_STRATEGY_BUDGET = 10**6
 # cells of one table: the enumeration's strategy table here; in solver.py the
@@ -77,12 +77,6 @@ class ReducedStrategy:
         self.game = game
         self.player = player
         self.actions = tuple(sorted(dict(actions).items()))
-
-    def action_at(self, infoset_index: int) -> int | None:
-        for idx, act in self.actions:
-            if idx == infoset_index:
-                return act
-        return None
 
     def lines(self) -> tuple[str, ...]:
         """Canonical pretty-printer lines, one per information set."""
@@ -190,30 +184,6 @@ def own_reachable_closure(g: ExtensiveGame, player: int, choose) -> dict[int, in
                for m in info.members):
             chosen[info.index] = choose(info)
     return chosen
-
-
-def reduced_from_rules(g: ExtensiveGame, player: int, choose) -> ReducedStrategy:
-    """Build one reduced strategy from a rule ``choose(InfoSet) -> action label``.
-
-    The domain is closed over own-reachability given the choices the rule
-    makes, walking information sets in canonical order.
-    """
-    def action(info: InfoSet) -> int:
-        label = choose(info)
-        if label is None:
-            raise GameError(f"rule gave no action for reachable set {info.label}")
-        act = info.actions.index(label) if isinstance(label, str) else int(label)
-        if not 0 <= act < len(info.actions):
-            raise GameError(f"bad action for {info.label}")
-        return act
-
-    return ReducedStrategy(g, player, own_reachable_closure(g, player, action))
-
-
-def follows(node: int, sigma) -> bool:
-    """True iff the owner of ``sigma`` follows it along the history ``node``."""
-    own = own_histories(sigma.game, sigma.player)[node]
-    return all(sigma.action_at(k) == act for k, act in own)
 
 
 class MixedStrategy:

@@ -14,6 +14,7 @@ from ifgames import (
     uniform_nature,
 )
 from ifgames.corpus import corpus_text
+from reference import grouped
 
 
 @pytest.fixture(scope="session")
@@ -116,9 +117,10 @@ def smp_game(binary, phi_smp):
 
 
 def _pipeline(game, lam=None):
-    """The unsettled game's class matrix and its equilibrium."""
+    """The unsettled game's matrix, its strategies grouped into follow
+    classes (``reference.grouped``), and its equilibrium."""
     lam = lam or uniform_nature(game)
-    matrix = build_matrix(game, lam)
+    matrix = grouped(build_matrix(game, lam))
     return matrix, solve_zero_sum(matrix)
 
 

@@ -29,7 +29,6 @@ from ifgames import (
     parse_profile,
     parse_structure,
     play_masses,
-    reduced_from_rules,
     simulate,
     solve,
     solve_zero_sum,
@@ -40,6 +39,7 @@ from ifgames import (
 from ifgames.corpus import corpus_text
 from ifgames.solver import Equilibrium
 
+from reference import from_rules
 from test_solver import FIG3, fig1_named_order, fig1_row_kinds
 
 F = Fraction
@@ -53,7 +53,7 @@ def test_criterion_01_fig1_value_and_support(fig1_solution, fig1_game):
     _, eq = fig1_solution
     assert eq.value == F(2, 3)
     kinds = fig1_row_kinds(fig1_game)
-    # no two strategies share a follow class: a row is a strategy index
+    # the matrix has one row per strategy: a row is a strategy index
     assert all(kinds[i][1] == "switch" for i, _ in eq.row_mix)
     passed(1, "hand-built game value 2/3, optimal support all-switch")
 
@@ -121,10 +121,10 @@ def test_criterion_08_stick_switch_conditionals(mh_prime_chance_game):
 
 
 def _sb_strategies(game):
-    heads = reduced_from_rules(
+    heads = from_rules(
         game, EXIST, lambda info: "L" if info.label == "@/0/0/1[]"
         else ("L" if "t=2,x=1" in info.label else "R"))
-    tails = reduced_from_rules(
+    tails = from_rules(
         game, EXIST, lambda info: "R" if info.label == "@/0/0/1[]"
         else ("L" if "t=2,x=1" in info.label else "R"))
     return heads, tails
@@ -152,7 +152,7 @@ def test_criterion_10_halfer_variant(sb_prime_game, sb_game):
     heads, tails = _sb_strategies(sb_prime_game)
     day = {}
     for when_tails in ("1", "2"):
-        day[when_tails] = reduced_from_rules(
+        day[when_tails] = from_rules(
             sb_prime_game, UNIV,
             lambda info, w=when_tails: "1" if "[x=1]" in info.label else w)
     monday = parse_event("t = 1", sb_prime_game)

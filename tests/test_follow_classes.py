@@ -1,12 +1,11 @@
-"""Follow classes of the payoff matrix against the enumeration they group.
+"""Follow tables of the payoff matrix against the enumeration.
 
 ``build_matrix`` must give what enumerating every reduced strategy and
-grouping the follow table gives (``_follow_classes(_follow_matrix(...))`` in
-``test_solver.py``): per side, the action row of each class's first member
-in enumeration order and the same follow bits, and the enumeration's
-``BudgetError`` at the same count.  Checked on every corpus game, on the
-negated Monty Hall sentence (whose falsifier has the 823,875 strategies)
-and on seeded random sentences.
+reading off its follow table gives (``reference.follow_matrix``): per side,
+one row per enumerated strategy, in enumeration order, with the same
+follow bits, and the enumeration's ``BudgetError`` at the same count.
+Checked on every corpus game, on the negated Monty Hall sentence (whose
+falsifier has the 823,875 strategies) and on seeded random sentences.
 """
 
 import random
@@ -29,7 +28,7 @@ from ifgames.corpus import CORPUS, corpus_text
 from ifgames.parser import load_game
 from ifgames.strategy import enumerate_reduced
 from random_sentences import random_game
-from test_solver import _follow_classes, _follow_matrix
+from reference import follow_classes, follow_matrix
 
 _GAMES = sorted({(e.game or e.formula, c.structure, c.nature)
                  for e in CORPUS for c in e.checks}, key=str)
@@ -56,22 +55,20 @@ def _wins(game):
     return [t for t in game.terminals() if game.winner_of[t] == EXIST]
 
 
-def assert_side_matches(classes, follow, want, nodes):
-    """Check one side's class list and follow table against the
-    enumeration ``want``; returns the enumeration index of each class's
-    first member."""
-    table = _follow_matrix(want, nodes)
-    first = _follow_classes(table)
-    assert len(classes) == len(first)
-    assert np.array_equal(classes.table, want.table[first])
-    assert np.array_equal(follow, table[first])
-    return first
+def assert_side_matches(got, follow, want, nodes):
+    """Check one side's strategy list and follow table against the
+    enumeration ``want``; returns the reference follow table."""
+    table = follow_matrix(want, nodes)
+    assert len(got) == len(want)
+    assert np.array_equal(got.table, want.table)
+    assert np.array_equal(follow, table)
+    return table
 
 
 def assert_matrix_matches(game, lam, budget=strategy.DEFAULT_STRATEGY_BUDGET):
-    """Check ``build_matrix``'s classes against the enumeration; returns,
-    per side, the class list, the enumerated list and the enumeration index
-    of each class's first member (nothing when both raised the same
+    """Check ``build_matrix``'s strategies against the enumeration;
+    returns, per side, the matrix's list, the enumerated list and the
+    reference follow table (nothing when both raised the same
     BudgetError, the enumeration's of I, then of II)."""
     want = [_outcome(lambda: enumerate_reduced(game, player, budget))
             for player in (EXIST, UNIV)]
@@ -81,9 +78,9 @@ def assert_matrix_matches(game, lam, budget=strategy.DEFAULT_STRATEGY_BUDGET):
         assert got == errors[0]
         return []
     wins = _wins(game)
-    return [(classes, strats, assert_side_matches(classes, follow, strats, wins))
-            for classes, follow, strats in ((got.rows, got.f_row, want[0]),
-                                             (got.cols, got.f_col, want[1]))]
+    return [(strats, want, assert_side_matches(strats, follow, want, wins))
+            for strats, follow, want in ((got.rows, got.f_row, want[0]),
+                                         (got.cols, got.f_col, want[1]))]
 
 
 @pytest.mark.parametrize("source, structure, nature", _GAMES,
@@ -91,17 +88,19 @@ def assert_matrix_matches(game, lam, budget=strategy.DEFAULT_STRATEGY_BUDGET):
                               for s, t, n in _GAMES])
 def test_corpus_classes_equal_enumeration(source, structure, nature):
     game, lam = _load(source, structure, nature)
-    for got, want, first in assert_matrix_matches(game, lam):
+    for got, want, _ in assert_matrix_matches(game, lam):
         if len(want) <= 10**4:
-            assert list(got) == [want[int(i)] for i in first]
+            assert list(got) == list(want)
 
 
 def test_strategy_rows_equal_enumeration(mh_game):
-    (got, want, first), _ = assert_matrix_matches(mh_game, uniform_nature(mh_game))
-    # every class row is the enumerated strategy at its first member
-    assert len(got) == 4_114
-    assert all(got[k] == want[int(i)] for k, i in enumerate(first))
-    assert got[-1] == want[int(first[-1])]
+    (got, want, _), _ = assert_matrix_matches(mh_game, uniform_nature(mh_game))
+    # every row is the enumerated strategy at its index, none merged
+    assert len(got) == 823_875
+    rng = random.Random(3)
+    for k in [0, 1, *rng.sample(range(len(got)), 200), len(got) - 1]:
+        assert got[k] == want[k]
+    assert got[-1] == want[len(want) - 1]
     with pytest.raises(IndexError):
         got[len(got)]
 
@@ -133,20 +132,25 @@ def test_budget_error_at_every_running_total(request, name):
 
 
 def test_random_sentences_classes_equal_enumeration():
+    """Seeds 0-219 at a budget of 10**4, on the win terminals and on a
+    random half of all terminals; ``merged`` counts the follow tables with
+    equal rows, which the matrix keeps apart."""
     checked = merged = 0
     for seed in range(220):
         game = random_game(seed)
         terminals = game.terminals()
         subset = random.Random(seed).sample(terminals, len(terminals) // 2)
-        found = assert_matrix_matches(game, uniform_nature(game), budget=10**4)
+        found = [(want, table) for _, want, table
+                 in assert_matrix_matches(game, uniform_nature(game), budget=10**4)]
         for player in (EXIST, UNIV):
             want = _outcome(lambda: enumerate_reduced(game, player, 10**4))
             if not isinstance(want, tuple):
-                classes, follow = solver._classes(want, subset)
-                first = assert_side_matches(classes, follow, want, subset)
-                found.append((classes, want, first))
+                table = follow_matrix(want, subset)
+                assert np.array_equal(solver._follow_table(want, subset), table)
+                found.append((want, table))
         checked += len(found)
-        merged += sum(len(want) > len(got) for got, want, _ in found)
+        merged += sum(len(follow_classes(table)) < len(want)
+                      for want, table in found)
     assert checked >= 800
     assert merged >= 150
 
@@ -197,7 +201,7 @@ def test_wide_set_keeps_its_last_action(n):
     universe = " ".join(str(i) for i in range(1, n + 1))
     game, lam = load_game(f"exists y (y = {n})", f"universe {universe}\n", None)
     matrix = build_matrix(game, lam)
-    assert matrix.shape == (2, 1)
+    assert matrix.shape == (n, 1)
     assert matrix.rows.table[matrix.f_row[:, 0], 0].tolist() == [n - 1]
     strats = enumerate_reduced(game, EXIST)
     assert len(strats) == n

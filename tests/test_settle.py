@@ -8,7 +8,7 @@ The value must equal the unsettled one, which the public stages give when
 composed directly on the game as built, and each witness mix, lifted to
 the original game, must hold the value there: checked here exactly, by
 backward induction where the other player's sets are singletons and over
-its class list of the original game otherwise.
+its strategies of the original game otherwise.
 """
 
 from fractions import Fraction
@@ -22,7 +22,7 @@ from ifgames.corpus import CORPUS, corpus_text
 from ifgames.parser import load_game
 from ifgames.strategy import DEFAULT_STRATEGY_BUDGET, enumerate_reduced, play_masses
 from random_sentences import seeded_sentence
-from test_solver import _follow_matrix
+from reference import follow_matrix, grouped
 
 F = Fraction
 
@@ -36,15 +36,16 @@ def _exact_reply(game, lam, mix) -> Fraction:
         return Fraction(solver._tree_reply(game, masses, mix.player), scale)
     wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
     nums = np.array([masses[t] for t in wins], dtype=object)
-    table = _follow_matrix(enumerate_reduced(game, other), wins)
+    table = follow_matrix(enumerate_reduced(game, other), wins)
     scores = table.astype(object) @ nums
     best = min if mix.player == EXIST else max
     return Fraction(int(best(scores)), scale)
 
 
 def _unsettled(game, lam, budget=DEFAULT_STRATEGY_BUDGET):
-    """The equilibrium of ``game`` as built, with no settling."""
-    return solver.solve_zero_sum(solver.build_matrix(game, lam, budget))
+    """The equilibrium of ``game`` as built, with no settling, on its
+    matrix's follow classes (``reference.grouped``)."""
+    return solver.solve_zero_sum(grouped(solver.build_matrix(game, lam, budget)))
 
 
 def _check_lifted(game, lam, eq):
@@ -77,15 +78,25 @@ def test_corpus_settled_equals_unsettled(entry, check):
         assert _unsettled(game, lam).value == eq.value
 
 
+# the seeds below 400 whose settled verifier still has strategies that
+# follow the same win terminals: I's strategies and its follow classes;
+# no settled falsifier has such strategies
+_EQUAL_ROWS_AFTER_SETTLING = {54: (4, 3), 74: (6, 4), 99: (6, 5),
+                              118: (4, 3), 123: (4, 3), 397: (8, 7)}
+
+
 def test_random_sentences_settled_equals_unsettled():
     """Seeds 0-399 at a budget of 10**4: every settled game solves, its
     value is the unsettled one wherever that fits the budget, and its
     lifted witnesses hold on the original game."""
     over_budget = widest = 0
+    equal_rows = []
     for seed in range(400):
         game, lam = load_game(*seeded_sentence(seed))
         eq = solve(game, lam, budget=10**4)
         widest = max(widest, *eq.matrix.shape)
+        if grouped(eq.matrix).shape != eq.matrix.shape:
+            equal_rows.append(seed)
         _check_lifted(game, lam, eq)
         try:
             unsettled = _unsettled(game, lam, 10**4)
@@ -94,7 +105,8 @@ def test_random_sentences_settled_equals_unsettled():
             continue
         assert unsettled.value == eq.value, seed
     assert over_budget == 11
-    assert widest == 27  # classes on one side of a settled matrix
+    assert widest == 27  # strategies on one side of a settled matrix
+    assert equal_rows == list(_EQUAL_ROWS_AFTER_SETTLING)
 
 
 def _force_first_open_verifier_node(monkeypatch):
@@ -122,7 +134,7 @@ def test_faulty_settling_fails_the_tree_check(monkeypatch, name, faulty_value):
     faulty = _force_first_open_verifier_node(monkeypatch)
     forced, _, drops = faulty(game, lam)
     small, small_lam, _ = solver._settle(game, lam, forced, drops)
-    # the small game's own certificate passes on every class
+    # the small game's own certificate passes on every strategy
     matrix = solver.build_matrix(small, small_lam)
     eq = solver.solve_zero_sum(matrix)
     assert eq.value == faulty_value
@@ -269,7 +281,7 @@ def test_monty_hall_on_n_doors(n, name):
 
 
 # on three doors: the nodes of the tree as built and as settled, and the
-# classes (I x II) of the settled matrix
+# strategies (I x II) of the settled matrix
 _SETTLED_ON_THREE_DOORS = [
     ("phi_mh.if", 229, 61, (12, 6)),
     ("phi_mh_prime.if", 283, 13, (3, 3)),
@@ -278,10 +290,33 @@ _SETTLED_ON_THREE_DOORS = [
 ]
 
 
-@pytest.mark.parametrize("name, nodes, settled, classes", _SETTLED_ON_THREE_DOORS,
+@pytest.mark.parametrize("name, nodes, settled, strategies", _SETTLED_ON_THREE_DOORS,
                          ids=[row[0] for row in _SETTLED_ON_THREE_DOORS])
-def test_settled_sizes_on_three_doors(name, nodes, settled, classes):
+def test_settled_sizes_on_three_doors(name, nodes, settled, strategies):
     game, lam = load_game(corpus_text(name), corpus_text("doors3.struct"))
     eq = solve(game, lam)
     assert eq.matrix.log[0] == f"tree: {nodes} -> {settled} nodes"
-    assert eq.matrix.shape == classes
+    assert eq.matrix.shape == strategies
+
+
+def _mix_lines(mix):
+    return [(s.lines(), w) for s, w in mix]
+
+
+@pytest.mark.parametrize("seed", list(_EQUAL_ROWS_AFTER_SETTLING))
+def test_settled_equal_rows_solve_like_their_classes(seed):
+    """The matrix keeps every strategy where follow rows repeat, and
+    ``solve`` gives the value and the lifted witness of the grouped
+    matrix."""
+    game, lam = load_game(*seeded_sentence(seed))
+    small, small_lam, passes = solver._settled(game, lam)
+    matrix = solver.build_matrix(small, small_lam, 10**4)
+    classes = grouped(matrix)
+    strategies, rows = _EQUAL_ROWS_AFTER_SETTLING[seed]
+    assert matrix.shape[0] == strategies
+    assert classes.shape == (rows, matrix.shape[1])
+    assert np.array_equal(matrix.rows.table, enumerate_reduced(small, EXIST).table)
+    eq, want = solve(game, lam, budget=10**4), solver.solve_zero_sum(classes)
+    assert eq.value == want.value
+    for got, mix in zip(eq.lifted, (want.row_strategies(), want.col_strategies())):
+        assert _mix_lines(got) == _mix_lines(solver._lift(game, passes, mix))

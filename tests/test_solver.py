@@ -27,7 +27,6 @@ from ifgames import (
     build_semantic_game,
     conditional_value,
     enumerate_reduced,
-    follows,
     negate,
     occurrences,
     parse_event,
@@ -35,7 +34,6 @@ from ifgames import (
     parse_nature_strategy,
     parse_profile,
     parse_structure,
-    reduced_from_rules,
     simulate,
     solve,
     solve_zero_sum,
@@ -55,8 +53,9 @@ from ifgames.solver import (
     _simplex_max,
     _solve_int_matrix,
 )
-from ifgames.strategy import own_histories, play_masses
+from ifgames.strategy import own_reachable_closure, play_masses
 from random_sentences import seeded_sentence
+from reference import follow_classes, follow_matrix, follows, from_rules
 
 F = Fraction
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -149,7 +148,7 @@ def test_expected_payoff_fig3_cells(fig1_game):
 
 def test_expected_payoff_sb_always_tails(sb_game):
     lam = uniform_nature(sb_game)
-    tails = reduced_from_rules(
+    tails = from_rules(
         sb_game, EXIST,
         lambda info: "R" if info.label == "@/0/0/1[]"
         else ("L" if "t=2,x=1" in info.label else "R"))
@@ -160,8 +159,8 @@ def test_expected_payoff_sb_always_tails(sb_game):
 
 def test_build_matrix_fig1_matches_fig3(fig1_solution, fig1_game):
     matrix, _ = fig1_solution
-    # no two strategies share a follow class, so rows and columns are in
-    # enumeration order (criterion 3 indexes them so too)
+    # rows and columns are the enumerated strategies, in enumeration order
+    # (criterion 3 indexes them so too)
     assert matrix.shape == (len(matrix.rows), len(matrix.cols)) == (12, 6)
     assert np.array_equal(matrix.rows.table,
                           enumerate_reduced(fig1_game, EXIST).table)
@@ -202,42 +201,6 @@ def _load(source, structure, nature):
     return load_game(text, structure and corpus_text(structure), nature_text)
 
 
-def _follow_matrix(strats, nodes):
-    """Reference for the follow tables: boolean (strategies x nodes), does
-    the strategy follow the history, read off the enumeration table."""
-    columns = np.ascontiguousarray(strats.table.T)
-    own = own_histories(strats.game, strats.player)
-    out = np.ones((len(nodes), len(strats)), dtype=bool)
-    for j, node in enumerate(nodes):
-        for ci, ai in own[node]:
-            out[j] &= columns[ci] == ai
-    return out.T
-
-
-def _follow_classes(follow):
-    """Reference for the follow classes: the first strategy of each class
-    (strategies that follow the same nodes), in enumeration order.
-
-    Each strategy's follow row is packed into 64-bit words, eight nodes to a
-    byte; a stable sort by those words lists each class in enumeration
-    order, so the first entry of each run of equal words is the class's
-    first member.
-    """
-    by_node = follow.T.view(np.uint8)  # (nodes, strategies), 0 or 1
-    packed = np.zeros((follow.shape[0], 8 * (len(by_node) // 64 + 1)),
-                      dtype=np.uint8)
-    shifts = np.arange(8, dtype=np.uint8)[:, None]
-    for t in range(0, len(by_node), 8):
-        group = by_node[t:t + 8]
-        packed[:, t // 8] = np.bitwise_or.reduce(group << shifts[:len(group)])
-    words = packed.view(np.uint64).T
-    order = np.lexsort(words)
-    ordered = words[:, order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    return np.sort(order[first])
-
-
 def _full_matrix(g, lam, budget=10**6):
     """Reference for ``build_matrix``: the dense payoff matrix over every
     pair of enumerated reduced strategies, as (rows, cols, numerators,
@@ -250,22 +213,8 @@ def _full_matrix(g, lam, budget=10**6):
     masses = [Fraction(masses[t], scale) for t in win_nodes]
     den = math.lcm(*(mass.denominator for mass in masses))
     weights = np.array([int(m * den) for m in masses], dtype=np.int64)
-    num = (_follow_matrix(rows, win_nodes) * weights) @ _follow_matrix(cols, win_nodes).T
+    num = (follow_matrix(rows, win_nodes) * weights) @ follow_matrix(cols, win_nodes).T
     return rows, cols, num, den
-
-
-def _follow_class_index(strats, classes, wins):
-    """Each enumerated strategy's row (column) in a built matrix, found from
-    the win terminals it follows; checks that ``classes`` lists the first
-    member of each class, in enumeration order."""
-    keys = [tuple(follows(t, s) for t in wins) for s in strats]
-    first = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    members = sorted(first.values())
-    assert np.array_equal(classes.table, strats.table[members])
-    where = {i: k for k, i in enumerate(members)}
-    return [where[first[key]] for key in keys]
 
 
 @pytest.mark.parametrize("source, structure, nature", [
@@ -285,16 +234,16 @@ def test_build_matrix_cells_equal_expected_payoff(source, structure, nature):
         assert matrix.den == MERSENNE_61
         assert int(dense(matrix).max()) == MERSENNE_61 - 1
     if source.startswith("~"):
-        assert (len(rows), len(cols)) == (4, 31)
-        assert matrix.shape == (4, 23)  # 7 win terminals split 23 classes
+        # 7 win terminals split the 31 columns into 23 follow classes,
+        # and the matrix keeps all 31
+        assert matrix.shape == (4, 31)
+        assert len(follow_classes(matrix.f_col)) == 23
     assert matrix.shape == (len(matrix.rows), len(matrix.cols))
-    wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
-    row_class = _follow_class_index(rows, matrix.rows, wins)
-    col_class = _follow_class_index(cols, matrix.cols, wins)
-    assert matrix.shape == (max(row_class) + 1, max(col_class) + 1)
+    assert np.array_equal(matrix.rows.table, rows.table)
+    assert np.array_equal(matrix.cols.table, cols.table)
     for i, sigma in enumerate(rows):
         for j, tau in enumerate(cols):
-            assert cell(matrix, row_class[i], col_class[j]) == \
+            assert cell(matrix, i, j) == \
                 conditional_value(game, lam, MixedStrategy.pure(sigma),
                                   MixedStrategy.pure(tau), None).value
 
@@ -312,18 +261,19 @@ def test_build_matrix_cells_equal_expected_payoff(source, structure, nature):
         "sleeping-beauty-prime", "negated-sleeping-beauty-prime", "den-2^61-1",
         "monty-hall-prime"])
 def test_class_matrix_reduces_like_full_matrix(source, structure, nature):
-    # the class matrix is the full matrix reduced to the first member of
-    # each follow class, cell for cell
+    # the matrix is the full matrix over every enumerated strategy, cell
+    # for cell, compared a block of rows at a time
     game, lam = _load(source, structure, nature)
-    classes = build_matrix(game, lam)
+    matrix = build_matrix(game, lam)
     rows, cols, num, den = _full_matrix(game, lam)
-    wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
-    first_rows = _follow_classes(_follow_matrix(rows, wins))
-    first_cols = _follow_classes(_follow_matrix(cols, wins))
-    assert np.array_equal(classes.rows.table, rows.table[first_rows])
-    assert np.array_equal(classes.cols.table, cols.table[first_cols])
-    assert classes.den == den
-    assert np.array_equal(num[np.ix_(first_rows, first_cols)], dense(classes))
+    assert np.array_equal(matrix.rows.table, rows.table)
+    assert np.array_equal(matrix.cols.table, cols.table)
+    assert matrix.den == den
+    assert matrix.shape == num.shape
+    every_col = list(range(len(cols)))
+    for lo in range(0, len(rows), 4096):
+        block = list(range(lo, min(lo + 4096, len(rows))))
+        assert np.array_equal(num[lo:lo + 4096], matrix.cells(block, every_col))
 
 
 _CORPUS_CHECKS = [(entry, check) for entry in CORPUS for check in entry.checks]
@@ -363,7 +313,7 @@ def _merged(m):
 
 
 def _assert_solves_like_merged(m):
-    """Pricing over every class takes the first class of an extreme score,
+    """Pricing over every strategy takes the first one of an extreme score,
     the one a merge keeps, so merging changes neither the value nor the
     witness."""
     merged, rows, cols = _merged(m)
@@ -377,13 +327,13 @@ def _assert_solves_like_merged(m):
 @pytest.mark.parametrize("entry, check", _VALUED_CHECKS,
                          ids=[_check_id(e, c) for e, c in _VALUED_CHECKS])
 def test_merging_changes_no_witness(entry, check):
-    # on the settled class matrix that ``solve`` solves
+    # on the settled matrix that ``solve`` solves
     game, lam = _load_check(entry, check)
     _assert_solves_like_merged(solve(game, lam).matrix)
 
 
 def test_random_sentences_merging_changes_no_witness():
-    """Seeds 0-399 at a budget of 10**4, on the unsettled class matrix."""
+    """Seeds 0-399 at a budget of 10**4, on the unsettled matrix."""
     merged = 0
     for seed in range(400):
         game, lam = load_game(*seeded_sentence(seed))
@@ -395,20 +345,51 @@ def test_random_sentences_merging_changes_no_witness():
     assert merged >= 100, merged
 
 
-def test_build_matrix_rejects_denominator_above_int64():
+def test_denominator_above_int64_is_exact():
+    # the coin's masses need 65 bits: the weights are Python integers and
+    # the value is the biased coin's p (1 - p)
     den = 2**64 + 1
     game, lam = load_game(corpus_text("stochastic_matching_pennies.if"),
                           corpus_text("binary.struct"),
                           f"z : 0 -> 1/{den}, 1 -> {den - 1}/{den}\n")
-    with pytest.raises(GameError, match="64-bit"):
-        build_matrix(game, lam)
+    matrix = build_matrix(game, lam)
+    assert matrix.weights.dtype == object
+    assert solve(game, lam).value == F(2**64, (2**64 + 1)**2)
+
+
+# three coins whose masses 1/p on 0 need 96 bits together; the verifier
+# wins when all three agree
+_THREE_PRIMES = (4294967311, 4294967291, 4294967279)
+_THREE_COINS = "".join(f"{v} : 0 -> 1/{p}, 1 -> {p - 1}/{p}\n"
+                       for v, p in zip("xzy", _THREE_PRIMES))
+
+
+def test_three_coins_with_a_96_bit_denominator_are_exact():
+    game, lam = load_game(
+        "chance x chance z chance y exists w ((w = x) /\\ (w = z) /\\ (w = y))",
+        corpus_text("binary.struct"), _THREE_COINS)
+    want = (1 + math.prod(p - 1 for p in _THREE_PRIMES)) / F(math.prod(_THREE_PRIMES))
+    assert want == F(79228162329796895877195892201, 79228162385137128025310102779)
+    eq = solve(game, lam)
+    assert eq.value == want
+    assert eq.matrix.den > np.iinfo(np.int64).max
+    assert eq.matrix.weights.dtype == object
+    assert conditional_value(game, lam, eq.row_strategies(), eq.col_strategies(),
+                             None).value == want
+
+
+def test_settled_corpus_weights_are_int64():
+    for entry, check in _CORPUS_CHECKS:
+        small, small_lam, _ = solver._settled(*_load_check(entry, check))
+        assert build_matrix(small, small_lam).weights.dtype == np.int64, \
+            _check_id(entry, check)
 
 
 def test_follow_matrix_matches_follows(fig1_game):
     wins = [t for t in fig1_game.terminals() if fig1_game.winner_of[t] == EXIST]
     for player in (EXIST, UNIV):
         strats = enumerate_reduced(fig1_game, player)
-        table = _follow_matrix(strats, wins)
+        table = follow_matrix(strats, wins)
         assert table.shape == (len(strats), len(wins))
         for j, node in enumerate(wins):
             assert table[:, j].tolist() == [follows(node, s) for s in strats]
@@ -438,7 +419,7 @@ def test_build_matrix_single_column_when_no_falsifier_choices(sb_game):
     strategies = (len(enumerate_reduced(sb_game, EXIST)),
                   len(enumerate_reduced(sb_game, UNIV)))
     assert strategies == (31, 1)
-    assert (len(matrix.rows), len(matrix.cols)) == matrix.shape == (11, 1)
+    assert (len(matrix.rows), len(matrix.cols)) == matrix.shape == (31, 1)
 
 
 def test_reduce_preserves_value_phi_mh(mh_solution, mh_game):
@@ -474,7 +455,7 @@ def _corrupt_first_cell(monkeypatch):
 def test_solve_rejects_a_corrupted_restricted_cell(monkeypatch, cap):
     # matching pennies on n elements with its first cell flipped from 1 to
     # 0 has a restricted LP of another value than 1/n; pricing and
-    # verification read every class straight from the follow tables and
+    # verification read every strategy straight from the follow tables and
     # refuse its witness
     monkeypatch.setattr(solver, "DEFAULT_SIMPLEX_CAP", cap)
     for n in (2, 3, 4):
@@ -487,7 +468,8 @@ def test_solve_rejects_a_corrupted_restricted_cell(monkeypatch, cap):
 
 
 def _rational_mix(rng, n):
-    """A mix over up to four of ``n`` classes, with random rational masses."""
+    """A mix over up to four of ``n`` strategies, with random rational
+    masses."""
     support = rng.sample(range(n), rng.randint(1, min(n, 4)))
     parts = [rng.randint(1, 12) for _ in support]
     return tuple((i, F(p, sum(parts))) for i, p in zip(support, parts))
@@ -495,9 +477,9 @@ def _rational_mix(rng, n):
 
 def test_mix_scores_equal_the_full_product():
     """On the corpus and seeds 0-399 at a budget of 10**4: the exact scores
-    of random rational mixes over the classes, read from the follow tables,
-    equal the product of the enumerated full matrix at the classes' first
-    members, on both sides."""
+    of random rational mixes over the strategies, read from the follow
+    tables, equal the product of the enumerated full matrix, on both
+    sides."""
     games = [_load_check(e, c) for e, c in _CORPUS_CHECKS]
     games += [load_game(*seeded_sentence(seed)) for seed in range(400)]
     rng = random.Random(21)
@@ -508,12 +490,9 @@ def test_mix_scores_equal_the_full_product():
             rows, cols, num, den = _full_matrix(game, lam, budget=10**4)
         except BudgetError:
             continue
-        wins = [t for t in game.terminals() if game.winner_of[t] == EXIST]
-        first_rows = _follow_classes(_follow_matrix(rows, wins))
-        first_cols = _follow_classes(_follow_matrix(cols, wins))
-        assert np.array_equal(matrix.rows.table, rows.table[first_rows])
-        assert np.array_equal(matrix.cols.table, cols.table[first_cols])
-        table = num[np.ix_(first_rows, first_cols)].astype(object)
+        assert np.array_equal(matrix.rows.table, rows.table)
+        assert np.array_equal(matrix.cols.table, cols.table)
+        table = num.astype(object)
         for _ in range(3):
             for mine, other, cells in ((matrix.f_row, matrix.f_col, table),
                                        (matrix.f_col, matrix.f_row, table.T)):
@@ -789,10 +768,10 @@ def test_classical_status_rejects_chance(sb_structure, phi_sb):
 
 
 def _sb_mix(game, p):
-    heads = reduced_from_rules(
+    heads = from_rules(
         game, EXIST, lambda info: "L" if info.label == "@/0/0/1[]"
         else ("L" if "t=2,x=1" in info.label else "R"))
-    tails = reduced_from_rules(
+    tails = from_rules(
         game, EXIST, lambda info: "R" if info.label == "@/0/0/1[]"
         else ("L" if "t=2,x=1" in info.label else "R"))
     return MixedStrategy(EXIST, [(heads, p), (tails, 1 - p)])
@@ -1053,11 +1032,13 @@ def _scalar_plays(g, lam, row_mix, col_mix, plays, rng):
     row_dist = _scalar_thresholds(tuple(w for _, w in row_mix.support))
     col_dist = _scalar_thresholds(tuple(w for _, w in col_mix.support))
     chance = {node: _scalar_thresholds(dist) for node, dist in lam.dists.items()}
+    row_plans = [dict(s.actions) for s, _ in row_mix.support]
+    col_plans = [dict(s.actions) for s, _ in col_mix.support]
     owner, children, infoset = g.owner, g.children, g.infoset
     for _ in range(plays):
         run = [rng.getrandbits(64) for _ in range(width)]
-        sigma = row_mix.support[_scalar_pick(run[0], row_dist)][0]
-        tau = col_mix.support[_scalar_pick(run[1], col_dist)][0]
+        sigma = row_plans[_scalar_pick(run[0], row_dist)]
+        tau = col_plans[_scalar_pick(run[1], col_dist)]
         draws = iter(run[2:])
         node = g.root
         while owner[node] != TERMINAL:
@@ -1065,7 +1046,7 @@ def _scalar_plays(g, lam, row_mix, col_mix, plays, rng):
                 node = children[node][_scalar_pick(next(draws), chance[node])]
             else:
                 strat = sigma if owner[node] == EXIST else tau
-                act = strat.action_at(infoset[node])
+                act = strat.get(infoset[node])
                 if act is None:
                     raise GameError("profile strategy undefined on a reached set")
                 node = children[node][act]
@@ -1158,8 +1139,10 @@ def _alternating_game_and_mixes():
     def pick(info):
         return rng.randrange(len(info.actions))
 
-    rows = [reduced_from_rules(game, EXIST, pick) for _ in range(3)]
-    cols = [reduced_from_rules(game, UNIV, pick) for _ in range(2)]
+    rows = [ReducedStrategy(game, EXIST, own_reachable_closure(game, EXIST, pick))
+            for _ in range(3)]
+    cols = [ReducedStrategy(game, UNIV, own_reachable_closure(game, UNIV, pick))
+            for _ in range(2)]
     row_mix = MixedStrategy(EXIST, list(zip(rows, (F(1, 2), F(1, 3), F(1, 6)))))
     col_mix = MixedStrategy(UNIV, list(zip(cols, (F(3, 4), F(1, 4)))))
     return game, uniform_nature(game), row_mix, col_mix

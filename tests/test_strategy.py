@@ -17,18 +17,17 @@ from ifgames import (
     Structure,
     build_semantic_game,
     enumerate_reduced,
-    follows,
     parse_formula,
     parse_nature_strategy,
     parse_profile,
     play_masses,
-    reduced_from_rules,
     uniform_nature,
 )
 from ifgames.corpus import CORPUS, corpus_text
 from ifgames.parser import load_game
 from ifgames.strategy import _smallest_int_dtype
 from random_sentences import seeded_sentence
+from reference import follows, from_rules
 
 
 def test_fig1_reduced_counts(fig1_game):
@@ -112,7 +111,7 @@ def test_fig1_stick_history_follow(fig1_game):
     # prize 1, guess 1, open 2, stick at 1: the all-stick strategy follows it
     rows = enumerate_reduced(fig1_game, EXIST)
     infos = fig1_game.information_partition(EXIST)
-    sigma1 = reduced_from_rules(
+    sigma1 = from_rules(
         fig1_game, EXIST,
         lambda info: "1" if info.label == "@a[]" else
         [a for a in info.actions if a == "1"][0] if "1" in info.actions else info.actions[0])
@@ -144,7 +143,7 @@ def test_play_masses_deterministic_game(mh_game):
 
 def test_play_masses_sb_quarters(sb_game):
     lam = uniform_nature(sb_game)
-    tails = reduced_from_rules(
+    tails = from_rules(
         sb_game, EXIST,
         lambda info: "R" if info.label == "@/0/0/1[]"
         else ("L" if "t=2,x=1" in info.label else "R"))
