@@ -298,8 +298,9 @@ def build_semantic_game(m: Structure, phi: Formula,
             stack.append((path + (1,), sub.right, node, "R", s))
             stack.append((path + (0,), sub.left, node, "L", s))
         else:
+            body = path + (0,)  # one tuple that every child shares
             for el in reversed(m.universe):
-                stack.append((path + (0,), sub.body, node, el, {**s, binds: el}))
+                stack.append((body, sub.body, node, el, {**s, binds: el}))
     return game
 
 

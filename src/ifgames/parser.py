@@ -598,6 +598,7 @@ def parse_extensive_game(src: str, node_cap: int = DEFAULT_NODE_CAP) -> Extensiv
     # stack of (depth, node id); node ids per depth
     stack: list[tuple[int, int]] = []
     chance_probs: dict[int, list[Fraction]] = {}
+    declared: set[tuple[int, str]] = set()  # (parent, action) pairs
     for lineno, raw in enumerate(src.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped.strip():
@@ -632,6 +633,10 @@ def parse_extensive_game(src: str, node_cap: int = DEFAULT_NODE_CAP) -> Extensiv
             if "action" not in fields:
                 raise ParseError("non-root node needs action=", lineno, 1)
         move = fields.pop("action", "")
+        if (parent, move) in declared:
+            raise ParseError(f"action {move} declared twice at one node",
+                             lineno, indent + 1)
+        declared.add((parent, move))
         if "win" in fields:
             win = fields.pop("win")
             if win not in ("I", "II"):

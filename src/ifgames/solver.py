@@ -349,15 +349,15 @@ def verify_equilibrium(m: PayoffMatrix, eq: Equilibrium) -> bool:
 # ----------------------------------------------------------- truth values
 
 def _forced_winners(g: ExtensiveGame, lam: BehavioralStrategy):
-    """One settling pass over ``g``: ``(forced, choice, drops)``.
+    """One settling pass over ``g``: ``(forced, drops)``.
 
     ``forced`` gives per node the player who wins there whatever the other
     does, or None, from one backward pass: a terminal is forced to its
     winner; a chance node to the winner that all its children of positive
     mass are forced to; the only member of a player's set to that player
-    when some child is forced to it, and ``choice`` maps the node to the
-    first such child's edge (choosing it is weakly dominant); any player's
-    node to the winner all its children share.
+    when some child is forced to it (choosing the first such child is
+    weakly dominant); any player's node to the winner all its children
+    share.
 
     ``drops`` maps ``(player, set index)`` to the actions dropped at that
     set, each to a kept action that weakly dominates it at every open
@@ -371,7 +371,6 @@ def _forced_winners(g: ExtensiveGame, lam: BehavioralStrategy):
     sets = {p: g.information_partition(p) for p in (EXIST, UNIV)}
     infoset, children = g.infoset, g.children
     forced: list[int | None] = [None] * len(g)
-    choice: dict[int, int] = {}
     candidates = set()  # the sets with an open member that has a forced child
     for node in reversed(range(len(g))):  # children come after their parents
         owner = g.owner[node]
@@ -383,7 +382,6 @@ def _forced_winners(g: ExtensiveGame, lam: BehavioralStrategy):
             kids = [w for w, p in zip(kids, lam.distribution(node)) if p]
         elif owner in kids and len(sets[owner][infoset[node]].members) == 1:
             forced[node] = owner
-            choice[node] = kids.index(owner)
             continue
         if kids.count(kids[0]) == len(kids):
             forced[node] = kids[0]
@@ -414,29 +412,27 @@ def _forced_winners(g: ExtensiveGame, lam: BehavioralStrategy):
             drops[owner, index] = {
                 a: next(b for b in kept if not need[a] & ~won[b])
                 for a in dropped}
-    return forced, choice, drops
+    return forced, drops
 
 
 def _certify(g: ExtensiveGame, lam: BehavioralStrategy,
-             forced: list[int | None], choice: dict[int, int],
+             forced: list[int | None],
              drops: dict[tuple[int, int], dict[int, int]]):
     """Check a settling pass over ``g`` (:func:`_forced_winners`) without
     trusting it; raise :class:`GameError` where it fails.
 
     Every terminal must be marked with its winner, and every other mark
     must be its children's: at a chance node, every child's of positive
-    mass; at a node with a recorded choice, which must be marked for its
-    owner and be the only member of its set, the chosen child's; at any
-    other player's node, every child's.  So, by induction from the
-    terminals, every play from a marked node ends in its marked winner
-    when the recorded choices are followed, whatever the other player and
-    chance do.  Each drop is then checked at every open member of its set
-    against those marks, with a dominating action that is kept.
+    mass; at a player's node marked for its owner and alone in its set,
+    some child's; at any other player's node, every child's.  So, by
+    induction from the terminals, every play from a marked node ends in
+    its marked winner when the owner of each such lone node takes its
+    first child so marked, whatever the other player and chance do.  Each
+    drop is then checked at every open member of its set against those
+    marks, with a dominating action that is kept.
     """
     sets = {p: g.information_partition(p) for p in (EXIST, UNIV)}
     infoset, children = g.infoset, g.children
-    if any(forced[node] is None for node in choice):
-        raise GameError("settling recorded a choice at an open node")
     for node in reversed(range(len(g))):
         won, owner, kids = forced[node], g.owner[node], children[node]
         if owner == TERMINAL:
@@ -446,9 +442,8 @@ def _certify(g: ExtensiveGame, lam: BehavioralStrategy,
         elif owner == NATURE:
             ok = all(forced[c] == won
                      for c, p in zip(kids, lam.distribution(node)) if p)
-        elif node in choice:
-            ok = (won == owner and forced[kids[choice[node]]] == won
-                  and len(sets[owner][infoset[node]].members) == 1)
+        elif won == owner and len(sets[owner][infoset[node]].members) == 1:
+            ok = any(forced[c] == won for c in kids)
         else:
             ok = all(forced[c] == won for c in kids)
         if not ok:
@@ -471,19 +466,18 @@ def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
     """The game rebuilt by one forward pass over a settling pass's marks
     and drops (:func:`_forced_winners`): a forced node becomes a terminal,
     and each open member of a set loses the children of the actions
-    dropped there.  Returns the small game, its chance strategy and, per
-    small node, its node in ``game``.
+    dropped there.  Returns the small game and its chance strategy.
 
-    Each kept player's node copies its set's label, and that set's index
-    in ``game`` is its order key, so the small game's information sets are
-    ``game``'s, less the members that are gone, in the same order; a set's
-    open members drop the same actions, so they still share their actions.
-    It keeps ``game``'s node cap, which it cannot pass.
+    Each kept node copies its move, and each kept player's node its set's
+    label, with that set's index in ``game`` as its order key, so the
+    small game's information sets are ``game``'s, less the members that
+    are gone, in the same order; a set's open members drop the same
+    actions, so they still share their actions.  It keeps ``game``'s node
+    cap, which it cannot pass.
     """
     small = ExtensiveGame(game.structure, game.node_cap)
     infoset = game.infoset
     sets = {p: game.information_partition(p) for p in (EXIST, UNIV)}
-    origin: list[int] = []
     new = {-1: -1}
     dists = {}
     for node in range(len(game)):
@@ -498,36 +492,26 @@ def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
                                    game.binds[node], game.occ[node],
                                    game.info_label[node], forced[node],
                                    label, infoset[node])
-        origin.append(node)
         if owner == NATURE:
             dists[new[node]] = lam.distribution(node)
-    return small, BehavioralStrategy(small, dists), origin
+    return small, BehavioralStrategy(small, dists)
 
 
-def _lift(game: ExtensiveGame, passes, mix: MixedStrategy) -> MixedStrategy:
-    """A mix of the last settled game as a mix of ``game``.
-
-    ``passes`` lists, first pass first, each pass's game, its ``origin``
-    (per node, its node in ``game``) and its recorded choices; the last
-    game is the one the mix plays.  Each strategy keeps its action at the
-    sets the last game has, mapped through ``origin``.  Any other set
-    takes an action of the last game it is in: its recorded choice where
-    that game's pass forced it by one, else that game's first action,
-    which every earlier pass kept.
-    """
+def _lift(game: ExtensiveGame, small: ExtensiveGame, fallback: dict,
+          mix: MixedStrategy) -> MixedStrategy:
+    """A mix of ``small``, ``game`` settled by :func:`_settled`, as a mix
+    of ``game``: at each set that a strategy's own choices reach, the move
+    it takes at the set of ``small`` with the same label, else
+    ``fallback``'s move for ``(player, label)``.  Moves are distinct among
+    a node's children, so a move names one child."""
     player = mix.player
-    fallback = {}
-    for g, origin, choice in passes:
-        where = {}  # per set of ``game`` in ``g``: its index there, its edges
-        for info in g.information_partition(player):
-            first = info.members[0]
-            edges = [game.edge[origin[c]] for c in g.children[first]]
-            k = game.infoset[origin[first]]
-            where[k] = info.index, edges
-            fallback[k] = edges[choice.get(first, 0)]
+    sets = game.information_partition(player)
+    settled = small.information_partition(player)
 
     def lift(sigma: ReducedStrategy) -> ReducedStrategy:
-        chosen, actions = dict(sigma.actions), {}
+        moves = {settled[k].label: settled[k].actions[a]
+                 for k, a in sigma.actions}
+        actions = {}
         stack = [game.root]
         while stack:  # the nodes the strategy's own choices reach
             node = stack.pop()
@@ -537,9 +521,9 @@ def _lift(game: ExtensiveGame, passes, mix: MixedStrategy) -> MixedStrategy:
                 continue
             k = game.infoset[node]
             if k not in actions:
-                index, edges = where.get(k, (None, None))
-                actions[k] = (edges[chosen[index]] if index in chosen
-                              else fallback[k])
+                info = sets[k]
+                move = moves.get(info.label, fallback[player, info.label])
+                actions[k] = info.actions.index(move)
             stack.append(kids[actions[k]])
         return ReducedStrategy(game, player, actions)
 
@@ -570,27 +554,33 @@ def _tree_reply(g: ExtensiveGame, masses: list[int], player: int) -> int:
 
 
 def _settled(game: ExtensiveGame, lam: BehavioralStrategy):
-    """``game`` settled to a fixpoint: ``(small, small_lam, passes)``.
+    """``game`` settled to a fixpoint: ``(small, small_lam, fallback)``.
 
     Each pass (:func:`_forced_winners`) marks the nodes whose winner is
     already fixed and drops the actions that another dominates at a whole
     information set; :func:`_certify` checks it before :func:`_settle`
     rebuilds the game for the next pass, and the first pass that marks no
     new node and drops nothing ends the loop without a rebuild.
-    ``passes`` lists, first pass first, each pass's game, its origin (per
-    node, its node in ``game``) and its recorded choices, for
-    :func:`_lift`; the last is ``small``'s.
+
+    ``fallback`` maps each ``(player, set label)`` of any pass's game to
+    :func:`_lift`'s move where the settled strategy takes none, from the
+    last pass that has the set: at a lone set, its first child forced to
+    its owner, where there is one, else the set's first action.
     """
-    passes = []
-    g, g_lam, origin = game, lam, range(len(game))
+    g, g_lam, fallback = game, lam, {}
     while True:
-        forced, choice, drops = _forced_winners(g, g_lam)
-        _certify(g, g_lam, forced, choice, drops)
-        passes.append((g, origin, choice))
+        forced, drops = _forced_winners(g, g_lam)
+        _certify(g, g_lam, forced, drops)
+        for player in (EXIST, UNIV):
+            for info in g.information_partition(player):
+                kids = g.children[info.members[0]]
+                first = kids[0]
+                if len(info.members) == 1:
+                    first = next((c for c in kids if forced[c] == player), first)
+                fallback[player, info.label] = g.move[first]
         if not drops and forced.count(None) + g.owner.count(TERMINAL) == len(g):
-            return g, g_lam, passes
-        g, g_lam, kept = _settle(g, g_lam, forced, drops)
-        origin = [origin[n] for n in kept]
+            return g, g_lam, fallback
+        g, g_lam = _settle(g, g_lam, forced, drops)
 
 
 def solve(game: ExtensiveGame, lam: BehavioralStrategy,
@@ -602,18 +592,18 @@ def solve(game: ExtensiveGame, lam: BehavioralStrategy,
     which keeps a zero-sum game's value, and the matrix is built on the
     game it ends with.  The witness mixes refer to that matrix's strategies
     (``eq.matrix``), and :func:`solve_zero_sum` has already checked them
-    exactly against every strategy.  Each mix, lifted to ``game`` back
-    through the passes (``eq.row_strategies()``, ``eq.col_strategies()``),
-    must also guarantee the value on ``game``'s tree (:func:`_tree_reply`)
-    wherever the other player's information sets are all singletons, or
-    :class:`GameError` is raised; the log's last line names the check each
-    side passed.
+    exactly against every strategy.  Each mix, lifted to ``game`` by set
+    label and move (:func:`_lift`, ``eq.row_strategies()``,
+    ``eq.col_strategies()``), must also guarantee the value on ``game``'s
+    tree (:func:`_tree_reply`) wherever the other player's information
+    sets are all singletons, or :class:`GameError` is raised; the log's
+    last line names the check each side passed.
     """
-    small, small_lam, passes = _settled(game, lam)
+    small, small_lam, fallback = _settled(game, lam)
     matrix = build_matrix(small, small_lam, budget)
     matrix.log.append(f"tree: {len(game)} -> {len(small)} nodes")
     eq = solve_zero_sum(matrix)
-    eq.lifted = tuple(_lift(game, passes, mix)
+    eq.lifted = tuple(_lift(game, small, fallback, mix)
                       for mix in (eq.row_strategies(), eq.col_strategies()))
     checks = []
     for side, mix, other in zip(("I", "II"), eq.lifted, (UNIV, EXIST)):

@@ -200,11 +200,17 @@ def test_infoset_members_share_actions(mh_game, sb_game, fig1_game):
                         nature and corpus_text(nature))
               for source, structure, nature in _CORPUS_GAMES]
     loaded += [load_game(*seeded_sentence(seed), None) for seed in range(400)]
-    for game, lam in loaded:
-        for g, _, _ in solver._settled(game, lam)[2]:
+    for g, lam in loaded:
+        while True:
             g.validate()
             for player in (EXIST, UNIV):
                 assert len(own_histories(g, player)) == len(g)
+            forced, drops = solver._forced_winners(g, lam)
+            solver._certify(g, lam, forced, drops)
+            small, lam = solver._settle(g, lam, forced, drops)
+            if len(small) == len(g):
+                break
+            g = small
 
 
 def test_chance_nodes_have_no_information_set(sb_game, mh_chance_game):

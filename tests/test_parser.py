@@ -469,6 +469,8 @@ def test_game_chance_infosets_must_be_singletons():
      "2:1: node has no parent at the previous depth"),
     ("win=I\n  action=a win=II", "2:1: unreachable node declared under a terminal"),
     ("player=I info=r\n  win=I", "2:1: non-root node needs action="),
+    ("player=I info=r\n  action=a win=I\n  action=a win=II",
+     "3:3: action a declared twice at one node"),
     ("win=III", "1:1: win must be I or II"),
     ("win=I player=I", "1:1: terminal lines carry only action/win/p"),
     ("info=r", "1:1: internal node needs player="),

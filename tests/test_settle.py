@@ -116,12 +116,12 @@ def _force_first_open_verifier_node(monkeypatch):
     honest = solver._forced_winners
 
     def faulty(g, lam):
-        forced, choice, drops = honest(g, lam)
+        forced, drops = honest(g, lam)
         node = next((n for n in range(len(g))
                      if g.owner[n] == EXIST and forced[n] is None), None)
         if node is not None:
             forced[node] = EXIST
-        return forced, choice, drops
+        return forced, drops
 
     monkeypatch.setattr(solver, "_forced_winners", faulty)
     return faulty
@@ -132,8 +132,8 @@ def _force_first_open_verifier_node(monkeypatch):
 def test_faulty_settling_fails_the_tree_check(monkeypatch, name, faulty_value):
     game, lam = load_game(corpus_text(name), corpus_text("doors3.struct"))
     faulty = _force_first_open_verifier_node(monkeypatch)
-    forced, _, drops = faulty(game, lam)
-    small, small_lam, _ = solver._settle(game, lam, forced, drops)
+    forced, drops = faulty(game, lam)
+    small, small_lam = solver._settle(game, lam, forced, drops)
     # the small game's own certificate passes on every strategy
     matrix = solver.build_matrix(small, small_lam)
     eq = solver.solve_zero_sum(matrix)
@@ -160,10 +160,10 @@ def test_settling_fault_forced_to_the_falsifier_fails(monkeypatch, name):
     assert len(open_nodes) == 42
     for node in open_nodes:
         def faulty(g, lam, node=node):
-            forced, choice, drops = honest(g, lam)
+            forced, drops = honest(g, lam)
             if g is game:
                 forced[node] = UNIV
-            return forced, choice, drops
+            return forced, drops
 
         monkeypatch.setattr(solver, "_forced_winners", faulty)
         with pytest.raises(GameError, match=f"settling marked node {node} "
@@ -178,10 +178,10 @@ def test_undominated_drop_fails(monkeypatch):
     honest = solver._forced_winners
 
     def faulty(g, lam):
-        forced, choice, drops = honest(g, lam)
+        forced, drops = honest(g, lam)
         assert (UNIV, 0) not in drops
         drops[UNIV, 0] = {1: 0}
-        return forced, choice, drops
+        return forced, drops
 
     monkeypatch.setattr(solver, "_forced_winners", faulty)
     with pytest.raises(GameError, match=r"dropped action 1 at @/\[\] undominated"):
@@ -207,14 +207,30 @@ player=II info=r
 """
 
 
+def _kept_nodes(game, forced, drops):
+    """Reference for the nodes a settling pass keeps, in node order: the
+    root, and each node whose parent is kept and not forced and whose edge
+    is not dropped at the parent's set."""
+    kept = [False] * len(game)
+    for node in range(len(game)):
+        at = game.parent[node]
+        kept[node] = at < 0 or (
+            kept[at] and forced[at] is None and game.edge[node]
+            not in drops.get((game.owner[at], game.infoset[at]), ()))
+    return [node for node in range(len(game)) if kept[node]]
+
+
 def _check_settled_sets(game, lam):
-    """Settle ``game`` pass by pass to the fixpoint.  After each pass, each
-    player's sets are the last game's restricted to the nodes kept open:
-    members mapped through ``origin``, with the same labels, in the same
-    order and with the same actions, less those dropped at the set."""
+    """Settle ``game`` pass by pass to the fixpoint.  After each pass, the
+    small game's nodes are the kept ones (``_kept_nodes``), with the same
+    moves, and each player's sets are the last game's restricted to the
+    nodes kept open: the same members, labels and order, and the same
+    actions less those dropped at the set."""
     while True:
-        forced, _, drops = solver._forced_winners(game, lam)
-        small, small_lam, origin = solver._settle(game, lam, forced, drops)
+        forced, drops = solver._forced_winners(game, lam)
+        small, small_lam = solver._settle(game, lam, forced, drops)
+        origin = _kept_nodes(game, forced, drops)
+        assert small.move == [game.move[n] for n in origin]
         kept = {origin[n] for n in small.nonterminals()}
 
         def sets(g, player, members_of, actions_of):
@@ -309,7 +325,7 @@ def test_settled_equal_rows_solve_like_their_classes(seed):
     ``solve`` gives the value and the lifted witness of the grouped
     matrix."""
     game, lam = load_game(*seeded_sentence(seed))
-    small, small_lam, passes = solver._settled(game, lam)
+    small, small_lam, fallback = solver._settled(game, lam)
     matrix = solver.build_matrix(small, small_lam, 10**4)
     classes = grouped(matrix)
     strategies, rows = _EQUAL_ROWS_AFTER_SETTLING[seed]
@@ -319,4 +335,5 @@ def test_settled_equal_rows_solve_like_their_classes(seed):
     eq, want = solve(game, lam, budget=10**4), solver.solve_zero_sum(classes)
     assert eq.value == want.value
     for got, mix in zip(eq.lifted, (want.row_strategies(), want.col_strategies())):
-        assert _mix_lines(got) == _mix_lines(solver._lift(game, passes, mix))
+        assert _mix_lines(got) == _mix_lines(
+            solver._lift(game, small, fallback, mix))

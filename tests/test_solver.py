@@ -201,11 +201,11 @@ def _load(source, structure, nature):
     return load_game(text, structure and corpus_text(structure), nature_text)
 
 
-def _full_matrix(g, lam, budget=10**6):
-    """Reference for ``build_matrix``: the dense payoff matrix over every
-    pair of enumerated reduced strategies, as (rows, cols, numerators,
-    denominator), by an exact int64 product of the win-terminal follow
-    tables read off the enumeration."""
+def _weighted_follow(g, lam, budget=10**6):
+    """Reference tables for ``build_matrix``, read off the enumeration:
+    both sides' reduced strategies, the row follow table of the win
+    terminals times their chance masses over one common denominator
+    (int64), the column follow table and that denominator."""
     rows = enumerate_reduced(g, EXIST, budget)
     cols = enumerate_reduced(g, UNIV, budget)
     win_nodes = [t for t in g.terminals() if g.winner_of[t] == EXIST]
@@ -213,8 +213,16 @@ def _full_matrix(g, lam, budget=10**6):
     masses = [Fraction(masses[t], scale) for t in win_nodes]
     den = math.lcm(*(mass.denominator for mass in masses))
     weights = np.array([int(m * den) for m in masses], dtype=np.int64)
-    num = (follow_matrix(rows, win_nodes) * weights) @ follow_matrix(cols, win_nodes).T
-    return rows, cols, num, den
+    return (rows, cols, follow_matrix(rows, win_nodes) * weights,
+            follow_matrix(cols, win_nodes), den)
+
+
+def _full_matrix(g, lam, budget=10**6):
+    """Reference for ``build_matrix``: the dense payoff matrix over every
+    pair of enumerated reduced strategies, as (rows, cols, numerators,
+    denominator), by an exact int64 product of the follow tables."""
+    rows, cols, weighted, f_col, den = _weighted_follow(g, lam, budget)
+    return rows, cols, weighted @ f_col.T, den
 
 
 @pytest.mark.parametrize("source, structure, nature", [
@@ -262,18 +270,19 @@ def test_build_matrix_cells_equal_expected_payoff(source, structure, nature):
         "monty-hall-prime"])
 def test_class_matrix_reduces_like_full_matrix(source, structure, nature):
     # the matrix is the full matrix over every enumerated strategy, cell
-    # for cell, compared a block of rows at a time
+    # for cell: both are computed and compared a block of rows at a time
     game, lam = _load(source, structure, nature)
     matrix = build_matrix(game, lam)
-    rows, cols, num, den = _full_matrix(game, lam)
+    rows, cols, weighted, f_col, den = _weighted_follow(game, lam)
     assert np.array_equal(matrix.rows.table, rows.table)
     assert np.array_equal(matrix.cols.table, cols.table)
     assert matrix.den == den
-    assert matrix.shape == num.shape
+    assert matrix.shape == (len(rows), len(cols))
     every_col = list(range(len(cols)))
     for lo in range(0, len(rows), 4096):
         block = list(range(lo, min(lo + 4096, len(rows))))
-        assert np.array_equal(num[lo:lo + 4096], matrix.cells(block, every_col))
+        assert np.array_equal(weighted[lo:lo + 4096] @ f_col.T,
+                              matrix.cells(block, every_col))
 
 
 _CORPUS_CHECKS = [(entry, check) for entry in CORPUS for check in entry.checks]
