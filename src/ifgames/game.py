@@ -64,8 +64,9 @@ class ExtensiveGame:
     ``.game`` file carries neither, and its ``info_label`` is its declared
     label.  A chance node's ``info_label`` is the key that ``.nat`` rules
     name: its chance quantifier's variable, ``@occurrence`` for a
-    chance-or, or its declared label.  Sets are ordered by ``info_order``
-    of their first member, then by that member.  ``structure`` is the
+    chance-or, or its declared label.  A child's position is its index in
+    its parent's ``children``, and every leaf shares one ``()``.  Sets are
+    ordered by one key each, then by first member.  ``structure`` is the
     structure a sentence is played on, None for a ``.game`` file; the game
     never grows past ``node_cap`` nodes.
     """
@@ -75,20 +76,17 @@ class ExtensiveGame:
         self.structure = structure
         self.node_cap = node_cap
         self.parent: list[int] = []
-        self.children: list[list[int]] = []
-        # position of each node among its parent's children (-1 at the root)
-        self.edge: list[int] = []
+        self.children: list[list[int] | tuple[()]] = []
         self.move: list[str] = []
         self.owner: list[int] = []
         self.winner_of: list[int | None] = []
         self.binds: list[str | None] = []
         self.occ: list[OccurrenceId | None] = []
         self.info_label: list[str | None] = []
-        self.info_order: list[int] = []
         # chance probabilities embedded in a .game file, per chance node
         self.embedded_chance: dict[int, tuple[Fraction, ...]] = {}
-        # per player, each set label's members in node order
-        self._filed: dict[int, dict[str, list[int]]] = {EXIST: {}, UNIV: {}}
+        # per player, each set label's order key and members in node order
+        self._filed: dict[int, dict[str, tuple[int, list[int]]]] = {EXIST: {}, UNIV: {}}
         self._partitions: dict[int, tuple[InfoSet, ...]] = {}
         self._infoset: list[int] = []
         # strategy.own_histories's result, per player
@@ -101,24 +99,24 @@ class ExtensiveGame:
                  info_label: str | None = None, winner: int | None = None,
                  label: str | None = None, info_order: int = 0) -> int:
         """Add a node and return its id; one of I or II joins the set named
-        ``label``.  Raises :class:`BudgetError` rather than pass ``node_cap``."""
+        ``label``, keyed by its first member's ``info_order``.  Raises
+        :class:`BudgetError` rather than pass ``node_cap``."""
         node = len(self.parent)
         if node == self.node_cap:
             raise BudgetError("game node", self.node_cap, self.node_cap + 1)
         self.parent.append(parent)
-        self.children.append([])
-        self.edge.append(len(self.children[parent]) if parent >= 0 else -1)
+        self.children.append(())
         self.move.append(move)
         self.owner.append(owner)
         self.winner_of.append(winner)
         self.binds.append(binds)
         self.occ.append(occ)
         self.info_label.append(info_label)
-        self.info_order.append(info_order)
         if parent >= 0:
+            self.children[parent] = self.children[parent] or []
             self.children[parent].append(node)
         if owner in self._filed:
-            self._filed[owner].setdefault(label, []).append(node)
+            self._filed[owner].setdefault(label, (info_order, []))[1].append(node)
         return node
 
     def __len__(self) -> int:
@@ -177,20 +175,19 @@ class ExtensiveGame:
 
     def information_partition(self, player: int) -> tuple[InfoSet, ...]:
         """I's or II's information sets, as :meth:`add_node` filed them, in
-        canonical order: the first member's order key, then that member.  A
+        canonical order: the set's order key, then its first member.  A
         set's actions are its first member's; :meth:`validate` checks that
         the others share them."""
         if not self._partitions:
             self._infoset = [-1] * len(self)
             for p, by_label in self._filed.items():
-                ordered = sorted(by_label.items(), key=lambda kv: (
-                    self.info_order[kv[1][0]], kv[1][0]))
-                for index, (_, members) in enumerate(ordered):
+                ordered = sorted(by_label.items(), key=lambda kv: (kv[1][0], kv[1][1][0]))
+                for index, (_, (_, members)) in enumerate(ordered):
                     for m in members:
                         self._infoset[m] = index
                 self._partitions[p] = tuple(
                     InfoSet(label, tuple(members), self.actions(members[0]), index)
-                    for index, (label, members) in enumerate(ordered))
+                    for index, (label, (_, members)) in enumerate(ordered))
         return self._partitions[player]
 
     @property
@@ -327,12 +324,13 @@ def export_dot(g: ExtensiveGame) -> str:
             elif g.info_label[node]:
                 label += f" {g.info_label[node]}"
             lines.append(f'  n{node} [shape={shapes[g.owner[node]]}, label="{label}"];')
+    probs = {kid: p for at, ps in g.embedded_chance.items()
+             if g.owner[at] == NATURE for kid, p in zip(g.children[at], ps)}
     for node in range(1, len(g)):
-        parent = g.parent[node]
         label = g.move[node]
-        if g.owner[parent] == NATURE and parent in g.embedded_chance:
-            label += f" ({g.embedded_chance[parent][g.edge[node]]})"
-        lines.append(f'  n{parent} -> n{node} [label="{label}"];')
+        if node in probs:
+            label += f" ({probs[node]})"
+        lines.append(f'  n{g.parent[node]} -> n{node} [label="{label}"];')
     cluster = 0
     for player in (EXIST, UNIV):
         for info in g.information_partition(player):

@@ -478,13 +478,13 @@ def _settle(game: ExtensiveGame, lam: BehavioralStrategy,
     small = ExtensiveGame(game.structure, game.node_cap)
     infoset = game.infoset
     sets = {p: game.information_partition(p) for p in (EXIST, UNIV)}
+    cut = {game.children[m][a] for (owner, index), dropped in drops.items()
+           for m in sets[owner][index].members for a in dropped}
     new = {-1: -1}
     dists = {}
     for node in range(len(game)):
         at = game.parent[node]
-        if at not in new or at >= 0 and (
-                forced[at] is not None or game.edge[node]
-                in drops.get((game.owner[at], infoset[at]), ())):
+        if at not in new or node in cut or at >= 0 and forced[at] is not None:
             continue
         owner = TERMINAL if forced[node] is not None else game.owner[node]
         label = sets[owner][infoset[node]].label if owner in sets else None
@@ -564,8 +564,8 @@ def _settled(game: ExtensiveGame, lam: BehavioralStrategy):
 
     ``fallback`` maps each ``(player, set label)`` of any pass's game to
     :func:`_lift`'s move where the settled strategy takes none, from the
-    last pass that has the set: at a lone set, its first child forced to
-    its owner, where there is one, else the set's first action.
+    last pass that has the set: at a lone set marked for its owner, its
+    first child so marked, else the set's first action.
     """
     g, g_lam, fallback = game, lam, {}
     while True:
@@ -573,10 +573,10 @@ def _settled(game: ExtensiveGame, lam: BehavioralStrategy):
         _certify(g, g_lam, forced, drops)
         for player in (EXIST, UNIV):
             for info in g.information_partition(player):
-                kids = g.children[info.members[0]]
-                first = kids[0]
-                if len(info.members) == 1:
-                    first = next((c for c in kids if forced[c] == player), first)
+                m = info.members[0]
+                first = g.children[m][0]
+                if len(info.members) == 1 and forced[m] == player:
+                    first = next(c for c in g.children[m] if forced[c] == player)
                 fallback[player, info.label] = g.move[first]
         if not drops and forced.count(None) + g.owner.count(TERMINAL) == len(g):
             return g, g_lam, fallback

@@ -48,13 +48,14 @@ def own_histories(g: ExtensiveGame, player: int) -> list[Constraints]:
         raise GameError("reduced strategies exist for the two principal players only")
     infoset = g.infoset
     # node ids are assigned parent-first, so one forward pass fills the table
-    own: list[Constraints] = [()]
-    for node in range(1, len(g)):
-        at = g.parent[node]
+    own: list[Constraints] = [()] * len(g)
+    for at, kids in enumerate(g.children):
         if g.owner[at] == player:
-            own.append(own[at] + ((infoset[at], g.edge[node]),))
+            for a, node in enumerate(kids):
+                own[node] = own[at] + ((infoset[at], a),)
         else:
-            own.append(own[at])
+            for node in kids:
+                own[node] = own[at]
     for info in g.information_partition(player):
         if any(ci >= info.index for m in info.members for ci, _ in own[m]):
             raise GameError(

@@ -1,6 +1,7 @@
 """Semantic game construction, information partitions, winners, DOT export."""
 
 import re
+import tracemalloc
 
 import pytest
 
@@ -55,6 +56,24 @@ def test_node_cap(doors3, phi_mh):
         build_semantic_game(doors3, phi_mh, node_cap=10)
     # the cap is checked at every node added, so it fires at the first one past it
     assert (err.value.limit, err.value.reached) == (10, 11)
+
+
+def test_game_holds_each_tree_fact_once():
+    """``forall x exists y (x = y)`` on 100 elements (10,101 nodes) holds
+    at most 130 bytes per node once loaded: no node keeps its position
+    among its siblings or its set's order key (181 bytes per node when
+    each did), and every leaf shares one empty ``()``."""
+    structure = "universe " + " ".join(map(str, range(1, 101)))
+    tracemalloc.start()
+    try:
+        game, _ = load_game("forall x exists y (x = y)", structure)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(game) == 10_101
+    assert held <= 130 * len(game)
+    leaves = {id(game.children[t]) for t in game.terminals()}
+    assert leaves == {id(())}
 
 
 def test_matching_pennies_terminals(mp_game):

@@ -215,7 +215,7 @@ def _kept_nodes(game, forced, drops):
     for node in range(len(game)):
         at = game.parent[node]
         kept[node] = at < 0 or (
-            kept[at] and forced[at] is None and game.edge[node]
+            kept[at] and forced[at] is None and game.children[at].index(node)
             not in drops.get((game.owner[at], game.infoset[at]), ()))
     return [node for node in range(len(game)) if kept[node]]
 

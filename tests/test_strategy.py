@@ -180,7 +180,7 @@ def _chance_along(game, lam, node) -> Fraction:
     while node != game.root:
         at = game.parent[node]
         if game.owner[at] == NATURE:
-            mass *= lam.distribution(at)[game.edge[node]]
+            mass *= lam.distribution(at)[game.children[at].index(node)]
         node = at
     return mass
 
